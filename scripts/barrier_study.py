@@ -11,7 +11,7 @@ import argparse
 import math
 import pathlib
 
-from repunif.harness import barrier_experiment, write_report_json, write_rows_csv
+from repunif.harness import barrier_experiment, write_report
 
 
 def main():
@@ -32,16 +32,7 @@ def main():
     for kind in ("collision", "chi2", "tvstat"):
         result = barrier_experiment(kind, args.n, m_grid, args.runs_per_m,
                                     args.seed, eps=args.eps, workers=args.workers)
-        rows = [
-            {"experiment_id": f"barrier-{kind}", "m": r.m, "runs": r.runs,
-             "mean": repr(r.mean), "sd": repr(r.sd), "gap": repr(r.gap),
-             "sd_over_gap": repr(r.sd_over_gap)}
-            for r in result.rows
-        ]
-        write_rows_csv(str(out / f"barrier_{kind}.csv"),
-                       ["experiment_id", "m", "runs", "mean", "sd", "gap", "sd_over_gap"],
-                       rows, result.config_echo)
-        write_report_json(str(out / f"barrier_{kind}.json"), result.to_dict())
+        write_report(str(out / f"barrier_{kind}"), result)
         ratios = " ".join(f"{r.sd_over_gap:.3g}" for r in result.rows)
         print(f"{kind}: log-log sd slope = {result.slope:.3f}; sd/gap = {ratios}")
 

@@ -12,12 +12,10 @@ import pathlib
 from repunif.constants import default_constants
 from repunif.distributions import InstanceSpec
 from repunif.harness import (
-    CSV_COLUMNS,
     PairedBiasPrior,
     correctness_experiment,
     replicability_experiment,
-    write_report_json,
-    write_rows_csv,
+    write_report,
 )
 from repunif.tester import TesterParams
 
@@ -50,8 +48,7 @@ def main():
             args.seed + 2, workers=args.workers)),
     ]
     for name, rep in runs:
-        write_rows_csv(str(out / f"{name}.csv"), CSV_COLUMNS, rep.per_trial, rep.config_echo)
-        write_report_json(str(out / f"{name}.json"), rep.to_dict())
+        write_report(str(out / name), rep)
         print(f"{name}: rate={rep.rate:.4f} "
               f"wilson=[{rep.wilson_lo:.4f}, {rep.wilson_hi:.4f}] ({rep.trials} trials)")
 

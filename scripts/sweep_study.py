@@ -12,7 +12,7 @@ import pathlib
 import numpy as np
 
 from repunif.constants import default_constants
-from repunif.harness import acceptance_sweep, write_report_json, write_rows_csv
+from repunif.harness import acceptance_sweep, write_report
 from repunif.tester import TesterParams
 
 
@@ -35,16 +35,7 @@ def main():
     grid = np.linspace(0.0, 2 * args.eps, args.points)
     curve = acceptance_sweep(params, grid, args.trials_per_point, args.seed,
                              fixed_internal=args.fixed_internal, workers=args.workers)
-    rows = [
-        {"experiment_id": "sweep", "grid_index": g, "xi": repr(xi),
-         "trials": curve.trials_per_point, "rate": repr(acc),
-         "wilson_lo": repr(iv[0]), "wilson_hi": repr(iv[1])}
-        for g, (xi, acc, iv) in enumerate(zip(curve.xi_grid, curve.acc_estimates, curve.intervals))
-    ]
-    write_rows_csv(str(out / "sweep.csv"),
-                   ["experiment_id", "grid_index", "xi", "trials", "rate", "wilson_lo", "wilson_hi"],
-                   rows, curve.config_echo)
-    write_report_json(str(out / "sweep.json"), curve.to_dict())
+    write_report(str(out / "sweep"), curve)
     for xi, acc in zip(curve.xi_grid, curve.acc_estimates):
         print(f"xi={xi:.4f}  acc={acc:.3f}")
 

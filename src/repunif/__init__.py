@@ -43,7 +43,7 @@ from .harness import (
     replicability_experiment,
     wilson_interval,
 )
-from .rng import DEFAULT_SEED, SeedSplit, clone_stream, stream
+from .rng import DEFAULT_SEED, SeedSplit, stream
 from .stats import (
     GapRegime,
     chi2_statistic,

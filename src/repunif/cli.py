@@ -25,9 +25,8 @@ from .harness import (
     calibrate,
     correctness_experiment,
     replicability_experiment,
-    write_report_json,
+    write_report,
     write_rows_csv,
-    CSV_COLUMNS,
 )
 from .rng import DEFAULT_SEED, ROLE_INTERNAL, ROLE_SAMPLE, SeedSplit, stream
 from .tester import TesterParams, run_tester
@@ -97,11 +96,10 @@ def cmd_test(args) -> int:
     return 0 if verdict.accept else 1
 
 
-def _emit(report, rows, columns, args, label) -> None:
+def _emit(report, args, label) -> None:
     if args.out_prefix:
-        write_rows_csv(args.out_prefix + ".csv", columns, rows, report["config_echo"])
-        write_report_json(args.out_prefix + ".json", report)
-    brief = {k: v for k, v in report.items() if k != "config_echo"}
+        write_report(args.out_prefix, report)
+    brief = {k: v for k, v in report.to_dict().items() if k != "config_echo"}
     print(f"{label}: {json.dumps(brief, sort_keys=True)}")
 
 
@@ -113,14 +111,14 @@ def cmd_experiment(args) -> int:
         spec = _parse_instance(args.instance)
         rep = correctness_experiment(spec, params, args.trials, args.seed,
                                      expect=args.expect, workers=args.workers)
-        _emit(rep.to_dict(), rep.per_trial, CSV_COLUMNS, args, "correctness")
+        _emit(rep, args, "correctness")
         if args.assert_rate is not None and rep.rate < args.assert_rate:
             status = 1
     elif args.subkind == "replicability":
         params = _params(args, constants)
         rep = replicability_experiment(None, params, args.pairs, args.seed,
                                        workers=args.workers)
-        _emit(rep.to_dict(), rep.per_trial, CSV_COLUMNS, args, "replicability")
+        _emit(rep, args, "replicability")
         if args.assert_rate is not None and rep.rate < args.assert_rate:
             status = 1
     elif args.subkind == "sweep":
@@ -128,14 +126,7 @@ def cmd_experiment(args) -> int:
         curve = acceptance_sweep(params, _parse_grid(args.grid), args.trials,
                                  args.seed, fixed_internal=args.fixed_internal,
                                  workers=args.workers)
-        rows = [
-            {"experiment_id": "sweep", "grid_index": g, "xi": repr(xi),
-             "trials": curve.trials_per_point, "rate": repr(acc),
-             "wilson_lo": repr(iv[0]), "wilson_hi": repr(iv[1])}
-            for g, (xi, acc, iv) in enumerate(zip(curve.xi_grid, curve.acc_estimates, curve.intervals))
-        ]
-        columns = ["experiment_id", "grid_index", "xi", "trials", "rate", "wilson_lo", "wilson_hi"]
-        _emit(curve.to_dict(), rows, columns, args, "sweep")
+        _emit(curve, args, "sweep")
     elif args.subkind == "barrier":
         if args.m_grid:
             m_grid = [int(x) for x in args.m_grid.split(",")]
@@ -144,14 +135,7 @@ def cmd_experiment(args) -> int:
             m_grid = [int(round(base * 2**k)) for k in range(5)]
         result = barrier_experiment(args.stat, args.n, m_grid, args.runs_per_m,
                                     args.seed, eps=args.eps, workers=args.workers)
-        rows = [
-            {"experiment_id": f"barrier-{args.stat}", "m": r.m, "runs": r.runs,
-             "mean": repr(r.mean), "sd": repr(r.sd), "gap": repr(r.gap),
-             "sd_over_gap": repr(r.sd_over_gap)}
-            for r in result.rows
-        ]
-        columns = ["experiment_id", "m", "runs", "mean", "sd", "gap", "sd_over_gap"]
-        _emit(result.to_dict(), rows, columns, args, f"barrier-{args.stat} slope={result.slope:.4f}")
+        _emit(result, args, f"barrier-{args.stat} slope={result.slope:.4f}")
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown experiment {args.subkind!r}")
     return status

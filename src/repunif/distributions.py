@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -226,9 +227,12 @@ class SampleBatch:
     def n(self) -> int:
         return self.counts.shape[0]
 
-    @property
+    @cached_property
     def m(self) -> int:
-        return int(self.counts.sum())
+        counts = self.counts
+        if int(counts.max()) * counts.size < 2**63:
+            return int(counts.sum())
+        return sum(counts.tolist())  # wide-integer path: the int64 sum could wrap
 
 
 class AliasTable:

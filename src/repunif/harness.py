@@ -6,10 +6,27 @@ heavy-element barrier studies for the baseline statistics, and calibrates
 the tester constants.
 
 Determinism contract: every trial's randomness is a pure function of
-``(master_seed, experiment tag, trial index, run index, role)``, reports are
-assembled in trial order, and the worker count never changes any output
-byte.  Trials are independent work items; the report accumulator is a plain
-ordered merge.
+``(master_seed, key)``, reports are assembled in trial order, and the
+worker count never changes any output byte.  Each stream is
+``stream(master_seed, *key)`` with these keys (t = trial, k = pair,
+g = grid index, r = run):
+
+* correctness: internal ``(EXP_CORRECTNESS, t, ROLE_INTERNAL)``, sample
+  ``(EXP_CORRECTNESS, t, ROLE_SAMPLE)``;
+* replicability: instance ``(EXP_REPLICABILITY, k, ROLE_INSTANCE)``;
+  internal ``(EXP_REPLICABILITY, k, ROLE_INTERNAL)``, shared by both runs;
+  sample ``(EXP_REPLICABILITY, k, r, ROLE_SAMPLE)`` for r in 0, 1 (r = 0
+  for both runs with ``shared_sample_seeds``);
+* sweep: internal ``(EXP_SWEEP, g, t, ROLE_INTERNAL)``, or
+  ``(EXP_SWEEP, ROLE_INTERNAL)`` for every trial with ``fixed_internal``;
+  sample ``(EXP_SWEEP, g, t, ROLE_SAMPLE)``;
+* barrier: sample ``(EXP_BARRIER, g, r, ROLE_SAMPLE)``, no internal coin;
+* calibrate, pilot p, side s (0 uniform, 1 far): internal
+  ``(EXP_CALIBRATE, p, s, t, ROLE_INTERNAL)``, sample
+  ``(EXP_CALIBRATE, p, s, t, ROLE_SAMPLE)``.
+
+Every tester trial runs through one worker, :func:`_trial`; each report
+type states its CSV columns and rows, and :func:`write_report` writes it.
 """
 
 from __future__ import annotations
@@ -24,7 +41,6 @@ import numpy as np
 
 from .distributions import (
     InstanceSpec,
-    Pmf,
     draw_batch,
     draw_poissonized_batch,
     make_instance,
@@ -61,6 +77,7 @@ __all__ = [
     "calibrate",
     "write_rows_csv",
     "write_report_json",
+    "write_report",
 ]
 
 
@@ -88,6 +105,8 @@ class ExperimentReport:
     config_echo: dict
     per_trial: list[dict] | None = None
 
+    csv_columns = CSV_COLUMNS
+
     @classmethod
     def from_counts(cls, successes, trials, config, per_trial=None):
         lo, hi = wilson_interval(successes, trials)
@@ -107,8 +126,8 @@ class ExperimentReport:
             d["per_trial"] = self.per_trial
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+    def csv_rows(self) -> list[dict]:
+        return self.per_trial or []
 
 
 @dataclass
@@ -121,6 +140,8 @@ class SweepCurve:
     intervals: list[tuple[float, float]]
     config_echo: dict
 
+    csv_columns = ["experiment_id", "grid_index", "xi", "trials", "rate", "wilson_lo", "wilson_hi"]
+
     def to_dict(self) -> dict:
         return {
             "xi_grid": self.xi_grid,
@@ -129,6 +150,13 @@ class SweepCurve:
             "intervals": [list(iv) for iv in self.intervals],
             "config_echo": self.config_echo,
         }
+
+    def csv_rows(self) -> list[dict]:
+        return [
+            {"experiment_id": "sweep", "grid_index": g, "xi": xi, "trials": self.trials_per_point,
+             "rate": acc, "wilson_lo": lo, "wilson_hi": hi}
+            for g, (xi, acc, (lo, hi)) in enumerate(zip(self.xi_grid, self.acc_estimates, self.intervals))
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +191,7 @@ class FixedPrior:
 # ---------------------------------------------------------------------------
 
 
-def _verdict_row(experiment_id: str, trial: int, run, spec: InstanceSpec, v: Verdict) -> dict:
+def _verdict_row(experiment_id: str, trial: int, run, spec: InstanceSpec, v: Verdict, agree="") -> dict:
     return {
         "experiment_id": experiment_id,
         "trial": trial,
@@ -177,53 +205,18 @@ def _verdict_row(experiment_id: str, trial: int, run, spec: InstanceSpec, v: Ver
         "threshold": repr(v.threshold),
         "r0": repr(v.r0),
         "decision": v.decision,
-        "agree": "",
+        "agree": agree,
     }
 
 
-def _correctness_trial(args) -> dict:
-    pmf, spec, params, master_seed, trial = args
+def _trial(args) -> Verdict:
+    """One tester run with its coin and data streams derived from their keys."""
+    pmf, params, master_seed, internal_key, sample_key = args
     seeds = SeedSplit(
-        internal=stream(master_seed, EXP_CORRECTNESS, trial, ROLE_INTERNAL),
-        sample=stream(master_seed, EXP_CORRECTNESS, trial, ROLE_SAMPLE),
+        internal=stream(master_seed, *internal_key),
+        sample=stream(master_seed, *sample_key),
     )
-    v = run_tester(pmf, params, seeds)
-    return _verdict_row("correctness", trial, None, spec, v)
-
-
-def _replicability_pair(args) -> list[dict]:
-    prior, params, master_seed, pair, shared_sample_seeds = args
-    instance_rng = stream(master_seed, EXP_REPLICABILITY, pair, ROLE_INSTANCE)
-    spec = prior(instance_rng)
-    pmf = make_instance(spec, params.n)
-    rows = []
-    decisions = []
-    for run in (0, 1):
-        sample_run = 0 if shared_sample_seeds else run
-        seeds = SeedSplit(
-            internal=stream(master_seed, EXP_REPLICABILITY, pair, ROLE_INTERNAL),
-            sample=stream(master_seed, EXP_REPLICABILITY, pair, sample_run, ROLE_SAMPLE),
-        )
-        v = run_tester(pmf, params, seeds)
-        decisions.append(v.decision)
-        rows.append(_verdict_row("replicability", pair, run, spec, v))
-    agree = int(decisions[0] == decisions[1])
-    for row in rows:
-        row["agree"] = agree
-    return rows
-
-
-def _sweep_trial(args) -> bool:
-    pmf, params, master_seed, grid_index, trial, fixed_internal = args
-    if fixed_internal:
-        internal = stream(master_seed, EXP_SWEEP, ROLE_INTERNAL)
-    else:
-        internal = stream(master_seed, EXP_SWEEP, grid_index, trial, ROLE_INTERNAL)
-    seeds = SeedSplit(
-        internal=internal,
-        sample=stream(master_seed, EXP_SWEEP, grid_index, trial, ROLE_SAMPLE),
-    )
-    return run_tester(pmf, params, seeds).accept
+    return run_tester(pmf, params, seeds)
 
 
 def _barrier_point(args) -> list[float]:
@@ -243,15 +236,12 @@ def _barrier_point(args) -> list[float]:
     return values
 
 
-def _smedian_draw(args) -> float:
-    pmf, m, m0, master_seed, pilot, side, trial = args
-    rng = stream(master_seed, EXP_CALIBRATE, pilot, side, trial, ROLE_SAMPLE)
-    values = sorted(tv_statistic(draw_batch(pmf, m, rng)) for _ in range(m0))
-    return values[m0 // 2]
-
-
 def _map_jobs(fn, jobs, workers: int):
-    if workers <= 1 or len(jobs) <= 1:
+    if workers < 1:
+        raise ValueError("need workers >= 1")
+    # the pool starts all of its processes at the first submit: start no idle ones
+    workers = min(workers, len(jobs))
+    if workers <= 1:
         return [fn(job) for job in jobs]
     chunk = max(1, len(jobs) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -290,9 +280,11 @@ def correctness_experiment(
     if expect not in ("accept", "reject"):
         raise ValueError("expect must be 'accept' or 'reject'")
     pmf = make_instance(instance, params.n)
-    jobs = [(pmf, instance, params, master_seed, t) for t in range(trials)]
-    rows = _map_jobs(_correctness_trial, jobs, workers)
-    successes = sum(1 for row in rows if row["decision"] == expect)
+    jobs = [(pmf, params, master_seed, (EXP_CORRECTNESS, t, ROLE_INTERNAL), (EXP_CORRECTNESS, t, ROLE_SAMPLE))
+            for t in range(trials)]
+    verdicts = _map_jobs(_trial, jobs, workers)
+    rows = [_verdict_row("correctness", t, None, instance, v) for t, v in enumerate(verdicts)]
+    successes = sum(v.decision == expect for v in verdicts)
     config = {
         "experiment": "correctness", "instance": instance.describe(),
         "expect": expect, "trials": trials, "master_seed": master_seed,
@@ -321,10 +313,21 @@ def replicability_experiment(
         raise ValueError("need pairs >= 1")
     if prior is None:
         prior = PairedBiasPrior(xi_max=2.0 * params.eps)
-    jobs = [(prior, params, master_seed, k, shared_sample_seeds) for k in range(pairs)]
-    row_pairs = _map_jobs(_replicability_pair, jobs, workers)
-    rows = [row for pair_rows in row_pairs for row in pair_rows]
-    successes = sum(pair_rows[0]["agree"] for pair_rows in row_pairs)
+    specs = [prior(stream(master_seed, EXP_REPLICABILITY, k, ROLE_INSTANCE)) for k in range(pairs)]
+    jobs = []
+    for k, spec in enumerate(specs):
+        pmf = make_instance(spec, params.n)
+        for run in (0, 1):
+            sample_run = 0 if shared_sample_seeds else run
+            jobs.append((pmf, params, master_seed, (EXP_REPLICABILITY, k, ROLE_INTERNAL),
+                         (EXP_REPLICABILITY, k, sample_run, ROLE_SAMPLE)))
+    verdicts = _map_jobs(_trial, jobs, workers)
+    rows, successes = [], 0
+    for k, spec in enumerate(specs):
+        pair = verdicts[2 * k:2 * k + 2]
+        agree = int(pair[0].decision == pair[1].decision)
+        successes += agree
+        rows += [_verdict_row("replicability", k, run, spec, v, agree) for run, v in enumerate(pair)]
     config = {
         "experiment": "replicability", "prior": repr(prior), "pairs": pairs,
         "shared_sample_seeds": shared_sample_seeds, "master_seed": master_seed,
@@ -348,19 +351,25 @@ def acceptance_sweep(
     deterministic fixed-seed algorithm of the lower-bound argument).
     """
     xi_grid = [float(x) for x in xi_grid]
+    if not xi_grid:
+        raise ValueError("xi grid must be non-empty")
     if any(not 0.0 <= x <= 1.0 for x in xi_grid):
         raise ValueError("xi grid must lie within [0, 1]")
     if any(b <= a for a, b in zip(xi_grid, xi_grid[1:])):
         raise ValueError("xi grid must be strictly increasing")
     if trials_per_point < 1:
         raise ValueError("need trials_per_point >= 1")
-    estimates, intervals = [], []
+    jobs = []
     for g, xi in enumerate(xi_grid):
         pmf = make_instance(InstanceSpec.paired_bias(xi), params.n)
-        jobs = [(pmf, params, master_seed, g, t, fixed_internal) for t in range(trials_per_point)]
-        accepts = sum(_map_jobs(_sweep_trial, jobs, workers))
-        estimates.append(accepts / trials_per_point)
-        intervals.append(wilson_interval(accepts, trials_per_point))
+        for t in range(trials_per_point):
+            internal = (EXP_SWEEP, ROLE_INTERNAL) if fixed_internal else (EXP_SWEEP, g, t, ROLE_INTERNAL)
+            jobs.append((pmf, params, master_seed, internal, (EXP_SWEEP, g, t, ROLE_SAMPLE)))
+    verdicts = _map_jobs(_trial, jobs, workers)
+    accepts = [sum(v.accept for v in verdicts[g * trials_per_point:(g + 1) * trials_per_point])
+               for g in range(len(xi_grid))]
+    estimates = [a / trials_per_point for a in accepts]
+    intervals = [wilson_interval(a, trials_per_point) for a in accepts]
     config = {
         "experiment": "sweep", "trials_per_point": trials_per_point,
         "fixed_internal": fixed_internal, "master_seed": master_seed,
@@ -383,6 +392,10 @@ class BarrierRow:
     def sd_over_gap(self) -> float:
         return self.sd / self.gap
 
+    def to_dict(self) -> dict:
+        return {"m": self.m, "runs": self.runs, "mean": self.mean, "sd": self.sd,
+                "gap": self.gap, "sd_over_gap": self.sd_over_gap}
+
 
 @dataclass
 class BarrierResult:
@@ -392,13 +405,17 @@ class BarrierResult:
     slope: float
     config_echo: dict = field(default_factory=dict)
 
+    csv_columns = ["experiment_id", "m", "runs", "mean", "sd", "gap", "sd_over_gap"]
+
     def to_dict(self) -> dict:
         return {
             "kind": self.kind, "n": self.n, "slope": self.slope,
-            "rows": [{"m": r.m, "runs": r.runs, "mean": r.mean, "sd": r.sd,
-                      "gap": r.gap, "sd_over_gap": r.sd_over_gap} for r in self.rows],
+            "rows": [r.to_dict() for r in self.rows],
             "config_echo": self.config_echo,
         }
+
+    def csv_rows(self) -> list[dict]:
+        return [{"experiment_id": f"barrier-{self.kind}", **r.to_dict()} for r in self.rows]
 
 
 def _barrier_gap(kind: str, m: int, n: int, eps: float) -> float:
@@ -430,6 +447,8 @@ def barrier_experiment(
     collisions, 1/2 for chi-square).
     """
     m_grid = [int(m) for m in m_grid]
+    if len(m_grid) < 2 or min(m_grid) < 2:
+        raise ValueError("m grid needs at least two points, each m >= 2")
     if any(b <= a for a, b in zip(m_grid, m_grid[1:])):
         raise ValueError("m grid must be strictly increasing")
     if runs_per_m < 2:
@@ -505,14 +524,13 @@ def calibrate(
         m, m0 = derive_sizes(params)
         mu = exact_uniform_mean(n, m)
         _, base = expectation_gap(n, m, eps, 1.0)
-        uniform = make_instance(InstanceSpec.uniform(), n)
-        far = make_instance(InstanceSpec.paired_bias(2.0 * eps), n)
-        sides = {}
-        for side, pmf in ((0, uniform), (1, far)):
-            jobs = [(pmf, m, m0, master_seed, pilot, side, t) for t in range(trials)]
-            sides[side] = np.array(_map_jobs(_smedian_draw, jobs, workers))
-        uni_hi = float(np.quantile(sides[0], 1.0 - rho / 4.0))
-        far_lo = float(np.quantile(sides[1], rho / 4.0))
+        sides = (make_instance(InstanceSpec.uniform(), n), make_instance(InstanceSpec.paired_bias(2.0 * eps), n))
+        jobs = [(pmf, params, master_seed, (EXP_CALIBRATE, pilot, side, t, ROLE_INTERNAL),
+                 (EXP_CALIBRATE, pilot, side, t, ROLE_SAMPLE))
+                for side, pmf in enumerate(sides) for t in range(trials)]
+        s_median = np.array([v.statistic for v in _map_jobs(_trial, jobs, workers)])
+        uni_hi = float(np.quantile(s_median[:trials], 1.0 - rho / 4.0))
+        far_lo = float(np.quantile(s_median[trials:], rho / 4.0))
         c_lo = max(0.0, lo_mult * (uni_hi - mu) / base)
         c_hi = (far_lo - mu) / base
         provenance.append(
@@ -560,3 +578,13 @@ def write_rows_csv(path: str, fieldnames: list[str], rows: list[dict], config: d
 def write_report_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_report(prefix: str, report) -> None:
+    """``<prefix>.csv`` with the report's rows and ``<prefix>.json`` with its summary.
+
+    ``report`` is an :class:`ExperimentReport`, :class:`SweepCurve` or
+    :class:`BarrierResult`.
+    """
+    write_rows_csv(prefix + ".csv", report.csv_columns, report.csv_rows(), report.config_echo)
+    write_report_json(prefix + ".json", report.to_dict())

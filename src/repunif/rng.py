@@ -14,7 +14,6 @@ drives data draws and is fresh per run.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "ROLE_INSTANCE",
     "DEFAULT_SEED",
     "stream",
-    "clone_stream",
     "SeedSplit",
 ]
 
@@ -50,11 +48,6 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def clone_stream(gen: np.random.Generator) -> np.random.Generator:
-    """Return an independent copy of ``gen`` frozen at its current state."""
-    return copy.deepcopy(gen)
-
-
 @dataclass
 class SeedSplit:
     """The two random streams a tester consumes.
@@ -67,14 +60,3 @@ class SeedSplit:
 
     internal: np.random.Generator
     sample: np.random.Generator
-
-    @classmethod
-    def from_seeds(cls, internal_seed: int, sample_seed: int) -> "SeedSplit":
-        return cls(
-            internal=stream(internal_seed, ROLE_INTERNAL),
-            sample=stream(sample_seed, ROLE_SAMPLE),
-        )
-
-    def clone_internal(self) -> np.random.Generator:
-        """Copy the internal stream state (for paired-run experiments)."""
-        return clone_stream(self.internal)

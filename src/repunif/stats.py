@@ -38,9 +38,11 @@ def _tv_numerator(batch: SampleBatch) -> int:
     counts = batch.counts
     n = batch.n
     m = batch.m
-    # n*X_i <= n*m fits in int64 for any desk-scale n, m
-    dev = np.abs(n * counts - m)
-    return int(dev.sum())
+    if 2 * n * m >= 2**63:
+        # wide-integer path: each term is at most n*m and the sum at most 2*n*m,
+        # so below this bound int64 cannot wrap
+        return sum(abs(n * c - m) for c in counts.tolist())
+    return int(np.abs(n * counts - m).sum())
 
 
 def tv_statistic(batch: SampleBatch) -> float:
@@ -51,7 +53,7 @@ def tv_statistic(batch: SampleBatch) -> float:
     m = batch.m
     if m < 1:
         raise ValueError("tv statistic needs at least one sample")
-    return _tv_numerator(batch) / (2.0 * m * batch.n)
+    return _tv_numerator(batch) / (2 * m * batch.n)
 
 
 def tv_statistic_fraction(batch: SampleBatch) -> Fraction:

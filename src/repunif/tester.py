@@ -35,7 +35,6 @@ __all__ = [
     "TesterParams",
     "Verdict",
     "derive_sizes",
-    "batch_oracle",
     "run_tester",
     "run_baseline_tester",
     "IdentityReducer",
@@ -117,10 +116,6 @@ class Verdict:
     def accept(self) -> bool:
         return self.decision == "accept"
 
-    @property
-    def s_median(self) -> float:
-        return self.statistic
-
     def to_dict(self) -> dict:
         d = asdict(self)
         d["regime"] = self.regime.value if self.regime is not None else None
@@ -130,7 +125,7 @@ class Verdict:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-def batch_oracle(p_access: Union[Pmf, BatchOracle]) -> BatchOracle:
+def _batch_oracle(p_access: Union[Pmf, BatchOracle]) -> BatchOracle:
     """Adapt an explicit pmf (or pass through a callable) as a batch oracle."""
     if isinstance(p_access, Pmf):
         pmf = p_access
@@ -150,7 +145,7 @@ def run_tester(p_access, params: TesterParams, seeds: SeedSplit) -> Verdict:
     regime, gap = expectation_gap(params.n, m, params.eps, params.c_gap)
     mu = exact_uniform_mean(params.n, m)
     threshold = mu + r0 * gap
-    oracle = batch_oracle(p_access)
+    oracle = _batch_oracle(p_access)
     s_values = []
     for _ in range(m0):
         batch = oracle(m, seeds.sample)
@@ -186,7 +181,7 @@ def run_baseline_tester(
     r0 = float(seeds.internal.uniform(0.25, 0.75))
     unit = 2.0 * (r0 - 0.25)  # uniform on [0, 1)
     if statistic_kind == "collision":
-        batch = batch_oracle(p_access)(m, seeds.sample)
+        batch = _batch_oracle(p_access)(m, seeds.sample)
         value = float(collision_statistic(batch))
         pairs = m * (m - 1) / 2.0
         lo, hi = pairs / n, pairs * (1.0 + eps * eps) / n
@@ -241,15 +236,8 @@ class IdentityReducer:
             spread = np.ones_like(spread)
         self.spread = spread
 
-    def map_one(self, sample: int, rng: np.random.Generator) -> int:
-        """Map one 0-based sample of [n] to a 0-based element of [6n]."""
-        mixed = int(sample) if rng.random() < 0.5 else int(rng.integers(self.n))
-        if rng.random() < self.spread[mixed]:
-            return int(self.start[mixed] + rng.integers(self.cells[mixed]))
-        return int(self.used + rng.integers(self.overflow))
-
     def map_many(self, samples: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized map of a sample vector; same per-sample law as map_one."""
+        """Map 0-based samples of [n], each independently, to 0-based elements of [6n]."""
         m = samples.shape[0]
         keep = rng.random(m) < 0.5
         replacement = rng.integers(0, self.n, size=m)

@@ -19,6 +19,7 @@ from repunif.distributions import (
     Pmf,
     SampleBatch,
     make_instance,
+    tv_distance,
 )
 from repunif.exact import (
     brute_force_mean_statistic,
@@ -203,7 +204,10 @@ def test_criterion_7_identity_tester_end_to_end():
     far = np.array(q.probs)
     far[0::2] -= eps / n
     far[1::2] += eps / n
-    p_far = Pmf(far)  # TV(p_far, q) = eps exactly
+    # each of the n masses moves by eps/n, so TV(p_far, q) = eps/2: a far p
+    # closer to q than the eps the tester promises to reject
+    p_far = Pmf(far)
+    assert tv_distance(p_far, q) == pytest.approx(eps / 2, abs=1e-12)
 
     from repunif.rng import ROLE_INTERNAL, ROLE_SAMPLE, SeedSplit
 

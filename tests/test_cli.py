@@ -119,6 +119,17 @@ class TestExperimentCommand:
         lines = (tmp_path / "bar.csv").read_text().splitlines()
         assert len(lines) == 2 + 2
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", *BASE, "--grid", "0:0.5:0"],
+        ["barrier", "--stat", "collision", "--n", "400", "--m-grid", "80"],
+        ["barrier", "--stat", "collision", "--n", "400", "--m-grid", "0,80"],
+        ["correctness", *BASE, "--trials", "4", "--workers", "0"],
+    ])
+    def test_out_of_range_input_exit_two(self, argv, capsys):
+        code, out, err = run(["experiment", *argv], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         args = ["experiment", "correctness", *BASE, "--trials", "6"]
         p1, p2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -6,10 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from repunif import harness
 from repunif.constants import load_constants, parse_constants, save_constants
-from repunif.distributions import InstanceSpec
+from repunif.distributions import InstanceSpec, draw_batch, draw_poissonized_batch, make_instance
 from repunif.harness import (
     CSV_COLUMNS,
+    EXP_BARRIER,
+    EXP_CALIBRATE,
+    EXP_CORRECTNESS,
+    EXP_REPLICABILITY,
+    EXP_SWEEP,
     CalibrationError,
     FixedPrior,
     PairedBiasPrior,
@@ -21,8 +27,15 @@ from repunif.harness import (
     wilson_interval,
     write_rows_csv,
 )
-from repunif.rng import stream
-from repunif.tester import TesterParams
+from repunif.rng import ROLE_INSTANCE, ROLE_INTERNAL, ROLE_SAMPLE, SeedSplit, stream
+from repunif.stats import (
+    chi2_statistic,
+    collision_statistic,
+    exact_uniform_mean,
+    expectation_gap,
+    tv_statistic,
+)
+from repunif.tester import TesterParams, derive_sizes, run_tester
 
 CAL = dict(c_gap=0.21346146882247882, c_m1=1.0, c_m2=1.0, c_m0=3.0)
 FAST = TesterParams.from_constants(300, 0.3, 0.2, CAL)
@@ -94,6 +107,30 @@ class TestCorrectnessExperiment:
             correctness_experiment(InstanceSpec.uniform(), FAST, 0, master_seed=1)
         with pytest.raises(ValueError):
             correctness_experiment(InstanceSpec.uniform(), FAST, 5, master_seed=1, expect="maybe")
+        with pytest.raises(ValueError):
+            correctness_experiment(InstanceSpec.uniform(), FAST, 5, master_seed=1, workers=0)
+
+    def test_pool_never_larger_than_job_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        for workers in (2, 64):
+            correctness_experiment(InstanceSpec.uniform(), FAST, 3, master_seed=1, workers=workers)
+        correctness_experiment(InstanceSpec.uniform(), FAST, 1, master_seed=1, workers=64)
+        assert sizes == [2, 3]
 
 
 class TestReplicabilityExperiment:
@@ -144,6 +181,8 @@ class TestAcceptanceSweep:
             acceptance_sweep(FAST, [0.1, 1.2], 5, master_seed=1)
         with pytest.raises(ValueError):
             acceptance_sweep(FAST, [0.1, 0.2], 0, master_seed=1)
+        with pytest.raises(ValueError):
+            acceptance_sweep(FAST, [], 5, master_seed=1)
 
     def test_estimates_within_unit_interval(self):
         curve = acceptance_sweep(FAST, [0.0, 0.3, 0.6], 10, master_seed=31)
@@ -184,6 +223,9 @@ class TestBarrierExperiment:
             barrier_experiment("collision", 400, [160, 80], 30, master_seed=1)
         with pytest.raises(ValueError):
             barrier_experiment("collision", 400, [80, 160], 1, master_seed=1)
+        for grid in ([], [80], [0, 80], [1, 80]):
+            with pytest.raises(ValueError):
+                barrier_experiment("collision", 400, grid, 30, master_seed=1)
 
 
 class TestCalibrate:
@@ -240,3 +282,95 @@ class TestCsvOutput:
         assert config["params"]["c_gap"] == CAL["c_gap"]
         assert text.splitlines()[1] == ",".join(CSV_COLUMNS)
         assert len(text.splitlines()) == 2 + 6
+
+
+def _keyed_verdict(pmf, master_seed, internal_key, sample_key):
+    seeds = SeedSplit(internal=stream(master_seed, *internal_key),
+                      sample=stream(master_seed, *sample_key))
+    return run_tester(pmf, FAST, seeds)
+
+
+def _row_fields(v):
+    return {"n": v.n, "m": v.m, "m0": v.m0, "statistic": repr(v.statistic),
+            "threshold": repr(v.threshold), "r0": repr(v.r0), "decision": v.decision}
+
+
+class TestStreamKeyContract:
+    """Each experiment's trials replay from the documented stream keys.
+
+    Every row is recomputed straight from ``run_tester`` or the samplers with
+    ``stream(master_seed, EXP_*, indices..., ROLE_*)``, so the comparison
+    holds under any numpy release.
+    """
+
+    def test_correctness(self):
+        spec = InstanceSpec.paired_bias(0.3)
+        rep = correctness_experiment(spec, FAST, 3, master_seed=51)
+        pmf = make_instance(spec, FAST.n)
+        for t, row in enumerate(rep.per_trial):
+            v = _keyed_verdict(pmf, 51, (EXP_CORRECTNESS, t, ROLE_INTERNAL),
+                               (EXP_CORRECTNESS, t, ROLE_SAMPLE))
+            assert {k: row[k] for k in _row_fields(v)} == _row_fields(v)
+
+    def test_replicability(self):
+        rep = replicability_experiment(None, FAST, 3, master_seed=53)
+        prior = PairedBiasPrior(xi_max=2.0 * FAST.eps)
+        assert [(row["trial"], row["run"]) for row in rep.per_trial] == [
+            (k, run) for k in range(3) for run in (0, 1)]
+        for row in rep.per_trial:
+            k, run = row["trial"], row["run"]
+            spec = prior(stream(53, EXP_REPLICABILITY, k, ROLE_INSTANCE))
+            assert row["xi"] == repr(spec.xi)
+            v = _keyed_verdict(make_instance(spec, FAST.n), 53,
+                               (EXP_REPLICABILITY, k, ROLE_INTERNAL),
+                               (EXP_REPLICABILITY, k, run, ROLE_SAMPLE))
+            assert {key: row[key] for key in _row_fields(v)} == _row_fields(v)
+
+    @pytest.mark.parametrize("fixed_internal", [False, True])
+    def test_sweep(self, fixed_internal):
+        grid, trials = [0.2, 0.25], 6  # both curves pass strictly between 0 and 1 here
+        curve = acceptance_sweep(FAST, grid, trials, master_seed=57,
+                                 fixed_internal=fixed_internal)
+        for g, xi in enumerate(grid):
+            pmf = make_instance(InstanceSpec.paired_bias(xi), FAST.n)
+            accepts = 0
+            for t in range(trials):
+                internal = ((EXP_SWEEP, ROLE_INTERNAL) if fixed_internal
+                            else (EXP_SWEEP, g, t, ROLE_INTERNAL))
+                accepts += _keyed_verdict(pmf, 57, internal, (EXP_SWEEP, g, t, ROLE_SAMPLE)).accept
+            assert curve.acc_estimates[g] == accepts / trials
+
+    @pytest.mark.parametrize("kind", ["collision", "chi2", "tvstat"])
+    def test_barrier(self, kind):
+        n, runs = 400, 3
+        res = barrier_experiment(kind, n, [40, 80], runs, master_seed=61)
+        pmf = make_instance(InstanceSpec.heavy(n ** -0.5), n)
+        for g, row in enumerate(res.rows):
+            values = []
+            for run in range(runs):
+                rng = stream(61, EXP_BARRIER, g, run, ROLE_SAMPLE)
+                if kind == "collision":
+                    values.append(float(collision_statistic(draw_batch(pmf, row.m, rng))))
+                elif kind == "chi2":
+                    values.append(chi2_statistic(draw_poissonized_batch(pmf, row.m, rng), row.m))
+                else:
+                    values.append(tv_statistic(draw_batch(pmf, row.m, rng)))
+            assert (row.mean, row.sd) == (float(np.mean(values)), float(np.std(values, ddof=1)))
+
+    def test_calibrate_sample_draws(self):
+        n, eps, rho, trials = 300, 0.3, 0.2, 8
+        constants, _ = calibrate([(n, eps)], rho=rho, trials=trials, master_seed=59)
+        m, m0 = derive_sizes(TesterParams(n=n, eps=eps, rho=rho))
+        medians = []
+        for side, spec in enumerate((InstanceSpec.uniform(), InstanceSpec.paired_bias(2 * eps))):
+            pmf = make_instance(spec, n)
+            draws = []
+            for t in range(trials):
+                rng = stream(59, EXP_CALIBRATE, 0, side, t, ROLE_SAMPLE)
+                draws.append(sorted(tv_statistic(draw_batch(pmf, m, rng)) for _ in range(m0))[m0 // 2])
+            medians.append(np.array(draws))
+        mu = exact_uniform_mean(n, m)
+        _, base = expectation_gap(n, m, eps, 1.0)
+        c_lo = max(0.0, 4.0 * (float(np.quantile(medians[0], 1.0 - rho / 4.0)) - mu) / base)
+        c_hi = (float(np.quantile(medians[1], rho / 4.0)) - mu) / base
+        assert constants["c_gap"] == math.sqrt(max(c_lo, c_hi / 9.0, 1e-6) * c_hi)

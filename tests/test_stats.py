@@ -35,6 +35,12 @@ def random_batch(rng, max_n=40, max_m=120):
     return SampleBatch(counts.astype(np.int64))
 
 
+def _tv_reference(counts):
+    """The TV statistic as a Fraction, in Python integers only."""
+    n, m = len(counts), sum(counts)
+    return Fraction(sum(abs(n * c - m) for c in counts), 2 * m * n)
+
+
 class TestTvStatistic:
     def test_spec_values(self):
         assert tv_statistic(batch(2, 0)) == 0.5
@@ -63,6 +69,32 @@ class TestTvStatistic:
         assert 0.0 <= s <= 1.0
         perm = rng.permutation(b.n)
         assert tv_statistic(SampleBatch(b.counts[perm])) == s
+
+
+    def test_wide_counts_do_not_wrap(self):
+        b = batch(3 * 10**18, 0, 0, 0)  # n*X_1 = 1.2e19 is past the int64 range
+        assert tv_statistic_fraction(b) == Fraction(3, 4)
+        assert tv_statistic(b) == 0.75
+        assert batch(2**62, 2**62).m == 2**63
+
+    @pytest.mark.parametrize("counts", [
+        (2**60 - 1, 0, 0, 0),  # 2*n*m = 2**63 - 8: int64 path
+        (2**60, 0, 0, 0),      # 2*n*m = 2**63: wide-integer path
+        (2**61 - 2, 1),        # 2*n*m = 2**63 - 4
+        (2**61 - 1, 1),        # 2*n*m = 2**63
+    ])
+    def test_boundary_at_2_pow_63(self, counts):
+        b = batch(*counts)
+        assert tv_statistic_fraction(b) == _tv_reference(counts)
+        assert tv_statistic(b) == float(_tv_reference(counts))
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**62), min_size=1, max_size=8).filter(any))
+    @settings(max_examples=100)
+    def test_fraction_matches_int_reference_on_wide_counts(self, counts):
+        b = SampleBatch(np.array(counts, dtype=np.int64))
+        assert b.m == sum(counts)
+        assert tv_statistic_fraction(b) == _tv_reference(counts)
+        assert tv_statistic(b) == float(_tv_reference(counts))
 
 
 class TestEmptyBucketCount:

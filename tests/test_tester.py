@@ -87,15 +87,14 @@ class TestRunTester:
         b = run_tester(p, params, seeds_for(7))
         assert a == b
 
-    def test_cloned_internal_stream_replays_coin(self):
+    def test_rederived_internal_key_replays_coin(self):
+        # the harness pairs two runs by deriving the same internal key twice
         params = TesterParams.from_constants(200, 0.3, 0.2, CAL)
         p = uniform(200)
-        first = SeedSplit(
-            internal=stream(5, ROLE_INTERNAL), sample=stream(5, 0, ROLE_SAMPLE)
-        )
-        cloned = first.clone_internal()
-        a = run_tester(p, params, first)
-        b = run_tester(p, params, SeedSplit(internal=cloned, sample=stream(5, 1, ROLE_SAMPLE)))
+        a = run_tester(p, params, SeedSplit(
+            internal=stream(5, ROLE_INTERNAL), sample=stream(5, 0, ROLE_SAMPLE)))
+        b = run_tester(p, params, SeedSplit(
+            internal=stream(5, ROLE_INTERNAL), sample=stream(5, 1, ROLE_SAMPLE)))
         assert a.r0 == b.r0 and a.threshold == b.threshold
 
     def test_internal_coin_fixes_threshold(self):
@@ -235,7 +234,7 @@ class TestIdentityReducer:
         assert red.overflow == 0
         assert np.all(red.spread == 1.0)
 
-    def test_map_many_matches_map_one_law_and_pushforward(self):
+    def test_map_many_matches_pushforward(self):
         q = Pmf(np.array([0.75, 0.25]))
         p = Pmf(np.array([0.25, 0.75]))
         red = IdentityReducer(q)
@@ -247,14 +246,6 @@ class TestIdentityReducer:
         freq = np.bincount(mapped, minlength=12) / draws
         sd = np.sqrt(push * (1 - push) / draws)
         assert np.all(np.abs(freq - push) <= 5 * sd + 1e-9)
-
-        rng1 = stream(73, 1)
-        singles = np.array([
-            red.map_one(int(s), rng1) for s in draw_samples(p, 40_000, stream(73, 2))
-        ])
-        freq1 = np.bincount(singles, minlength=12) / 40_000
-        sd1 = np.sqrt(push * (1 - push) / 40_000)
-        assert np.all(np.abs(freq1 - push) <= 5 * sd1 + 1e-9)
 
     def test_single_element_spreads_uniformly(self):
         red = IdentityReducer(uniform(1))
