@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit-code contract: 0 = accept / success, 1 = reject / failed assertion /
-infeasible calibration, 2 = usage or configuration error.  Identical command
-line + seed + constants file produces byte-identical outputs, and every
-output file embeds its full resolved configuration.
+infeasible calibration, 2 = usage or configuration error, or a run too large
+to allocate.  Identical command line + seed + constants file produces
+byte-identical outputs, and every output file embeds its full resolved
+configuration.
 """
 
 from __future__ import annotations
@@ -302,8 +303,8 @@ def main(argv=None) -> int:
     except CalibrationError as err:
         print(f"calibration infeasible: {err}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 2
 
 

@@ -2,9 +2,10 @@
 
 The tester's size formula and gap schedule hide four constants
 (``c_m1``, ``c_m2``, ``c_m0``, ``c_gap``).  They are never magic numbers in
-code: defaults ship as a flat key=value file produced by the offline
-``calibrate`` procedure (see the provenance comments inside the file), and
-any run can substitute its own file via ``--constants`` or the
+code: defaults ship as a flat key=value file produced by
+``repunif calibrate --default-grid --rho 0.2 --trials 200 --seed 31415 --out
+src/repunif/default_constants.txt`` (see the provenance comments inside the
+file), and any run can substitute its own file via ``--constants`` or the
 ``REPUNIF_CONSTANTS`` environment variable.
 """
 
@@ -56,7 +57,7 @@ def save_constants(path: str, constants: dict[str, float], provenance: list[str]
 
 
 def default_constants() -> dict[str, float]:
-    """The packaged defaults (produced by scripts/calibrate_defaults.py)."""
+    """The packaged defaults (produced by ``repunif calibrate --default-grid``)."""
     text = (
         importlib.resources.files("repunif")
         .joinpath("default_constants.txt")

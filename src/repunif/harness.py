@@ -34,6 +34,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -239,8 +240,11 @@ def _barrier_point(args) -> list[float]:
 def _map_jobs(fn, jobs, workers: int):
     if workers < 1:
         raise ValueError("need workers >= 1")
-    # the pool starts all of its processes at the first submit: start no idle ones
-    workers = min(workers, len(jobs))
+    # the pool starts all of its processes at the first submit: start no idle
+    # ones, and none beyond the CPUs this process may run on
+    sched_getaffinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(sched_getaffinity(0)) if sched_getaffinity else (os.cpu_count() or 1)
+    workers = min(workers, len(jobs), cpus)
     if workers <= 1:
         return [fn(job) for job in jobs]
     chunk = max(1, len(jobs) // (workers * 8))

@@ -13,7 +13,6 @@ reproduce the heavy-element barrier experiments; they are not tuned.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 from typing import Callable, Union
@@ -78,10 +77,6 @@ class TesterParams:
                    c_m2=constants["c_m2"], c_m0=constants["c_m0"],
                    c_gap=constants["c_gap"])
 
-    def constants(self) -> dict[str, float]:
-        return {"c_gap": self.c_gap, "c_m1": self.c_m1,
-                "c_m2": self.c_m2, "c_m0": self.c_m0}
-
 
 def derive_sizes(params: TesterParams) -> tuple[int, int]:
     """Batch size m and repetition count m0 (odd) from the size formulas."""
@@ -120,9 +115,6 @@ class Verdict:
         d = asdict(self)
         d["regime"] = self.regime.value if self.regime is not None else None
         return d
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 def _batch_oracle(p_access: Union[Pmf, BatchOracle]) -> BatchOracle:

@@ -1,10 +1,12 @@
 """CLI contract: exit codes, output files, and byte-level reproducibility."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from repunif import cli
 from repunif.cli import main
 from repunif.distributions import Pmf
 
@@ -67,6 +69,16 @@ class TestTestCommand:
             capsys)
         assert code == 2 and "disagrees" in err
 
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 GiB"])
+    def test_allocation_failure_exit_two(self, message, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_tester", fail)
+        code, out, err = run(["test", *BASE], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {message or 'MemoryError'}\n"
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(["test", *BASE, "--instance", "paired-bias:0.4"], capsys)
         _, out2, _ = run(["test", *BASE, "--instance", "paired-bias:0.4"], capsys)
@@ -85,6 +97,7 @@ class TestExperimentCommand:
         assert len(csv_text.splitlines()) == 2 + 12
         summary = json.loads((tmp_path / "corr.json").read_text())
         assert summary["trials"] == 12
+        assert summary["config_echo"]["trials"] == 12
 
     def test_assert_rate_failure_exit_one(self, capsys):
         code, _, _ = run(
@@ -92,12 +105,19 @@ class TestExperimentCommand:
              "--expect", "reject", "--assert-rate", "0.5"], capsys)
         assert code == 1
 
-    def test_replicability_summary(self, capsys):
+    def test_replicability_summary(self, tmp_path, capsys):
+        prefix = str(tmp_path / "rep")
         code, out, _ = run(
             ["experiment", "replicability", *BASE, "--pairs", "10",
-             "--assert-rate", "0.5"], capsys)
+             "--assert-rate", "0.5", "--out-prefix", prefix], capsys)
         assert code == 0
         assert "replicability" in out
+        lines = (tmp_path / "rep.csv").read_text().splitlines()
+        assert lines[0].startswith("# config: ")
+        assert len(lines) == 2 + 2 * 10  # one row per run, two runs per pair
+        summary = json.loads((tmp_path / "rep.json").read_text())
+        assert summary["trials"] == 10
+        assert summary["config_echo"]["pairs"] == 10
 
     def test_sweep_row_count(self, tmp_path, capsys):
         prefix = str(tmp_path / "sweep")
@@ -106,7 +126,9 @@ class TestExperimentCommand:
              "--out-prefix", prefix], capsys)
         assert code == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[0].startswith("# config: ")
         assert len(lines) == 2 + 21
+        assert "config_echo" in json.loads((tmp_path / "sweep.json").read_text())
 
     def test_barrier_slope_table(self, tmp_path, capsys):
         prefix = str(tmp_path / "bar")
@@ -118,6 +140,19 @@ class TestExperimentCommand:
         assert "slope=" in out
         lines = (tmp_path / "bar.csv").read_text().splitlines()
         assert len(lines) == 2 + 2
+        assert "config_echo" in json.loads((tmp_path / "bar.json").read_text())
+
+    def test_barrier_default_grid(self, tmp_path, capsys):
+        prefix = str(tmp_path / "bar")
+        code, _, _ = run(
+            ["experiment", "barrier", "--stat", "collision", "--n", "1000",
+             "--runs-per-m", "3", "--out-prefix", prefix], capsys)
+        assert code == 0
+        with open(tmp_path / "bar.csv", newline="") as fh:
+            next(fh)  # config comment
+            m_column = [int(row["m"]) for row in csv.DictReader(fh)]
+        # round(4 * sqrt(1000) * 2**k) for k < 5
+        assert m_column == [126, 253, 506, 1012, 2024]
 
     @pytest.mark.parametrize("argv", [
         ["sweep", *BASE, "--grid", "0:0.5:0"],
@@ -201,5 +236,6 @@ class TestOracleCommand:
              "--deltas", "0.01,0.02", "--out", str(out_path)], capsys)
         assert code == 0
         lines = out_path.read_text().splitlines()
+        assert lines[0].startswith("# config: ")
         assert lines[1] == "lambda,eps0,eps1,K,tail_mass,mi_nats,error_budget"
         assert len(lines) == 2 + 2

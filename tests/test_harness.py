@@ -127,10 +127,20 @@ class TestCorrectnessExperiment:
                 return map(fn, jobs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         for workers in (2, 64):
             correctness_experiment(InstanceSpec.uniform(), FAST, 3, master_seed=1, workers=workers)
         correctness_experiment(InstanceSpec.uniform(), FAST, 1, master_seed=1, workers=64)
         assert sizes == [2, 3]
+        # never more processes than the CPUs this process may run on
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+        correctness_experiment(InstanceSpec.uniform(), FAST, 3, master_seed=1, workers=64)
+        assert sizes == [2, 3, 2]
+        # without sched_getaffinity the CPU count caps the pool; one CPU runs in-process
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+        correctness_experiment(InstanceSpec.uniform(), FAST, 3, master_seed=1, workers=64)
+        assert sizes == [2, 3, 2]
 
 
 class TestReplicabilityExperiment:

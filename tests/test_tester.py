@@ -53,7 +53,7 @@ class TestParams:
 
     def test_from_constants_round_trip(self):
         params = TesterParams.from_constants(50, 0.3, 0.1, CAL)
-        assert params.constants() == CAL
+        assert {k: getattr(params, k) for k in CAL} == CAL
 
 
 class TestDeriveSizes:
@@ -160,7 +160,7 @@ class TestRunTester:
     def test_verdict_json_round_trip(self):
         params = TesterParams.from_constants(100, 0.25, 0.2, CAL)
         v = run_tester(uniform(100), params, seeds_for(37))
-        parsed = json.loads(v.to_json())
+        parsed = json.loads(json.dumps(v.to_dict()))
         assert parsed["decision"] == v.decision
         assert parsed["regime"] == v.regime.value
         assert parsed["m0"] == v.m0
