@@ -87,9 +87,25 @@ def chi2_statistic(batch: SampleBatch, m_rate: float) -> float:
     if m_rate <= 0:
         raise ValueError("chi2 rate must be > 0")
     expected = m_rate / batch.n
-    c = batch.counts.astype(np.float64)
+    values, mult = np.unique(batch.counts, return_counts=True)
+    c = values.astype(np.float64)
     terms = ((c - expected) ** 2 - c) / expected
-    return math.fsum(terms.tolist())
+    if not np.all(np.abs(terms) * mult < 2.0**996):
+        # the split or a product below could overflow: sum every term instead
+        return math.fsum(np.repeat(terms, mult).tolist())
+    # Equal counts give equal terms, so the sum is sum_v mult_v * term_v.  A
+    # Veltkamp split cuts each term into two floats of at most 26 significant
+    # bits and each multiplicity (< 2**53) into parts of at most 27, so the
+    # four partial products are exact and fsum rounds the exact total once,
+    # to the same float as the fsum of all n terms.
+    scaled = terms * 134217729.0  # 2**27 + 1
+    t_hi = scaled - (scaled - terms)
+    t_lo = terms - t_hi
+    m_lo = mult & (2**26 - 1)
+    m_hi = (mult - m_lo).astype(np.float64)
+    m_lo = m_lo.astype(np.float64)
+    parts = np.concatenate((t_hi * m_hi, t_hi * m_lo, t_lo * m_hi, t_lo * m_lo))
+    return math.fsum(parts.tolist())
 
 
 @lru_cache(maxsize=4096)

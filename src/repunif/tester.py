@@ -19,7 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .distributions import Pmf, SampleBatch, draw_batch, draw_poissonized_batch, draw_samples
+from .distributions import Pmf, SampleBatch, draw_batch, draw_poissonized_batch
 from .rng import SeedSplit
 from .stats import (
     GapRegime,
@@ -207,7 +207,10 @@ class IdentityReducer:
     the output exactly uniform on [6n]; a p that is eps-far from q maps to
     an output at least eps/3-far from uniform.
 
-    Table construction is O(n); each mapped sample costs O(1).
+    Mapped samples are i.i.d., so for an explicit p a reduced batch is one
+    multinomial draw from ``pushforward(p)``; ``map_many`` maps the samples
+    of a black-box oracle one by one.  Table construction and
+    ``pushforward`` are O(n); each mapped sample costs O(1).
     """
 
     def __init__(self, q: Pmf):
@@ -228,9 +231,22 @@ class IdentityReducer:
             spread = np.ones_like(spread)
         self.spread = spread
 
+    def pushforward(self, p: Pmf) -> Pmf:
+        """The exact law on [6n] of one mapped sample of p."""
+        if p.n != self.n:
+            raise ValueError(f"p is on [{p.n}] but the reducer's q is on [{self.n}]")
+        pbar = 0.5 * (p.probs + 1.0 / self.n)
+        out = np.empty(self.big, dtype=np.float64)
+        out[:self.used] = np.repeat(pbar * self.spread / self.cells, self.cells)
+        if self.overflow > 0:
+            out[self.used:] = math.fsum((pbar * (1.0 - self.spread)).tolist()) / self.overflow
+        return Pmf(out)
+
     def map_many(self, samples: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Map 0-based samples of [n], each independently, to 0-based elements of [6n]."""
         m = samples.shape[0]
+        if m and (int(samples.min()) < 0 or int(samples.max()) >= self.n):
+            raise ValueError(f"samples must lie in [0, {self.n})")
         keep = rng.random(m) < 0.5
         replacement = rng.integers(0, self.n, size=m)
         mixed = np.where(keep, samples, replacement)
@@ -248,8 +264,11 @@ def run_identity_tester(p_access, q: Pmf, params: TesterParams, seeds: SeedSplit
 
     ``params`` describes the original problem (domain n, tolerance eps); the
     reduced tester runs on domain 6n with tolerance eps/3 and the same rho.
-    Reduction randomness is drawn from the sample stream: it does not need
-    to be shared across paired runs.
+    An explicit ``Pmf`` p is sampled at count level: each reduced batch is
+    one ``draw_batch`` from the reducer's pushforward of p.  A callable
+    ``p_access(m, rng)`` returns m raw 0-based samples, which are mapped one
+    by one.  Reduction randomness is drawn from the sample stream: it does
+    not need to be shared across paired runs.
     """
     if params.n != q.n:
         raise ValueError("params.n must match q's domain")
@@ -258,17 +277,11 @@ def run_identity_tester(p_access, q: Pmf, params: TesterParams, seeds: SeedSplit
         n=reducer.big, eps=params.eps / 3.0, rho=params.rho,
         c_m1=params.c_m1, c_m2=params.c_m2, c_m0=params.c_m0, c_gap=params.c_gap,
     )
-
     if isinstance(p_access, Pmf):
-        pmf = p_access
-
-        def raw_samples(m, rng):
-            return draw_samples(pmf, m, rng)
-    else:
-        raw_samples = p_access
+        return run_tester(reducer.pushforward(p_access), reduced_params, seeds)
 
     def reduced_oracle(m, rng):
-        raw = raw_samples(m, rng)
+        raw = p_access(m, rng)
         mapped = reducer.map_many(np.asarray(raw, dtype=np.int64), rng)
         return SampleBatch(np.bincount(mapped, minlength=reducer.big))
 

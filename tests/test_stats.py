@@ -41,6 +41,13 @@ def _tv_reference(counts):
     return Fraction(sum(abs(n * c - m) for c in counts), 2 * m * n)
 
 
+def _chi2_reference(counts, m_rate):
+    """``math.fsum`` of all n chi-square terms, in domain order."""
+    c = np.asarray(counts, dtype=np.float64)
+    expected = m_rate / c.size
+    return math.fsum((((c - expected) ** 2 - c) / expected).tolist())
+
+
 class TestTvStatistic:
     def test_spec_values(self):
         assert tv_statistic(batch(2, 0)) == 0.5
@@ -152,6 +159,30 @@ class TestChi2Statistic:
         assert chi2_statistic(SampleBatch(b.counts[perm]), 17.0) == pytest.approx(
             chi2_statistic(b, 17.0), abs=1e-9
         )
+
+    @given(
+        st.lists(st.one_of(st.integers(0, 8), st.integers(0, 2**40)), min_size=1, max_size=300),
+        st.floats(min_value=1e-3, max_value=1e12),
+    )
+    @settings(max_examples=150)
+    def test_matches_fsum_of_every_term_on_wide_counts(self, counts, m_rate):
+        assert chi2_statistic(batch(*counts), m_rate) == _chi2_reference(counts, m_rate)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=60)
+    def test_matches_fsum_of_every_term_on_heavy_tailed_counts(self, seed):
+        rng = stream(seed, 4)
+        n = int(rng.integers(2, 5000))
+        counts = np.floor(rng.pareto(1.1, n) * rng.choice([1.0, 10.0, 1e4])).astype(np.int64)
+        m_rate = float(rng.choice([0.5, 1.0, 17.0])) * n
+        assert chi2_statistic(SampleBatch(counts), m_rate) == _chi2_reference(counts, m_rate)
+
+    @pytest.mark.parametrize("m_rate", [2.0**-875, 1e-300])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    def test_huge_terms_match_fsum_of_every_term(self, m_rate):
+        # a term near 2**1001 and an infinite term take the unsplit path
+        counts = [2**62, 0, 3, 3]
+        assert chi2_statistic(batch(*counts), m_rate) == _chi2_reference(counts, m_rate)
 
 
 class TestExactUniformMean:

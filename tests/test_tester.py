@@ -14,7 +14,7 @@ from repunif.distributions import (
     draw_samples,
     make_instance,
 )
-from repunif.exact import exact_pushforward
+from repunif.exact import exact_pushforward, rational_pmfs
 from repunif.rng import ROLE_INTERNAL, ROLE_SAMPLE, SeedSplit, stream
 from repunif.stats import GapRegime
 from repunif.tester import (
@@ -262,6 +262,29 @@ class TestIdentityReducer:
         b = red.map_many(raw, stream(83, 1))
         assert np.array_equal(a, b)
 
+    def test_pushforward_matches_exact_oracle(self):
+        for n in range(1, 5):
+            family = rational_pmfs(n, 6)
+            for q in family:
+                red = IdentityReducer(q)
+                assert np.max(np.abs(red.pushforward(q).probs - 1 / (6 * n))) <= 1e-15
+                for p in family:
+                    push = red.pushforward(p).probs
+                    assert np.max(np.abs(push - exact_pushforward(q, p).probs)) <= 1e-15
+
+    def test_pushforward_rejects_other_domain(self):
+        red = IdentityReducer(uniform(4))
+        with pytest.raises(ValueError):
+            red.pushforward(uniform(2))
+        with pytest.raises(ValueError):
+            red.pushforward(uniform(8))
+
+    @pytest.mark.parametrize("bad", [-1, 4, 2**40])
+    def test_map_many_rejects_samples_outside_domain(self, bad):
+        red = IdentityReducer(uniform(4))
+        with pytest.raises(ValueError):
+            red.map_many(np.array([0, 3, bad, 1], dtype=np.int64), stream(84, 0))
+
 
 class TestIdentityTester:
     def test_runs_on_blown_up_domain(self):
@@ -299,3 +322,27 @@ class TestIdentityTester:
         params = TesterParams.from_constants(12, 0.3, 0.2, CAL)
         with pytest.raises(ValueError):
             run_identity_tester(q, q, params, seeds_for(103))
+
+    @pytest.mark.parametrize("p_n", [100, 400])
+    def test_p_on_other_domain_rejected(self, p_n):
+        q = uniform(200)
+        params = TesterParams.from_constants(200, 0.3, 0.2, CAL)
+        with pytest.raises(ValueError):
+            run_identity_tester(uniform(p_n), q, params, seeds_for(104))
+
+    def test_black_box_oracle(self):
+        n = 50
+        q = make_instance(InstanceSpec.paired_bias(0.4), n)
+        shifted = np.array(q.probs)
+        shifted[0::2] -= 0.3 / n
+        shifted[1::2] += 0.3 / n
+        p = Pmf(shifted)
+        params = TesterParams.from_constants(n, 0.15, 0.2, CAL)
+        for dist, accept in ((q, True), (p, False)):
+            verdicts = [
+                run_identity_tester(lambda m, g: draw_samples(dist, m, g), q, params,
+                                    seeds_for(105, s))
+                for s in range(10)
+            ]
+            assert [v.accept for v in verdicts] == [accept] * 10
+            assert all(v.n == 6 * n for v in verdicts)
