@@ -13,9 +13,17 @@ throughout the test suite and experiments:
 * ``heavy(pmass)``: a single heavy element with the rest uniform,
 * ``custom(probs)``: any validated explicit pmf.
 
-Sampling uses the conditional-binomial multinomial method (via numpy) when
-``m >= n`` and a Walker alias table otherwise, so a batch costs
-``O(n + min(m, n))`` setup plus vectorized draws.
+Both batch samplers pick their path by the same ``m < n`` predicate:
+
+* ``draw_batch``: numpy's conditional-binomial multinomial when ``m >= n``
+  (``O(n)``), and otherwise ``m`` draws from the pmf's cached Walker alias
+  table plus one ``bincount`` (``O(m)`` draws and an ``O(n)`` vectorized
+  pass; the table itself is built once per pmf, in vectorized ``O(n)``).
+* ``draw_poissonized_batch``: one Poisson per cell when ``m >= n``
+  (``O(n)`` Poisson draws), and otherwise a Poisson total ``N ~ Poisson(m)``
+  followed by ``draw_batch(p, N)``.  By Poissonization the two have the same
+  law: a multinomial(N, p) vector with ``N ~ Poisson(m)`` has independent
+  Poisson(``m * p_i``) coordinates.
 """
 
 from __future__ import annotations
@@ -217,7 +225,7 @@ class SampleBatch:
         arr = np.asarray(self.counts)
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("counts must be integers")
-        if arr.ndim != 1 or arr.size == 0 or np.any(arr < 0):
+        if arr.ndim != 1 or arr.size == 0 or arr.min() < 0:
             raise ValueError("counts must be a nonempty vector of nonnegative ints")
         arr = arr.astype(np.int64, copy=True)
         arr.flags.writeable = False
@@ -236,24 +244,43 @@ class SampleBatch:
 
 
 class AliasTable:
-    """Walker alias table for O(1)-per-draw categorical sampling."""
+    """Walker alias table for O(1)-per-draw categorical sampling.
+
+    Built in vectorized ``O(n)`` as the closed form of the LIFO sweep: the
+    last heavy cell (``n * p_i >= 1``) serves the lights from the highest
+    index down, and a heavy whose residual drops below 1 becomes a light
+    served by the next heavy.  With cumulative deficits ``D_k`` of the
+    lights and excesses ``E_j`` of the heavies in that order, light ``k``
+    goes to the first heavy with ``E_j >= D_{k-1}``, and heavy ``j`` keeps
+    ``1 + E_j - D_k`` at the first ``D_k > E_j``.  The table equals the
+    sweep's bit for bit where its arithmetic is exact, and agrees within
+    rounding elsewhere.
+    """
 
     def __init__(self, probs: np.ndarray):
         n = probs.shape[0]
         scaled = probs * n
         self.accept = np.ones(n, dtype=np.float64)
         self.alias = np.arange(n, dtype=np.int64)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        scaled = scaled.copy()
-        while small and large:
-            s = small.pop()
-            g = large.pop()
-            self.accept[s] = scaled[s]
-            self.alias[s] = g
-            scaled[g] = (scaled[g] + scaled[s]) - 1.0
-            (small if scaled[g] < 1.0 else large).append(g)
-        # leftovers are 1.0 up to rounding; keep accept=1, alias=self
+        light = np.flatnonzero(scaled < 1.0)[::-1]
+        heavy = np.flatnonzero(scaled >= 1.0)[::-1]
+        if light.size == 0 or heavy.size == 0:
+            return
+        deficit = np.cumsum(1.0 - scaled[light])
+        excess = np.cumsum(scaled[heavy] - 1.0)
+        before = np.concatenate(([0.0], deficit[:-1]))
+        server = np.searchsorted(excess, before, side="left")
+        served = server < heavy.size
+        self.accept[light[served]] = scaled[light[served]]
+        self.alias[light[served]] = heavy[server[served]]
+        # every heavy but the last can drop below 1 and pass to the next one
+        drop = np.searchsorted(deficit, excess[:-1], side="right")
+        dropped = np.flatnonzero(drop < light.size)
+        residual = 1.0 + (excess[dropped] - deficit[drop[dropped]])
+        # a zero-mass light can round the residual a few ulps below 0
+        self.accept[heavy[dropped]] = np.maximum(residual, 0.0)
+        self.alias[heavy[dropped]] = heavy[dropped + 1]
+        # cells left unserved are 1.0 up to rounding; keep accept=1, alias=self
 
     def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.integers(0, self.accept.shape[0], size=size)
@@ -265,8 +292,10 @@ def draw_batch(p: Pmf, m: int, rng: np.random.Generator) -> SampleBatch:
     """Draw one multinomial(m, p) frequency vector.
 
     Deterministic given the stream state.  Uses numpy's conditional-binomial
-    multinomial when ``m >= n`` (cost ``O(n)``) and an alias-table
-    categorical sampler when ``m < n`` (cost ``O(n + m)``).
+    multinomial when ``m >= n`` (cost ``O(n)`` binomial draws) and, when
+    ``m < n``, ``m`` draws from ``p.alias_table()`` counted by ``bincount``
+    (cost ``O(m)`` draws plus an ``O(n)`` vectorized pass; the table is
+    built once per pmf).
     """
     if m < 0:
         raise ValueError("sample count must be >= 0")
@@ -277,7 +306,7 @@ def draw_batch(p: Pmf, m: int, rng: np.random.Generator) -> SampleBatch:
     else:
         idx = p.alias_table().draw(m, rng)
         counts = np.bincount(idx, minlength=p.n)
-    return SampleBatch(counts.astype(np.int64))
+    return SampleBatch(counts)
 
 
 def draw_samples(p: Pmf, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -290,8 +319,17 @@ def draw_samples(p: Pmf, m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def draw_poissonized_batch(p: Pmf, m: float, rng: np.random.Generator) -> SampleBatch:
-    """Draw each count independently as Poisson(m * p_i)."""
-    if m <= 0:
-        raise ValueError("poisson rate must be > 0")
+    """Draw each count independently as Poisson(m * p_i).
+
+    When ``m < n`` this draws the total ``N ~ Poisson(m)`` and returns
+    ``draw_batch(p, N)``: given ``N``, Poisson counts are multinomial(N, p),
+    so the law is the same and a batch costs ``O(m)`` draws instead of ``n``
+    Poisson draws.  When ``m >= n`` it draws one Poisson per cell, which is
+    faster there than the total-then-multinomial route.
+    """
+    if not (m > 0 and math.isfinite(m)):
+        raise ValueError(f"poisson rate must be finite and > 0, got {m!r}")
+    if m < p.n:
+        return draw_batch(p, int(rng.poisson(m)), rng)
     counts = rng.poisson(m * p.probs)
-    return SampleBatch(counts.astype(np.int64))
+    return SampleBatch(counts)

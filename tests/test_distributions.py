@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repunif.distributions import (
+    AliasTable,
     InstanceSpec,
     Pmf,
     SampleBatch,
@@ -225,12 +226,35 @@ class TestPoissonized:
         assert abs(total / trials - 3.0) <= 4 * math.sqrt(3.0 / trials)
 
     def test_component_independence(self):
-        trials = 10**5
-        rng = stream(17, 5)
-        draws = rng.poisson(lam=[2.5, 2.5], size=(trials, 2))
-        cov = np.cov(draws[:, 0], draws[:, 1])[0, 1]
-        sigma = math.sqrt(2.5 * 2.5 / trials)
-        assert abs(cov) <= 4 * sigma
+        # independent Poisson(m p_i) counts on both paths (m < n: a Poisson
+        # total then an alias batch; m >= n: one Poisson per cell): mean =
+        # variance = m p_i, zero covariance, and a total of variance m (a
+        # multinomial at fixed m would give covariance -m p_i p_j and 0)
+        trials = 20_000
+        p = Pmf(np.array([0.3, 0.25, 0.2, 0.1, 0.1, 0.05]))
+        off = ~np.eye(p.n, dtype=bool)
+        for m in (4.5, 30.0):
+            rng = stream(17, 5)
+            draws = np.array(
+                [draw_poissonized_batch(p, m, rng).counts for _ in range(trials)],
+                dtype=np.float64,
+            )
+            lam = m * p.probs
+            assert np.all(np.abs(draws.mean(axis=0) - lam) <= 5 * np.sqrt(lam / trials))
+            var_sd = np.sqrt((lam + 2 * lam**2) / trials)
+            assert np.all(np.abs(draws.var(axis=0, ddof=1) - lam) <= 5 * var_sd)
+            cov_sd = np.sqrt(np.outer(lam, lam) / trials)
+            assert np.all(np.abs(np.cov(draws, rowvar=False)[off]) <= 5 * cov_sd[off])
+            total_var = draws.sum(axis=1).var(ddof=1)
+            assert abs(total_var - m) <= 5 * math.sqrt((m + 2 * m * m) / trials)
+
+    def test_zero_mass_never_sampled_below_n(self):
+        probs = np.zeros(10)
+        probs[[0, 3, 7]] = [0.5, 0.25, 0.25]
+        p = Pmf(probs)
+        for t in range(50):
+            batch = draw_poissonized_batch(p, 6.0, stream(3, t))
+            assert np.all(batch.counts[probs == 0] == 0)
 
     def test_m_field_is_realized_total(self):
         p = make_instance(InstanceSpec.paired_bias(0.2), 10)
@@ -240,6 +264,98 @@ class TestPoissonized:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             draw_poissonized_batch(uniform(3), 0.0, stream(1, 1))
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            draw_poissonized_batch(uniform(3), rate, stream(1, 1))
+
+
+def _loop_alias_table(probs):
+    """The LIFO Python sweep the vectorized build replaced: the reference."""
+    n = probs.shape[0]
+    scaled = probs * n
+    accept = np.ones(n, dtype=np.float64)
+    alias = np.arange(n, dtype=np.int64)
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    scaled = scaled.copy()
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        accept[s] = scaled[s]
+        alias[s] = g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0
+        (small if scaled[g] < 1.0 else large).append(g)
+    return accept, alias
+
+
+def _assert_table_has_law(p):
+    """Valid entries, and P(draw = i) = (accept_i + sum over j aliased to i
+    of (1 - accept_j)) / n equals p_i; zero-mass cells are never drawn."""
+    table = AliasTable(p.probs)
+    assert np.all((table.accept >= 0.0) & (table.accept <= 1.0))
+    assert np.all((table.alias >= 0) & (table.alias < p.n))
+    spill = np.bincount(table.alias, weights=1.0 - table.accept, minlength=p.n)
+    law = (table.accept + spill) / p.n
+    assert np.all(np.abs(law - p.probs) <= 1e-12)
+    zero = p.probs == 0.0
+    assert np.all(table.accept[zero] == 0.0)  # never kept ...
+    assert not np.any(zero[table.alias])  # ... and never an alias
+
+
+class TestAliasTable:
+    @pytest.mark.parametrize(
+        "spec, n",
+        [
+            # the barrier instance: one heavy cell of mass n^-1/2
+            (InstanceSpec.heavy(1000 ** -0.5), 1000),
+            (InstanceSpec.heavy((10**4) ** -0.5), 10**4),
+            (InstanceSpec.paired_bias(0.5), 1000),
+            (InstanceSpec.paired_bias(0.5), 2**14),
+            (InstanceSpec.uniform(), 100),
+        ],
+    )
+    def test_matches_loop_bit_for_bit(self, spec, n):
+        # the loop's running residual and the build's cumulative sums round
+        # alike on these instances
+        p = make_instance(spec, n)
+        table = AliasTable(p.probs)
+        accept, alias = _loop_alias_table(p.probs)
+        assert table.accept.tobytes() == accept.tobytes()
+        assert np.array_equal(table.alias, alias)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        n=st.integers(min_value=1, max_value=2000),
+        kind=st.sampled_from(["random", "pareto", "zeros"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_valid_table_with_the_pmf_law(self, seed, n, kind):
+        rng = stream(seed, 6)
+        if kind == "pareto":
+            raw = rng.pareto(rng.uniform(0.3, 3.0), n) + 1e-6
+        else:
+            raw = rng.random(n)
+            if kind == "zeros":
+                raw[rng.random(n) < 0.4] = 0.0
+                raw[rng.integers(n)] += 1.0
+        _assert_table_has_law(Pmf(raw / raw.sum()))
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            # unclamped, 1 + E_j - D_k is -2**-52 (resp. -2**-51) here: adding
+            # a zero-mass light's deficit of 1 rounds the cumulative deficit up
+            np.array([0, 8, 16, 12, 11, 19, 12, 0]) / 78,
+            np.array([6, 0, 2, 7, 0, 4, 7, 4, 0, 0]) / 30,
+            # n * p = 1.4999999999999998 on the heavy cells: the loop rounds
+            # otherwise, so the two tables differ in the last bits
+            make_instance(InstanceSpec.paired_bias(0.5), 10**4).probs,
+        ],
+    )
+    def test_valid_table_on_rounding_edge_cases(self, probs):
+        _assert_table_has_law(Pmf(probs))
 
 
 class TestSampleBatch:

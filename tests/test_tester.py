@@ -317,6 +317,22 @@ class TestIdentityTester:
         )
         assert rejects == 10
 
+    def test_reduced_batch_below_reduced_domain(self):
+        # reduced m = 198,826 < 6n = 240,000: each batch takes draw_batch's
+        # alias path over the pushforward, whose table is built on every run
+        n, eps = 4 * 10**4, 0.45
+        q = make_instance(InstanceSpec.paired_bias(0.4), n)
+        shifted = np.array(q.probs)
+        shifted[0::2] -= 2 * eps / n  # TV(p, q) = eps
+        shifted[1::2] += 2 * eps / n
+        p = Pmf(shifted)
+        assert abs(0.5 * np.abs(p.probs - q.probs).sum() - eps) < 1e-12
+        params = TesterParams.from_constants(n, eps, 0.4, CAL)
+        for dist, accept in ((q, True), (p, False)):
+            verdicts = [run_identity_tester(dist, q, params, seeds_for(107, s)) for s in range(3)]
+            assert [v.accept for v in verdicts] == [accept] * 3
+            assert all(v.n == 6 * n and v.m == 198_826 for v in verdicts)
+
     def test_domain_mismatch(self):
         q = uniform(10)
         params = TesterParams.from_constants(12, 0.3, 0.2, CAL)
