@@ -1,11 +1,11 @@
 """Replicable uniformity testing toolkit.
 
 A distribution tester that stays stable under resampling: the TV-distance
-statistic with a random threshold and a median boost, baseline
-collision/chi-square testers for the heavy-element barrier studies, the
+statistic with a random threshold and a median boost, the
 identity-to-uniformity reduction, exact small-instance oracles, and a
 deterministic Monte Carlo harness that measures correctness and two-run
-agreement rates.
+agreement rates and runs the heavy-element barrier studies of the
+collision, chi-square and TV statistics.
 """
 
 from .constants import default_constants, load_constants, resolve_constants, save_constants
@@ -59,7 +59,6 @@ from .tester import (
     TesterParams,
     Verdict,
     derive_sizes,
-    run_baseline_tester,
     run_identity_tester,
     run_tester,
 )

@@ -45,12 +45,9 @@ def _parse_instance(text: str) -> InstanceSpec:
         return InstanceSpec.paired_bias(float(rest))
     if kind == "heavy":
         return InstanceSpec.heavy(float(rest))
-    if kind == "local-swap":
-        xi, _, bits = rest.partition(":")
-        return InstanceSpec.local_swap(float(xi), [int(b) for b in bits])
     raise ValueError(
         f"unknown instance {text!r} (use uniform, point-mass, "
-        "paired-bias:XI, heavy:PMASS, or local-swap:XI:BITS)"
+        "paired-bias:XI, or heavy:PMASS)"
     )
 
 
@@ -67,8 +64,9 @@ def _parse_grid(text: str) -> list[float]:
     return list(np.linspace(float(lo), float(hi), int(count)))
 
 
-def _params(args, constants) -> TesterParams:
-    return TesterParams.from_constants(args.n, args.eps, args.rho, constants)
+def _params(args) -> TesterParams:
+    return TesterParams.from_constants(args.n, args.eps, args.rho,
+                                       resolve_constants(args.constants))
 
 
 def cmd_test(args) -> int:
@@ -82,7 +80,7 @@ def cmd_test(args) -> int:
         spec = _parse_instance(args.instance)
         pmf = make_instance(spec, args.n)
         instance_desc = spec.describe()
-    params = _params(args, constants)
+    params = TesterParams.from_constants(args.n, args.eps, args.rho, constants)
     seeds = SeedSplit(
         internal=stream(args.seed, ROLE_INTERNAL),
         sample=stream(args.seed, ROLE_SAMPLE),
@@ -105,10 +103,9 @@ def _emit(report, args, label) -> None:
 
 
 def cmd_experiment(args) -> int:
-    constants = resolve_constants(args.constants)
     status = 0
     if args.subkind == "correctness":
-        params = _params(args, constants)
+        params = _params(args)
         spec = _parse_instance(args.instance)
         rep = correctness_experiment(spec, params, args.trials, args.seed,
                                      expect=args.expect, workers=args.workers)
@@ -116,14 +113,14 @@ def cmd_experiment(args) -> int:
         if args.assert_rate is not None and rep.rate < args.assert_rate:
             status = 1
     elif args.subkind == "replicability":
-        params = _params(args, constants)
+        params = _params(args)
         rep = replicability_experiment(None, params, args.pairs, args.seed,
                                        workers=args.workers)
         _emit(rep, args, "replicability")
         if args.assert_rate is not None and rep.rate < args.assert_rate:
             status = 1
     elif args.subkind == "sweep":
-        params = _params(args, constants)
+        params = _params(args)
         curve = acceptance_sweep(params, _parse_grid(args.grid), args.trials,
                                  args.seed, fixed_internal=args.fixed_internal,
                                  workers=args.workers)
@@ -259,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bar.add_argument("--m-grid", default=None, help="comma-separated (default 4*sqrt(n)*2^k, k<5)")
     p_bar.add_argument("--runs-per-m", type=int, default=2000)
     p_bar.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_bar.add_argument("--constants", default=None)
     p_bar.add_argument("--workers", type=int, default=1)
     p_bar.add_argument("--out-prefix", default=None)
     p_bar.set_defaults(func=cmd_experiment)

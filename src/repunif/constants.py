@@ -5,8 +5,8 @@ The tester's size formula and gap schedule hide four constants
 code: defaults ship as a flat key=value file produced by
 ``repunif calibrate --default-grid --rho 0.2 --trials 200 --seed 31415 --out
 src/repunif/default_constants.txt`` (see the provenance comments inside the
-file), and any run can substitute its own file via ``--constants`` or the
-``REPUNIF_CONSTANTS`` environment variable.
+file), and any tester run can substitute its own file via ``--constants`` or
+the ``REPUNIF_CONSTANTS`` environment variable.
 """
 
 from __future__ import annotations

@@ -7,9 +7,6 @@ throughout the test suite and experiments:
 * ``paired_bias(xi)``: odd 1-based positions carry mass ``(1+xi)/n`` and
   even positions ``(1-xi)/n`` (TV distance from uniform is exactly
   ``xi/2``),
-* ``local_swap(xi, bits)``: ``paired_bias(xi)`` with each adjacent pair
-  exchanged according to a bit vector (a relabeling, so every member is a
-  permutation of the same mass multiset),
 * ``heavy(pmass)``: a single heavy element with the rest uniform,
 * ``custom(probs)``: any validated explicit pmf.
 
@@ -120,13 +117,13 @@ def uniform_pmf(n: int) -> Pmf:
 class InstanceSpec:
     """Parametric description of an instance family member.
 
-    ``kind`` is one of ``uniform``, ``paired_bias``, ``local_swap``,
-    ``heavy``, ``custom``; only the parameters relevant to the kind are set.
+    ``kind`` is one of ``uniform``, ``paired_bias``, ``heavy``, ``custom``;
+    only the parameters relevant to the kind are set.  Every statistic is
+    symmetric, so a relabeled instance has the same law and needs no kind.
     """
 
     kind: str
     xi: float | None = None
-    swap_bits: tuple[int, ...] | None = None
     pmass: float | None = None
     probs: tuple[float, ...] | None = None
 
@@ -139,10 +136,6 @@ class InstanceSpec:
         return cls(kind="paired_bias", xi=xi)
 
     @classmethod
-    def local_swap(cls, xi: float, swap_bits) -> "InstanceSpec":
-        return cls(kind="local_swap", xi=xi, swap_bits=tuple(int(b) for b in swap_bits))
-
-    @classmethod
     def heavy(cls, pmass: float) -> "InstanceSpec":
         return cls(kind="heavy", pmass=pmass)
 
@@ -153,8 +146,6 @@ class InstanceSpec:
     def describe(self) -> str:
         if self.kind == "paired_bias":
             return f"paired_bias(xi={self.xi!r})"
-        if self.kind == "local_swap":
-            return f"local_swap(xi={self.xi!r}, bits={''.join(map(str, self.swap_bits))})"
         if self.kind == "heavy":
             return f"heavy(pmass={self.pmass!r})"
         if self.kind == "custom":
@@ -168,25 +159,15 @@ def make_instance(spec: InstanceSpec, n: int) -> Pmf:
         raise ValueError("domain size must be >= 1")
     if spec.kind == "uniform":
         return uniform_pmf(n)
-    if spec.kind in ("paired_bias", "local_swap"):
+    if spec.kind == "paired_bias":
         xi = spec.xi
         if xi is None or not 0.0 <= xi <= 1.0:
-            raise ValueError("paired kinds need a bias xi in [0, 1]")
+            raise ValueError("paired bias needs a bias xi in [0, 1]")
         if n % 2 != 0:
-            raise ValueError("paired kinds require an even domain size")
+            raise ValueError("paired bias requires an even domain size")
         probs = np.empty(n, dtype=np.float64)
         probs[0::2] = (1.0 + xi) / n  # odd 1-based positions are heavy
         probs[1::2] = (1.0 - xi) / n
-        if spec.kind == "local_swap":
-            bits = spec.swap_bits
-            if bits is None or len(bits) != n // 2:
-                raise ValueError("swap_bits must have length n/2")
-            if any(b not in (0, 1) for b in bits):
-                raise ValueError("swap_bits entries must be 0 or 1")
-            for k, b in enumerate(bits):
-                if b:
-                    j = 2 * k
-                    probs[j], probs[j + 1] = probs[j + 1], probs[j]
         return Pmf(probs)
     if spec.kind == "heavy":
         pmass = spec.pmass

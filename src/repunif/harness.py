@@ -2,8 +2,9 @@
 
 Estimates the probabilities in the correctness and replicability protocols,
 sweeps acceptance probability over the paired-bias family, runs the
-heavy-element barrier studies for the baseline statistics, and calibrates
-the tester constants.
+heavy-element barrier studies, and calibrates the tester constants.  The
+barrier study is the one home of the baseline statistics (collision,
+Poissonized chi-square, TV): which exist, how each is sampled, and its gap.
 
 Determinism contract: every trial's randomness is a pure function of
 ``(master_seed, key)``, reports are assembled in trial order, and the
@@ -114,8 +115,8 @@ class ExperimentReport:
         return cls(trials=trials, successes=successes, rate=successes / trials,
                    wilson_lo=lo, wilson_hi=hi, config_echo=config, per_trial=per_trial)
 
-    def to_dict(self, include_trials: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "trials": self.trials,
             "successes": self.successes,
             "rate": self.rate,
@@ -123,9 +124,6 @@ class ExperimentReport:
             "wilson_hi": self.wilson_hi,
             "config_echo": self.config_echo,
         }
-        if include_trials and self.per_trial is not None:
-            d["per_trial"] = self.per_trial
-        return d
 
     def csv_rows(self) -> list[dict]:
         return self.per_trial or []
@@ -428,7 +426,7 @@ def _barrier_gap(kind: str, m: int, n: int, eps: float) -> float:
     if kind == "chi2":
         return m * eps * eps
     if kind == "tvstat":
-        return eps * eps * m * m / (n * n)
+        return expectation_gap(n, m, eps, 1.0)[1]
     raise ValueError(f"unknown barrier statistic {kind!r}")
 
 
@@ -446,8 +444,9 @@ def barrier_experiment(
     The instance puts mass ``n**-0.5`` on one element.  For each m the
     statistic is recomputed on ``runs_per_m`` independent batches; the
     report carries the run-to-run standard deviation and the ratio to the
-    statistic's uniform-vs-far expectation gap scale.  The log-log slope of
-    sd against m is the quantity the barrier arguments predict (3/2 for
+    statistic's uniform-vs-far expectation gap scale (for the TV statistic,
+    the tester's gap schedule with ``C = 1``).  The log-log slope of sd
+    against m is the quantity the barrier arguments predict (3/2 for
     collisions, 1/2 for chi-square).
     """
     m_grid = [int(m) for m in m_grid]
@@ -457,16 +456,21 @@ def barrier_experiment(
         raise ValueError("m grid must be strictly increasing")
     if runs_per_m < 2:
         raise ValueError("need runs_per_m >= 2 for a standard deviation")
+    if n < 2:
+        raise ValueError("domain size must be >= 2")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    gaps = [_barrier_gap(kind, m, n, eps) for m in m_grid]  # checks kind before sampling
     heavy_mass = n ** -0.5
     pmf = make_instance(InstanceSpec.heavy(heavy_mass), n)
     jobs = [(pmf, kind, m, runs_per_m, master_seed, g) for g, m in enumerate(m_grid)]
     per_point = _map_jobs(_barrier_point, jobs, workers)
     rows = []
-    for m, point_values in zip(m_grid, per_point):
+    for m, gap, point_values in zip(m_grid, gaps, per_point):
         values = np.array(point_values)
         rows.append(BarrierRow(
             m=m, runs=runs_per_m, mean=float(values.mean()),
-            sd=float(values.std(ddof=1)), gap=_barrier_gap(kind, m, n, eps),
+            sd=float(values.std(ddof=1)), gap=gap,
         ))
     slope = float(np.polyfit(np.log([r.m for r in rows]), np.log([r.sd for r in rows]), 1)[0])
     config = {

@@ -1,4 +1,4 @@
-"""Replicable uniformity tester, baseline testers, and the identity reduction.
+"""Replicable uniformity tester and the identity reduction.
 
 The main tester compares the median of several TV statistics against a
 random threshold ``mu(U_n) + r0 * R`` where ``r0 ~ Unif(1/4, 3/4)`` comes
@@ -7,8 +7,8 @@ Fixing the internal stream fixes the threshold; sample randomness only
 enters through the median statistic, which is what makes the two-run
 replicability protocol meaningful.
 
-Baseline testers over the collision and chi-square statistics exist to
-reproduce the heavy-element barrier experiments; they are not tuned.
+The collision and chi-square statistics of the heavy-element barrier study
+are sampled and compared in :mod:`repunif.harness`, not here.
 """
 
 from __future__ import annotations
@@ -19,23 +19,15 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .distributions import Pmf, SampleBatch, draw_batch, draw_poissonized_batch
+from .distributions import Pmf, SampleBatch, draw_batch
 from .rng import SeedSplit
-from .stats import (
-    GapRegime,
-    chi2_statistic,
-    collision_statistic,
-    exact_uniform_mean,
-    expectation_gap,
-    tv_statistic,
-)
+from .stats import GapRegime, exact_uniform_mean, expectation_gap, tv_statistic
 
 __all__ = [
     "TesterParams",
     "Verdict",
     "derive_sizes",
     "run_tester",
-    "run_baseline_tester",
     "IdentityReducer",
     "run_identity_tester",
 ]
@@ -96,16 +88,16 @@ class Verdict:
     """One tester decision with every intermediate needed to replay it."""
 
     decision: str            # "accept" | "reject"
-    statistic: float         # median TV statistic, or the baseline statistic
+    statistic: float         # median TV statistic
     threshold: float
     r0: float                # the Unif(1/4, 3/4) coin from the internal stream
-    regime: GapRegime | None
-    mu_uniform: float | None
-    gap: float | None
+    regime: GapRegime
+    mu_uniform: float
+    gap: float
     n: int
     m: int
     m0: int
-    kind: str                # "tv-median" | "collision" | "chi2"
+    kind: str                # "tv-median"
 
     @property
     def accept(self) -> bool:
@@ -113,7 +105,7 @@ class Verdict:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["regime"] = self.regime.value if self.regime is not None else None
+        d["regime"] = self.regime.value
         return d
 
 
@@ -150,50 +142,6 @@ def run_tester(p_access, params: TesterParams, seeds: SeedSplit) -> Verdict:
         decision=decision, statistic=s_median, threshold=threshold, r0=r0,
         regime=regime, mu_uniform=mu, gap=gap, n=params.n, m=m, m0=m0,
         kind="tv-median",
-    )
-
-
-def run_baseline_tester(
-    statistic_kind: str,
-    p_access,
-    n: int,
-    m: int,
-    eps: float,
-    seeds: SeedSplit,
-) -> Verdict:
-    """Random-threshold tester over the collision or chi-square statistic.
-
-    The threshold is uniform between the statistic's uniform-case and
-    far-case expectation extrema.  The internal coin is the same
-    ``r0 ~ Unif(1/4, 3/4)`` draw as the main tester, mapped affinely onto
-    the extrema interval so the threshold is uniform over all of it.
-    """
-    if m < 2:
-        raise ValueError("baseline testers need m >= 2")
-    r0 = float(seeds.internal.uniform(0.25, 0.75))
-    unit = 2.0 * (r0 - 0.25)  # uniform on [0, 1)
-    if statistic_kind == "collision":
-        batch = _batch_oracle(p_access)(m, seeds.sample)
-        value = float(collision_statistic(batch))
-        pairs = m * (m - 1) / 2.0
-        lo, hi = pairs / n, pairs * (1.0 + eps * eps) / n
-    elif statistic_kind == "chi2":
-        # Poissonized usage: an explicit pmf is sampled at rate m; a callable
-        # oracle must produce the Poissonized batch itself.
-        if isinstance(p_access, Pmf):
-            batch = draw_poissonized_batch(p_access, m, seeds.sample)
-        else:
-            batch = p_access(m, seeds.sample)
-        value = chi2_statistic(batch, m)
-        lo, hi = m * eps * eps / 500.0, m * eps * eps / 5.0
-    else:
-        raise ValueError(f"unknown baseline statistic {statistic_kind!r}")
-    threshold = lo + unit * (hi - lo)
-    decision = "reject" if value >= threshold else "accept"
-    return Verdict(
-        decision=decision, statistic=value, threshold=threshold, r0=r0,
-        regime=None, mu_uniform=None, gap=None, n=n, m=m, m0=1,
-        kind=statistic_kind,
     )
 
 

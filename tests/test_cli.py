@@ -43,6 +43,12 @@ class TestTestCommand:
         assert code == 2
         assert "unknown instance" in err
 
+    def test_removed_local_swap_preset_exit_two(self, capsys):
+        code, out, err = run(["test", *BASE, "--instance", "local-swap:0.2:10"], capsys)
+        assert code == 2 and out == ""
+        assert "unknown instance" in err
+        assert "(use uniform, point-mass, paired-bias:XI, or heavy:PMASS)" in err
+
     def test_pmf_file_json_and_text(self, tmp_path, capsys):
         p = Pmf(np.full(4, 0.25))
         json_path = tmp_path / "p.json"
@@ -159,6 +165,8 @@ class TestExperimentCommand:
         ["barrier", "--stat", "collision", "--n", "400", "--m-grid", "80"],
         ["barrier", "--stat", "collision", "--n", "400", "--m-grid", "0,80"],
         ["correctness", *BASE, "--trials", "4", "--workers", "0"],
+        ["barrier", "--stat", "collision", "--n", "400", "--m-grid", "40,80", "--eps", "-3"],
+        ["barrier", "--stat", "collision", "--n", "0", "--m-grid", "40,80"],
     ])
     def test_out_of_range_input_exit_two(self, argv, capsys):
         code, out, err = run(["experiment", *argv], capsys)
@@ -208,6 +216,21 @@ class TestConstantsResolution:
         monkeypatch.setenv(CONSTANTS_ENV_VAR, str(path))
         code, out, _ = run(["test", *BASE, "--instance", "uniform"], capsys)
         assert json.loads(out)["config"]["constants"]["c_gap"] == 0.4
+
+    def test_barrier_needs_no_constants(self, tmp_path, monkeypatch, capsys):
+        from repunif.constants import CONSTANTS_ENV_VAR
+
+        monkeypatch.setenv(CONSTANTS_ENV_VAR, str(tmp_path / "missing.txt"))
+        argv = ["experiment", "barrier", "--stat", "collision", "--n", "400",
+                "--m-grid", "40,80", "--runs-per-m", "3"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and "slope=" in out
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--constants", str(tmp_path / "missing.txt")])
+        assert exc.value.code == 2
+        # the experiments that build a tester still read the constants
+        code, _, err = run(["experiment", "correctness", *BASE, "--trials", "2"], capsys)
+        assert code == 2 and "missing.txt" in err
 
     def test_explicit_flag_beats_env(self, tmp_path, monkeypatch, capsys):
         from repunif.constants import CONSTANTS_ENV_VAR, save_constants

@@ -64,10 +64,6 @@ class TestMakeInstance:
         p = make_instance(InstanceSpec.paired_bias(0.2), 4)
         assert np.allclose(p.probs, [0.3, 0.2, 0.3, 0.2], atol=1e-15)
 
-    def test_local_swap_example(self):
-        p = make_instance(InstanceSpec.local_swap(0.2, (1, 0)), 4)
-        assert np.allclose(p.probs, [0.2, 0.3, 0.3, 0.2], atol=1e-15)
-
     def test_heavy_element(self):
         p = make_instance(InstanceSpec.heavy(0.5), 5)
         assert p.probs[0] == 0.5
@@ -95,10 +91,6 @@ class TestMakeInstance:
         with pytest.raises(ValueError):
             make_instance(InstanceSpec.custom((0.5, 0.6)), 2)
 
-    def test_rejects_bad_swap_bits(self):
-        with pytest.raises(ValueError):
-            make_instance(InstanceSpec.local_swap(0.2, (1,)), 4)
-
     @given(
         xi=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
         half=st.integers(min_value=1, max_value=40),
@@ -108,14 +100,6 @@ class TestMakeInstance:
         p = make_instance(InstanceSpec.paired_bias(xi), 2 * half)
         assert np.all(p.probs >= 0)
         assert abs(math.fsum(p.probs.tolist()) - 1.0) <= 1e-12
-
-    def test_local_swap_family_is_mass_permutation(self):
-        n = 8
-        base = sorted(make_instance(InstanceSpec.paired_bias(0.3), n).probs)
-        for bits in range(2 ** (n // 2)):
-            pattern = [(bits >> k) & 1 for k in range(n // 2)]
-            p = make_instance(InstanceSpec.local_swap(0.3, pattern), n)
-            assert sorted(p.probs) == base
 
 
 class TestTvDistance:

@@ -100,7 +100,7 @@ class TestCorrectnessExperiment:
         kwargs = dict(trials=16, master_seed=15)
         a = correctness_experiment(InstanceSpec.uniform(), FAST, **kwargs, workers=1)
         b = correctness_experiment(InstanceSpec.uniform(), FAST, **kwargs, workers=4)
-        assert a.to_dict(include_trials=True) == b.to_dict(include_trials=True)
+        assert a == b
 
     def test_validates_args(self):
         with pytest.raises(ValueError):
@@ -219,8 +219,12 @@ class TestBarrierExperiment:
         assert math.isfinite(res.slope)
 
     def test_tvstat_gap_formula(self):
-        res = barrier_experiment("tvstat", 400, [80, 160], 30, master_seed=35)
+        # the tester's schedule at eps = 0.5: eps^2 m^2/n^2 up to m = n, then
+        # eps^2 sqrt(m/n) up to m = n/eps^2 = 1600, then eps
+        res = barrier_experiment("tvstat", 400, [80, 160, 800, 3200], 30, master_seed=35)
         assert res.rows[1].gap == pytest.approx(0.25 * 160**2 / 400**2)
+        assert res.rows[2].gap == pytest.approx(0.25 * math.sqrt(2.0))
+        assert res.rows[3].gap == 0.5
 
     def test_chi2_gap_formula(self):
         res = barrier_experiment("chi2", 400, [80, 160], 30, master_seed=37)
@@ -236,6 +240,12 @@ class TestBarrierExperiment:
         for grid in ([], [80], [0, 80], [1, 80]):
             with pytest.raises(ValueError):
                 barrier_experiment("collision", 400, grid, 30, master_seed=1)
+        for eps in (-3.0, 0.0, 1.0, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                barrier_experiment("collision", 400, [80, 160], 30, master_seed=1, eps=eps)
+        for n in (0, 1):
+            with pytest.raises(ValueError):
+                barrier_experiment("collision", n, [80, 160], 30, master_seed=1)
 
 
 class TestCalibrate:

@@ -1,4 +1,4 @@
-"""Tester behavior: sizes, determinism, thresholds, baselines, reduction."""
+"""Tester behavior: sizes, determinism, thresholds, reduction."""
 
 import json
 import math
@@ -21,7 +21,6 @@ from repunif.tester import (
     IdentityReducer,
     TesterParams,
     derive_sizes,
-    run_baseline_tester,
     run_identity_tester,
     run_tester,
 )
@@ -164,58 +163,6 @@ class TestRunTester:
         assert parsed["decision"] == v.decision
         assert parsed["regime"] == v.regime.value
         assert parsed["m0"] == v.m0
-
-
-class TestBaselines:
-    def test_collision_point_mass_rejects(self):
-        p = make_instance(InstanceSpec.heavy(1.0), 100)
-        for salt in range(10):
-            v = run_baseline_tester("collision", p, 100, 10, 0.25, seeds_for(41, salt))
-            assert v.decision == "reject"
-            assert v.statistic == 45.0
-
-    def test_collision_deterministic(self):
-        p = make_instance(InstanceSpec.paired_bias(0.3), 50)
-        a = run_baseline_tester("collision", p, 50, 30, 0.3, seeds_for(43))
-        b = run_baseline_tester("collision", p, 50, 30, 0.3, seeds_for(43))
-        assert a == b
-
-    def test_collision_threshold_spans_extrema(self):
-        p = uniform(64)
-        lo, hi = 64 * 63 / 2 / 64, 64 * 63 / 2 * (1 + 0.09) / 64
-        thresholds = [
-            run_baseline_tester("collision", p, 64, 64, 0.3, seeds_for(47, s)).threshold
-            for s in range(50)
-        ]
-        assert all(lo <= t <= hi for t in thresholds)
-        assert max(thresholds) - min(thresholds) > 0.5 * (hi - lo)
-
-    def test_chi2_all_equal_accepts(self):
-        # oracle returns counts pinned at m/n: statistic is -n, below any threshold
-        n, m = 20, 100
-
-        def flat_oracle(rate, rng):
-            return SampleBatch(np.full(n, m // n, dtype=np.int64))
-
-        v = run_baseline_tester("chi2", flat_oracle, n, m, 0.3, seeds_for(53))
-        assert v.statistic == -float(n)
-        assert v.decision == "accept"
-
-    def test_chi2_heavy_rejects_typically(self):
-        p = make_instance(InstanceSpec.heavy(0.5), 100)
-        rejections = sum(
-            run_baseline_tester("chi2", p, 100, 500, 0.3, seeds_for(59, s)).decision == "reject"
-            for s in range(20)
-        )
-        assert rejections == 20
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            run_baseline_tester("median", uniform(10), 10, 10, 0.3, seeds_for(61))
-
-    def test_m_precondition(self):
-        with pytest.raises(ValueError):
-            run_baseline_tester("collision", uniform(10), 10, 1, 0.3, seeds_for(67))
 
 
 class TestIdentityReducer:
