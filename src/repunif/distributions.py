@@ -33,6 +33,8 @@ from functools import cached_property
 import numpy as np
 
 NORMALIZATION_TOL = 1e-12
+# numpy's Poisson sampler rejects a rate above this (its POISSON_LAM_MAX)
+_POISSON_RATE_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 __all__ = [
     "NORMALIZATION_TOL",
@@ -312,5 +314,9 @@ def draw_poissonized_batch(p: Pmf, m: float, rng: np.random.Generator) -> Sample
         raise ValueError(f"poisson rate must be finite and > 0, got {m!r}")
     if m < p.n:
         return draw_batch(p, int(rng.poisson(m)), rng)
-    counts = rng.poisson(m * p.probs)
-    return SampleBatch(counts)
+    rates = m * p.probs
+    top = float(rates.max())
+    if top > _POISSON_RATE_MAX:
+        raise ValueError(f"poisson rate m * p_i = {top!r} exceeds numpy's limit "
+                         f"{_POISSON_RATE_MAX!r}")
+    return SampleBatch(rng.poisson(rates))

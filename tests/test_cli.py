@@ -161,15 +161,20 @@ class TestExperimentCommand:
         assert m_column == [126, 253, 506, 1012, 2024]
 
     @pytest.mark.parametrize("argv", [
-        ["sweep", *BASE, "--grid", "0:0.5:0"],
-        ["barrier", "--stat", "collision", "--n", "400", "--m-grid", "80"],
-        ["barrier", "--stat", "collision", "--n", "400", "--m-grid", "0,80"],
-        ["correctness", *BASE, "--trials", "4", "--workers", "0"],
-        ["barrier", "--stat", "collision", "--n", "400", "--m-grid", "40,80", "--eps", "-3"],
-        ["barrier", "--stat", "collision", "--n", "0", "--m-grid", "40,80"],
+        ["experiment", "sweep", *BASE, "--grid", "0:0.5:0"],
+        ["experiment", "barrier", "--stat", "collision", "--n", "400", "--m-grid", "80"],
+        ["experiment", "barrier", "--stat", "collision", "--n", "400", "--m-grid", "0,80"],
+        ["experiment", "correctness", *BASE, "--trials", "4", "--workers", "0"],
+        ["experiment", "barrier", "--stat", "collision", "--n", "400", "--m-grid", "40,80",
+         "--eps", "-3"],
+        ["experiment", "barrier", "--stat", "collision", "--n", "0", "--m-grid", "40,80"],
+        ["oracle", "reduction-check", "--max-n", "0"],
+        ["oracle", "reduction-check", "--max-n", "-2"],
+        ["oracle", "reduction-check", "--max-denominator", "0"],
+        ["oracle", "reduction-check", "--max-denominator", "-1"],
     ])
     def test_out_of_range_input_exit_two(self, argv, capsys):
-        code, out, err = run(["experiment", *argv], capsys)
+        code, out, err = run(argv, capsys)
         assert code == 2
         assert out == "" and err.startswith("error: ")
 

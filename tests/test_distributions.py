@@ -254,6 +254,11 @@ class TestPoissonized:
         with pytest.raises(ValueError, match="finite"):
             draw_poissonized_batch(uniform(3), rate, stream(1, 1))
 
+    def test_rejects_rate_above_numpy_limit(self):
+        p = Pmf(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=r"m \* p_i = 1\.5e\+19 exceeds"):
+            draw_poissonized_batch(p, 3e19, stream(1, 1))
+
 
 def _loop_alias_table(probs):
     """The LIFO Python sweep the vectorized build replaced: the reference."""
