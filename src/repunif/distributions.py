@@ -10,17 +10,35 @@ throughout the test suite and experiments:
 * ``heavy(pmass)``: a single heavy element with the rest uniform,
 * ``custom(probs)``: any validated explicit pmf.
 
-Both batch samplers pick their path by the same ``m < n`` predicate:
+``draw_batch`` has three paths, chosen from ``m``, ``n`` and the number L
+of distinct positive masses (the pmf's level sets).  Every instance family
+above has at most 3 levels.
 
-* ``draw_batch``: numpy's conditional-binomial multinomial when ``m >= n``
-  (``O(n)``), and otherwise ``m`` draws from the pmf's cached Walker alias
-  table plus one ``bincount`` (``O(m)`` draws and an ``O(n)`` vectorized
-  pass; the table itself is built once per pmf, in vectorized ``O(n)``).
-* ``draw_poissonized_batch``: one Poisson per cell when ``m >= n``
-  (``O(n)`` Poisson draws), and otherwise a Poisson total ``N ~ Poisson(m)``
-  followed by ``draw_batch(p, N)``.  By Poissonization the two have the same
-  law: a multinomial(N, p) vector with ``N ~ Poisson(m)`` has independent
-  Poisson(``m * p_i``) coordinates.
+* level path, when ``n <= m < 16 n`` and ``L <= 3``: one multinomial over
+  the L levels gives each level's total, and each level spreads its total
+  uniformly over its cells with bounded integer draws and a ``bincount``
+  (``O(m)`` integer draws, about 6 ns each, plus ``O(n)`` passes; the level
+  table is built once per pmf in at most 4 vectorized passes).
+* multinomial path, otherwise when ``m >= n``: numpy's conditional-binomial
+  multinomial, ``O(n)`` binomial draws (50-105 ns each at ``m/n <= 8``).
+* alias path, when ``m < n``: ``m`` draws from the pmf's cached Walker
+  alias table plus one ``bincount`` (``O(m)`` draws and an ``O(n)`` pass;
+  the table itself is built once per pmf, in vectorized ``O(n)``).
+
+The cutoffs come from the sampler timing tables in ROADMAP.md (n = 10^3 to
+10^5).  The level path beats the multinomial at every ``m/n`` from 1 to 16
+and loses on paired-bias at 24.  Each level costs about 6 us of calls, and
+3 levels cover every instance family above.  Below ``m = n`` its ``O(n)``
+passes no longer pay: at n = 10^4 and m = 400 it takes 34-40 us against the
+alias path's 20-22 us.  Every path draws
+exactly a multinomial(m, p) vector; they differ only in how they consume
+the stream.
+
+``draw_poissonized_batch`` uses one Poisson per cell when ``m >= n``
+(``O(n)`` Poisson draws), and otherwise a Poisson total ``N ~ Poisson(m)``
+followed by ``draw_batch(p, N)``.  By Poissonization the two have the same
+law: a multinomial(N, p) vector with ``N ~ Poisson(m)`` has independent
+Poisson(``m * p_i``) coordinates.
 """
 
 from __future__ import annotations
@@ -35,6 +53,11 @@ import numpy as np
 NORMALIZATION_TOL = 1e-12
 # numpy's Poisson sampler rejects a rate above this (its POISSON_LAM_MAX)
 _POISSON_RATE_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+# Level-path limits, from the sampler timing tables in ROADMAP.md: below this m/n
+# the level path's per-sample integer draws cost less than the multinomial's
+# per-cell binomials, and each level adds about 6 us of calls.
+_LEVEL_MAX_RATIO = 16
+_LEVEL_MAX_COUNT = 3
 
 __all__ = [
     "NORMALIZATION_TOL",
@@ -44,6 +67,7 @@ __all__ = [
     "make_instance",
     "tv_distance",
     "AliasTable",
+    "LevelTable",
     "draw_batch",
     "draw_poissonized_batch",
 ]
@@ -86,6 +110,17 @@ class Pmf:
             table = AliasTable(self.probs)
             object.__setattr__(self, "_alias", table)
         return table
+
+    def level_table(self) -> "LevelTable | None":
+        """Level sets of this pmf, built once and cached.
+
+        ``None`` when the pmf has more than ``_LEVEL_MAX_COUNT`` distinct
+        positive masses; the peeling build stops there, so such a pmf pays
+        at most ``_LEVEL_MAX_COUNT + 1`` vectorized passes, and no sort.
+        """
+        if "_levels" not in self.__dict__:
+            object.__setattr__(self, "_levels", LevelTable.build(self.probs))
+        return self.__dict__["_levels"]
 
     # -- serialization ----------------------------------------------------
     # Both formats round-trip bit-exactly: Python float repr is the
@@ -271,20 +306,73 @@ class AliasTable:
         return np.where(take_alias, self.alias[idx], idx)
 
 
+class LevelTable:
+    """The level sets of a pmf: its distinct positive masses and their cells.
+
+    ``cells[l]`` holds the cells (ascending) of the l-th distinct mass, in
+    order of first appearance, and ``mass[l]`` is that level's total mass.
+    Zero-mass cells belong to no level, so they are never drawn.
+    """
+
+    def __init__(self, n: int, cells: list[np.ndarray], mass: np.ndarray):
+        self.n = n
+        self.cells = cells
+        self.mass = mass
+
+    @classmethod
+    def build(cls, probs: np.ndarray) -> "LevelTable | None":
+        """Peel off one level per pass; ``None`` past ``_LEVEL_MAX_COUNT`` levels."""
+        rest = np.flatnonzero(probs > 0.0)
+        cells = []
+        while rest.size:
+            if len(cells) == _LEVEL_MAX_COUNT:
+                return None
+            same = probs[rest] == probs[rest[0]]
+            cells.append(rest[same])
+            rest = rest[~same]
+        # a level's mass g * p can round one ulp past 1 (uniform on 998 cells
+        # does), which multinomial rejects
+        mass = np.minimum([probs[c[0]] * c.size for c in cells], 1.0)
+        return cls(probs.shape[0], cells, mass)
+
+    def draw(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        """Counts of m samples: level totals, then uniform spreading in each level.
+
+        Given its total K, a level's samples are K i.i.d. uniform draws over
+        its g equal-mass cells, so the result is exactly multinomial(m, p).
+        """
+        counts = np.zeros(self.n, dtype=np.int64)
+        for cells, total in zip(self.cells, rng.multinomial(m, self.mass).tolist()):
+            g = cells.shape[0]
+            if g == 1:
+                counts[cells[0]] = total
+                continue
+            counts[cells] = np.bincount(rng.integers(0, g, total), minlength=g)
+        return counts
+
+
 def draw_batch(p: Pmf, m: int, rng: np.random.Generator) -> SampleBatch:
     """Draw one multinomial(m, p) frequency vector.
 
-    Deterministic given the stream state.  Uses numpy's conditional-binomial
-    multinomial when ``m >= n`` (cost ``O(n)`` binomial draws) and, when
-    ``m < n``, ``m`` draws from ``p.alias_table()`` counted by ``bincount``
-    (cost ``O(m)`` draws plus an ``O(n)`` vectorized pass; the table is
-    built once per pmf).
+    Deterministic given the stream state.  Three paths, by ``m``, ``n`` and
+    the pmf's level count L (see the module docstring for their costs):
+
+    * ``n <= m < 16 n`` and ``L <= 3``: ``p.level_table()`` draws the L
+      level totals and spreads each uniformly over its cells;
+    * otherwise ``m >= n``: numpy's conditional-binomial multinomial;
+    * ``m < n``: ``m`` draws from ``p.alias_table()`` counted by ``bincount``.
+
+    The m/n test comes first, so a pmf drawn only outside ``[n, 16 n)``
+    never builds its level table.
     """
     if m < 0:
         raise ValueError("sample count must be >= 0")
     if m == 0:
         return SampleBatch(np.zeros(p.n, dtype=np.int64))
-    if m >= p.n:
+    levels = p.level_table() if p.n <= m < _LEVEL_MAX_RATIO * p.n else None
+    if levels is not None:
+        counts = levels.draw(m, rng)
+    elif m >= p.n:
         counts = rng.multinomial(m, p.probs)
     else:
         idx = p.alias_table().draw(m, rng)

@@ -176,13 +176,21 @@ class PairedBiasPrior:
     def __call__(self, rng: np.random.Generator) -> InstanceSpec:
         return InstanceSpec.paired_bias(float(rng.uniform(0.0, self.xi_max)))
 
+    def describe(self) -> str:
+        return f"PairedBiasPrior(xi_max={self.xi_max!r})"
+
 
 @dataclass(frozen=True)
 class FixedPrior:
+    """Every pair gets the same instance."""
+
     spec: InstanceSpec
 
     def __call__(self, rng: np.random.Generator) -> InstanceSpec:
         return self.spec
+
+    def describe(self) -> str:
+        return f"FixedPrior({self.spec.describe()})"
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +313,9 @@ def replicability_experiment(
 ) -> ExperimentReport:
     """Two-run agreement rate with a shared internal coin stream.
 
-    Per pair: an instance is drawn from ``prior``, the internal stream is
+    Per pair: an instance is drawn from ``prior`` (a ``PairedBiasPrior``,
+    a ``FixedPrior`` or any callable ``rng -> InstanceSpec`` with a
+    ``describe()`` for the config echo), the internal stream is
     derived once and replayed in both runs, and the sample streams are
     independent (unless ``shared_sample_seeds`` asks for the degenerate
     control where both runs see identical samples).  Success is identical
@@ -331,7 +341,7 @@ def replicability_experiment(
         successes += agree
         rows += [_verdict_row("replicability", k, run, spec, v, agree) for run, v in enumerate(pair)]
     config = {
-        "experiment": "replicability", "prior": repr(prior), "pairs": pairs,
+        "experiment": "replicability", "prior": prior.describe(), "pairs": pairs,
         "shared_sample_seeds": shared_sample_seeds, "master_seed": master_seed,
         "params": _params_echo(params),
     }

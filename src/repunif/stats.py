@@ -6,13 +6,16 @@ frequency vector, so any relabeling of the domain leaves them unchanged.
 The TV statistic is accumulated in exact integer arithmetic,
 ``sum_i |n*X_i - m| / (2*m*n)``, so no precision is lost even when the
 sublinear signal scale ``eps^2 m^2 / n^2`` is tiny; the rational value is
-exposed for identity checks.
+exposed for identity checks.  ``tv_statistics`` takes the numerators of
+several batches in one stacked numpy pass; ``tv_statistic`` is its
+one-batch case.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,6 +26,7 @@ from .distributions import SampleBatch
 
 __all__ = [
     "tv_statistic",
+    "tv_statistics",
     "tv_statistic_fraction",
     "empty_bucket_count",
     "collision_statistic",
@@ -33,16 +37,31 @@ __all__ = [
 ]
 
 
-def _tv_numerator(batch: SampleBatch) -> int:
-    """Exact integer ``sum_i |n*X_i - m|`` (the TV statistic times 2*m*n)."""
-    counts = batch.counts
-    n = batch.n
-    m = batch.m
-    if 2 * n * m >= 2**63:
+def _tv_numerators(counts: np.ndarray, totals: list[int]) -> list[int]:
+    """Exact integer ``sum_i |n*X_i - m|`` of each row of a ``(k, n)`` count array.
+
+    ``totals`` are the k row totals m; each result is that row's TV statistic
+    times ``2*m*n``.
+    """
+    if min(totals) < 1:
+        raise ValueError("tv statistic needs at least one sample")
+    n = counts.shape[1]
+    if 2 * n * max(totals) >= 2**63:
         # wide-integer path: each term is at most n*m and the sum at most 2*n*m,
         # so below this bound int64 cannot wrap
-        return sum(abs(n * c - m) for c in counts.tolist())
-    return int(np.abs(n * counts - m).sum())
+        return [sum(abs(n * c - m) for c in row) for row, m in zip(counts.tolist(), totals)]
+    return np.abs(n * counts - np.array(totals)[:, None]).sum(axis=1).tolist()
+
+
+def tv_statistics(batches: Sequence[SampleBatch]) -> list[float]:
+    """The TV statistic of each batch (all on one domain), in one stacked pass.
+
+    Each value equals ``tv_statistic`` of its batch bit for bit.
+    """
+    totals = [b.m for b in batches]
+    counts = np.array([b.counts for b in batches])  # raises unless one domain
+    n = counts.shape[1]
+    return [num / (2 * m * n) for num, m in zip(_tv_numerators(counts, totals), totals)]
 
 
 def tv_statistic(batch: SampleBatch) -> float:
@@ -51,17 +70,13 @@ def tv_statistic(batch: SampleBatch) -> float:
     Returns ``(1/2) sum_i |X_i/m - 1/n|`` with a single rounding at the end.
     """
     m = batch.m
-    if m < 1:
-        raise ValueError("tv statistic needs at least one sample")
-    return _tv_numerator(batch) / (2 * m * batch.n)
+    return _tv_numerators(batch.counts[None, :], [m])[0] / (2 * m * batch.n)
 
 
 def tv_statistic_fraction(batch: SampleBatch) -> Fraction:
     """The TV statistic as an exact rational (denominator divides 2*m*n)."""
     m = batch.m
-    if m < 1:
-        raise ValueError("tv statistic needs at least one sample")
-    return Fraction(_tv_numerator(batch), 2 * m * batch.n)
+    return Fraction(_tv_numerators(batch.counts[None, :], [m])[0], 2 * m * batch.n)
 
 
 def empty_bucket_count(batch: SampleBatch) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .distributions import Pmf, SampleBatch, draw_batch
 from .rng import SeedSplit
-from .stats import GapRegime, exact_uniform_mean, expectation_gap, tv_statistic
+from .stats import GapRegime, exact_uniform_mean, expectation_gap, tv_statistics
 
 __all__ = [
     "TesterParams",
@@ -121,7 +121,8 @@ def run_tester(p_access, params: TesterParams, seeds: SeedSplit) -> Verdict:
     """The replicable uniformity tester.
 
     Draws m0 batches of m samples from the sample stream, takes the median
-    TV statistic, and accepts iff it falls below
+    of their TV statistics (computed in one stacked pass), and accepts iff
+    it falls below
     ``mu(U_n) + r0 * R`` with ``r0`` the first draw of the internal stream.
     """
     m, m0 = derive_sizes(params)
@@ -130,13 +131,13 @@ def run_tester(p_access, params: TesterParams, seeds: SeedSplit) -> Verdict:
     mu = exact_uniform_mean(params.n, m)
     threshold = mu + r0 * gap
     oracle = _batch_oracle(p_access)
-    s_values = []
+    batches = []
     for _ in range(m0):
         batch = oracle(m, seeds.sample)
         if batch.n != params.n:
             raise ValueError("oracle produced a batch on the wrong domain")
-        s_values.append(tv_statistic(batch))
-    s_median = sorted(s_values)[m0 // 2]
+        batches.append(batch)
+    s_median = sorted(tv_statistics(batches))[m0 // 2]
     decision = "accept" if s_median < threshold else "reject"
     return Verdict(
         decision=decision, statistic=s_median, threshold=threshold, r0=r0,

@@ -102,9 +102,21 @@ def _mc_uniform_tv_mean(n: int, m: int, trials: int, seed: int):
     while done < trials:
         rows = min(rows_per_chunk, trials - done)
         idx = rng.integers(0, n, size=(rows, m))
-        offsets = np.arange(rows)[:, None] * n
-        counts = np.bincount((idx + offsets).ravel(), minlength=rows * n).reshape(rows, n)
-        s = 0.5 * np.abs(counts / m - 1.0 / n).sum(axis=1)
+        if m < n:
+            # at most m of a row's n cells are occupied: sum |n*c - m| over the
+            # runs of its sorted samples, and m for each of the n - occupied
+            # empty cells, without writing out rows * n counts
+            keys = (np.sort(idx, axis=1) + np.arange(rows)[:, None] * n).ravel()
+            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            runs = np.diff(np.append(starts, keys.size))
+            row = keys[starts] // n
+            occupied = np.bincount(row, minlength=rows)
+            numer = np.bincount(row, weights=np.abs(n * runs - m), minlength=rows)
+            s = (numer + (n - occupied) * m) / (2 * m * n)
+        else:
+            offsets = np.arange(rows)[:, None] * n
+            counts = np.bincount((idx + offsets).ravel(), minlength=rows * n).reshape(rows, n)
+            s = 0.5 * np.abs(counts / m - 1.0 / n).sum(axis=1)
         total += float(s.sum())
         total_sq += float((s * s).sum())
         done += rows

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repunif import distributions
+from repunif.constants import default_constants
 from repunif.distributions import (
     AliasTable,
     InstanceSpec,
+    LevelTable,
     Pmf,
     SampleBatch,
     draw_batch,
@@ -18,6 +21,7 @@ from repunif.distributions import (
     tv_distance,
 )
 from repunif.rng import stream
+from repunif.tester import IdentityReducer, TesterParams, derive_sizes
 
 
 def uniform(n):
@@ -193,6 +197,113 @@ class TestDrawBatch:
         draws = reps * m
         sd = np.sqrt(draws * p.probs * (1 - p.probs))
         assert np.all(np.abs(total - draws * p.probs) <= 5 * sd + 3)
+
+
+def _assert_multinomial_moments(draws, m, probs, sigmas=5.0):
+    """Per-cell means m p_i and variances m p_i (1 - p_i), cross-covariances
+    -m p_i p_j, each within ``sigmas`` standard errors over the draws."""
+    trials = draws.shape[0]
+    mean = m * probs
+    var = m * probs * (1 - probs)
+    assert np.all(np.abs(draws.mean(axis=0) - mean) <= sigmas * np.sqrt(var / trials))
+    # binomial fourth central moment m p q (1 + 3 (m - 2) p q)
+    fourth = var * (1 + 3 * (m - 2) * probs * (1 - probs))
+    assert np.all(np.abs(draws.var(axis=0, ddof=1) - var) <= sigmas * np.sqrt((fourth - var**2) / trials) + 1e-12)
+    cov = -m * np.outer(probs, probs)
+    off = ~np.eye(probs.size, dtype=bool)
+    cov_sd = np.sqrt((np.outer(var, var) + cov**2) / trials)
+    assert np.all(np.abs(np.cov(draws, rowvar=False) - cov)[off] <= sigmas * cov_sd[off] + 1e-12)
+
+
+def _leveled(n, levels):
+    """A pmf on [n] with ``levels`` equal-size levels of masses 1..levels (scaled)."""
+    w = np.repeat(np.arange(1, levels + 1, dtype=np.float64), -(-n // levels))[:n]
+    return Pmf(w / w.sum())
+
+
+class TestLevelPath:
+    # two single-cell levels, a four-cell level and a zero-mass level
+    MIXED = np.array([0.35, 0.15, 0.0, 0.15, 0.05, 0.15, 0.0, 0.15])
+
+    def test_level_sets(self):
+        table = Pmf(self.MIXED).level_table()
+        assert [c.tolist() for c in table.cells] == [[0], [1, 3, 5, 7], [4]]
+        assert table.mass == pytest.approx([0.35, 0.6, 0.05], abs=1e-15)
+
+    def test_too_many_levels_gives_no_table(self):
+        limit = distributions._LEVEL_MAX_COUNT
+        assert _leveled(60, limit).level_table() is not None
+        assert _leveled(60, limit + 1).level_table() is None
+
+    @pytest.mark.parametrize("probs, m", [
+        (MIXED, 30),
+        (np.full(6, 1 / 6), 40),  # all equal: one level
+        (make_instance(InstanceSpec.paired_bias(0.6), 10).probs, 25),
+    ])
+    def test_multinomial_law(self, probs, m):
+        p = Pmf(probs)
+        assert p.n <= m < distributions._LEVEL_MAX_RATIO * p.n
+        assert p.level_table() is not None
+        rng = stream(31, 7)
+        draws = np.array([draw_batch(p, m, rng).counts for _ in range(20_000)], dtype=np.float64)
+        assert np.all(draws.sum(axis=1) == m)
+        _assert_multinomial_moments(draws, m, p.probs)
+
+    def test_zero_mass_never_sampled(self):
+        p = Pmf(self.MIXED)
+        for t in range(200):
+            batch = draw_batch(p, 60, stream(3, 4, t))
+            assert np.all(batch.counts[self.MIXED == 0] == 0)
+
+    def test_deterministic_given_stream(self):
+        p = Pmf(self.MIXED)
+        a = draw_batch(p, 50, stream(42, 2))
+        b = draw_batch(p, 50, stream(42, 2))
+        assert np.array_equal(a.counts, b.counts)
+
+    @pytest.mark.parametrize("spec", [InstanceSpec.uniform(), InstanceSpec.paired_bias(0.0)])
+    def test_level_mass_rounding_past_one(self, spec):
+        # renormalized, each 1/998 rounds up one ulp and 998 of them to 1 + 2**-52
+        p = make_instance(spec, 998)
+        assert p.probs[0] * p.n > 1.0
+        assert draw_batch(p, 8 * p.n, stream(5, 998)).counts.sum() == 8 * p.n
+
+
+class TestDrawDispatch:
+    @pytest.mark.parametrize("p, m", [
+        (_leveled(10**5, 200), 2000),
+        (make_instance(InstanceSpec.heavy(0.01), 10**4), 1600),  # 2 levels, m < n
+    ])
+    def test_below_n_draw_through_alias_table(self, p, m):
+        batch = draw_batch(p, m, stream(8, 1))
+        expected = np.bincount(p.alias_table().draw(m, stream(8, 1)), minlength=p.n)
+        assert np.array_equal(batch.counts, expected)
+
+    @pytest.mark.parametrize("p, m", [
+        (_leveled(1000, 200), 4000),  # too many levels
+        (uniform(1000), distributions._LEVEL_MAX_RATIO * 1000),  # m/n at the cutoff
+    ])
+    def test_multinomial_outside_the_level_path(self, p, m):
+        batch = draw_batch(p, m, stream(8, 2))
+        assert np.array_equal(batch.counts, stream(8, 2).multinomial(m, p.probs))
+
+    def test_identity_pushforward_never_builds_level_table(self, monkeypatch):
+        # the identity benchmark's setting: n=200, eps=0.3, rho=0.2, q = paired-bias(0.4)
+        params = TesterParams.from_constants(200, 0.3, 0.2, default_constants())
+        q = make_instance(InstanceSpec.paired_bias(0.4), 200)
+        reducer = IdentityReducer(q)
+        reduced = TesterParams(n=reducer.big, eps=0.1, rho=0.2, c_m1=params.c_m1,
+                               c_m2=params.c_m2, c_m0=params.c_m0, c_gap=params.c_gap)
+        m, _ = derive_sizes(reduced)
+
+        def forbidden(*args):
+            raise AssertionError("level table built")
+
+        monkeypatch.setattr(LevelTable, "build", forbidden)
+        for p in (q, make_instance(InstanceSpec.uniform(), 200)):
+            pushed = reducer.pushforward(p)
+            draw_batch(pushed, m, stream(8, 4))
+            assert "_levels" not in vars(pushed)
 
 
 class TestPoissonized:

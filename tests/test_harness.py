@@ -178,6 +178,18 @@ class TestReplicabilityExperiment:
         assert 0.0 <= min(draws) <= 0.1
         assert 0.5 <= max(draws) <= 0.6
 
+    @pytest.mark.parametrize("prior, echo", [
+        (PairedBiasPrior(xi_max=0.5), "PairedBiasPrior(xi_max=0.5)"),
+        (FixedPrior(InstanceSpec.paired_bias(0.3)), "FixedPrior(paired_bias(xi=0.3))"),
+        (FixedPrior(InstanceSpec.uniform()), "FixedPrior(uniform)"),
+    ])
+    def test_config_echoes_the_prior_description(self, prior, echo):
+        # the echo is the prior's describe(), not its dataclass repr, so
+        # editing a dataclass field does not move report bytes
+        assert prior.describe() == echo
+        rep = replicability_experiment(prior, FAST, 1, master_seed=31)
+        assert rep.config_echo["prior"] == echo
+
 
 class TestAcceptanceSweep:
     def test_fixed_internal_brackets_half(self):

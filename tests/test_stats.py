@@ -19,6 +19,7 @@ from repunif.stats import (
     expectation_gap,
     tv_statistic,
     tv_statistic_fraction,
+    tv_statistics,
 )
 
 
@@ -102,6 +103,34 @@ class TestTvStatistic:
         assert b.m == sum(counts)
         assert tv_statistic_fraction(b) == _tv_reference(counts)
         assert tv_statistic(b) == float(_tv_reference(counts))
+
+
+@st.composite
+def _count_rows(draw):
+    """1-6 count rows on one domain of 1-8 cells, narrow or wide, each nonzero."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    top = draw(st.sampled_from([50, 2**40, 2**62]))
+    row = st.lists(st.integers(min_value=0, max_value=top), min_size=n, max_size=n).filter(any)
+    return draw(st.lists(row, min_size=1, max_size=6))
+
+
+class TestStackedTvStatistics:
+    @given(_count_rows())
+    @settings(max_examples=150)
+    def test_each_value_equals_the_one_batch_statistic(self, rows):
+        batches = [SampleBatch(np.array(r, dtype=np.int64)) for r in rows]
+        assert tv_statistics(batches) == [tv_statistic(b) for b in batches]
+        assert tv_statistics(batches) == [float(_tv_reference(r)) for r in rows]
+
+    def test_mixes_narrow_and_wide_rows(self):
+        rows = [(3, 1, 0, 0), (3 * 10**18, 0, 0, 0), (2**60 - 1, 0, 0, 0)]
+        batches = [batch(*r) for r in rows]
+        assert tv_statistics(batches) == [tv_statistic(b) for b in batches]
+        assert tv_statistics(batches) == [float(_tv_reference(r)) for r in rows]
+
+    def test_rejects_an_all_zero_row(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            tv_statistics([batch(2, 1), batch(0, 0)])
 
 
 class TestEmptyBucketCount:
