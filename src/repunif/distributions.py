@@ -241,11 +241,12 @@ class SampleBatch:
 
     def __post_init__(self):
         arr = np.asarray(self.counts)
-        if not np.issubdtype(arr.dtype, np.integer):
+        if arr.dtype.kind not in "iu":
             raise ValueError("counts must be integers")
+        # cast first: a uint64 count past int64's range turns negative and fails
+        arr = arr.astype(np.int64, copy=True)
         if arr.ndim != 1 or arr.size == 0 or arr.min() < 0:
             raise ValueError("counts must be a nonempty vector of nonnegative ints")
-        arr = arr.astype(np.int64, copy=True)
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
 
@@ -344,9 +345,6 @@ class LevelTable:
         counts = np.zeros(self.n, dtype=np.int64)
         for cells, total in zip(self.cells, rng.multinomial(m, self.mass).tolist()):
             g = cells.shape[0]
-            if g == 1:
-                counts[cells[0]] = total
-                continue
             counts[cells] = np.bincount(rng.integers(0, g, total), minlength=g)
         return counts
 
@@ -367,8 +365,6 @@ def draw_batch(p: Pmf, m: int, rng: np.random.Generator) -> SampleBatch:
     """
     if m < 0:
         raise ValueError("sample count must be >= 0")
-    if m == 0:
-        return SampleBatch(np.zeros(p.n, dtype=np.int64))
     levels = p.level_table() if p.n <= m < _LEVEL_MAX_RATIO * p.n else None
     if levels is not None:
         counts = levels.draw(m, rng)
@@ -384,8 +380,6 @@ def draw_samples(p: Pmf, m: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an ordered sequence of ``m`` i.i.d. samples (0-based indices)."""
     if m < 0:
         raise ValueError("sample count must be >= 0")
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
     return p.alias_table().draw(m, rng).astype(np.int64)
 
 

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy import stats as sps
 
-from .distributions import NORMALIZATION_TOL, Pmf, SampleBatch
+from .distributions import NORMALIZATION_TOL, Pmf, SampleBatch, tv_distance
 
 ENUMERATION_GUARD = 10**7
 
@@ -77,9 +77,6 @@ def brute_force_mean_statistic(
             remaining = m
             for c, prob in zip(counts, probs):
                 if c:
-                    if prob == 0.0:
-                        weight = 0.0
-                        break
                     coeff *= math.comb(remaining, c)
                     remaining -= c
                     weight *= prob**c
@@ -121,49 +118,48 @@ def exact_mean_tv(p: Pmf, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _blocks(q: Pmf) -> tuple[int, np.ndarray, np.ndarray, int]:
+    """The reduction's layout on ``[big] = [6n]``: ``(big, cells, spread, overflow_size)``.
+
+    Element i owns ``cells_i = floor(6n * qbar_i)`` cells, ``qbar = (q + U_n)/2``,
+    and keeps a mixed sample there with probability ``spread_i = cells_i /
+    (6n * qbar_i)``; the last ``overflow_size`` cells are the shared overflow
+    block.  As ``qbar_i >= 1/(2n)``, every block has at least 2 cells.
+    """
+    big = 6 * q.n
+    qbar = 0.5 * (q.probs + 1.0 / q.n)
+    cells = np.floor(big * qbar).astype(np.int64)
+    return big, cells, cells / (big * qbar), big - int(cells.sum())
+
+
 def exact_pushforward(q: Pmf, p: Pmf) -> Pmf:
     """Exact output distribution of the reduction built from q, fed p-samples.
 
-    The reduction mixes the input with uniform (``pbar = (p + U_n)/2``),
-    assigns element i a block of ``floor(6n * qbar_i)`` cells, and spreads a
-    mixed sample over its block with probability ``cells_i / (6n * qbar_i)``,
-    otherwise over the shared overflow block.  Feeding q itself yields the
-    uniform distribution on [6n] exactly.
+    The reduction mixes the input with uniform (``pbar = (p + U_n)/2``) and
+    spreads a mixed sample over its element's block of ``_blocks(q)`` with
+    probability ``spread_i``, otherwise over the shared overflow block.
+    Feeding q itself yields the uniform distribution on [6n] exactly.
     """
     if q.n != p.n:
         raise ValueError("p and q must share a domain")
-    n = q.n
-    big = 6 * n
-    qbar = 0.5 * (q.probs + 1.0 / n)
-    pbar = 0.5 * (p.probs + 1.0 / n)
-    cells = np.floor(big * qbar).astype(np.int64)
-    spread = cells / (big * qbar)
-    used = int(cells.sum())
-    overflow_size = big - used
-
-    out = np.zeros(big, dtype=np.float64)
-    per_cell = np.where(cells > 0, pbar * spread / np.maximum(cells, 1), 0.0)
-    out[:used] = np.repeat(per_cell, cells)
-    overflow_mass = math.fsum((pbar * (1.0 - spread)).tolist())
+    big, cells, spread, overflow_size = _blocks(q)
+    pbar = 0.5 * (p.probs + 1.0 / p.n)
+    out = np.empty(big, dtype=np.float64)
+    used = big - overflow_size
+    out[:used] = np.repeat(pbar * spread / cells, cells)
     if overflow_size > 0:
-        out[used:] = overflow_mass / overflow_size
+        out[used:] = math.fsum((pbar * (1.0 - spread)).tolist()) / overflow_size
     return Pmf(out)
 
 
 def rational_pmfs(n: int, max_denominator: int) -> list[Pmf]:
-    """All pmfs on [n] whose entries are rationals with denominator <= D."""
-    from fractions import Fraction
+    """All pmfs on [n] whose entries are rationals with denominator <= D.
 
-    seen: set[tuple] = set()
-    out: list[Pmf] = []
-    for d in range(1, max_denominator + 1):
-        for counts in _compositions(d, n):
-            key = tuple(Fraction(c, d) for c in counts)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(Pmf(np.array([c / d for c in counts], dtype=np.float64)))
-    return out
+    Each appears once, at its least denominator d: a composition of d with gcd 1.
+    """
+    return [Pmf(np.array([c / d for c in counts], dtype=np.float64))
+            for d in range(1, max_denominator + 1)
+            for counts in _compositions(d, n) if math.gcd(*counts) == 1]
 
 
 @dataclass(frozen=True)
@@ -197,16 +193,10 @@ def _screen_margins(q: Pmf, family: np.ndarray) -> np.ndarray:
     ``ValueError`` if a pushforward's total departs from 1 by more than
     ``NORMALIZATION_TOL``, as building it as a ``Pmf`` would.
     """
-    n = q.n
-    big = 6 * n
+    big, cells, spread, overflow_size = _blocks(q)
     target = 1.0 / big
-    qbar = 0.5 * (q.probs + 1.0 / n)
-    pbar = 0.5 * (family + 1.0 / n)
-    cells = np.floor(big * qbar).astype(np.int64)
-    spread = cells / (big * qbar)
-    overflow_size = big - int(cells.sum())
-
-    per_cell = np.where(cells > 0, pbar * spread / np.maximum(cells, 1), 0.0)
+    pbar = 0.5 * (family + 1.0 / q.n)
+    per_cell = pbar * spread / cells
     total = per_cell @ cells
     dev = np.abs(per_cell - target) @ cells
     if overflow_size > 0:
@@ -237,8 +227,6 @@ def reduction_check(max_n: int, max_denominator: int = 8) -> ReductionScan:
     float a pair-by-pair scan would report.  ``max_uniform_error`` comes
     from ``exact_pushforward(q, q)`` for every q.
     """
-    from .distributions import tv_distance
-
     if max_n < 1 or max_denominator < 1:
         raise ValueError(f"need max_n >= 1 and max_denominator >= 1, "
                          f"got {max_n} and {max_denominator}")
@@ -279,6 +267,7 @@ def reduction_check(max_n: int, max_denominator: int = 8) -> ReductionScan:
 # ---------------------------------------------------------------------------
 
 TRUNCATION_CAP = 10**4
+TAIL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -306,10 +295,12 @@ def _mixture_matrix(lam: float, eps: float, K: int) -> np.ndarray:
     return 0.5 * (np.outer(hi, lo) + np.outer(lo, hi))
 
 
-def pair_joint(
-    lam: float, eps0: float, eps1: float, tail_tol: float = 1e-14
-) -> PairJointDist:
-    """Build the truncated conditional joints, choosing K to meet tail_tol."""
+def pair_joint(lam: float, eps0: float, eps1: float) -> PairJointDist:
+    """Build the truncated conditional joints on ``{0..K}^2``.
+
+    K starts at ``max(8, ceil(lam * (1 + eps1)))`` and doubles until each
+    joint misses at most ``TAIL_TOL``; ``ValueError`` past ``TRUNCATION_CAP``.
+    """
     if not (0.0 <= eps0 <= eps1 < 1.0):
         raise ValueError("need 0 <= eps0 <= eps1 < 1")
     if lam <= 0:
@@ -321,7 +312,7 @@ def pair_joint(
             f_hi = sps.poisson.cdf(K, lam * (1.0 + eps))
             f_lo = sps.poisson.cdf(K, lam * (1.0 - eps))
             tails.append(1.0 - f_hi * f_lo)
-        if max(tails) <= tail_tol:
+        if max(tails) <= TAIL_TOL:
             break
         if K >= TRUNCATION_CAP:
             raise ValueError(f"truncation would exceed {TRUNCATION_CAP}")
@@ -340,18 +331,15 @@ class MutualInfoValue:
 
     value: float
     error_budget: float
-    bound_rhs: float
 
 
-def mutual_info_pair(d: PairJointDist, bound_const: float = 1.0) -> MutualInfoValue:
+def mutual_info_pair(d: PairJointDist) -> MutualInfoValue:
     """I(X : M1, M2) for an unbiased bit X selecting between the joints.
 
     Computed as the average KL divergence of each conditional to their
-    mixture; terms with zero joint mass contribute zero.  The truncation
-    contributes at most ``2 * tail_mass * |ln tail_mass|``, reported as the
-    error budget.  ``bound_rhs`` is the quadratic comparator
-    ``bound_const * eps^2 * delta^2 * lam^2`` with ``eps = eps1`` and
-    ``delta = eps1 - eps0``.
+    mixture, over the truncated joints of ``pair_joint``; terms with zero
+    joint mass contribute zero.  The truncation contributes at most
+    ``2 * tail_mass * |ln tail_mass|``, reported as the error budget.
     """
     p0, p1 = d.joint
     mix = 0.5 * (p0 + p1)
@@ -363,6 +351,4 @@ def mutual_info_pair(d: PairJointDist, bound_const: float = 1.0) -> MutualInfoVa
     value = max(0.0, math.fsum(terms))
     tail = d.tail_mass
     budget = 2.0 * tail * abs(math.log(tail)) if tail > 0 else 0.0
-    delta = d.eps1 - d.eps0
-    rhs = bound_const * (d.eps1 * delta * d.lam) ** 2
-    return MutualInfoValue(value=value, error_budget=budget, bound_rhs=rhs)
+    return MutualInfoValue(value=value, error_budget=budget)

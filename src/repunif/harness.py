@@ -49,7 +49,7 @@ from .distributions import (
 )
 from .rng import ROLE_INSTANCE, ROLE_INTERNAL, ROLE_SAMPLE, SeedSplit, stream
 from .stats import chi2_statistic, collision_statistic, exact_uniform_mean, expectation_gap, tv_statistic
-from .tester import TesterParams, Verdict, derive_sizes, run_tester
+from .tester import R0_LOW, TesterParams, Verdict, derive_sizes, run_tester
 
 # Experiment tags keep the derived streams of different experiments disjoint.
 EXP_CORRECTNESS = 1
@@ -531,7 +531,7 @@ def calibrate(
         raise ValueError("pilot grid must be non-empty")
     if trials < 8:
         raise ValueError("need trials >= 8 for usable quantiles")
-    lo_mult = 4.0  # uniform threshold sits at R/4
+    lo_mult = 1.0 / R0_LOW  # the lowest threshold sits at R0_LOW * R
     provenance = [
         "calibrated constants for the TV-median uniformity tester",
         f"grid={pilot_grid!r} rho={rho!r} trials={trials} master_seed={master_seed}",

@@ -8,7 +8,8 @@ The TV statistic is accumulated in exact integer arithmetic,
 sublinear signal scale ``eps^2 m^2 / n^2`` is tiny; the rational value is
 exposed for identity checks.  ``tv_statistics`` takes the numerators of
 several batches in one stacked numpy pass; ``tv_statistic`` is its
-one-batch case.
+one-batch case.  The chi-square statistic sums its float terms as one exact
+integer over their common power-of-two denominator, so it is rounded once.
 """
 
 from __future__ import annotations
@@ -98,6 +99,9 @@ def chi2_statistic(batch: SampleBatch, m_rate: float) -> float:
 
     ``sum_i ((X_i - m_rate/n)^2 - X_i) / (m_rate/n)`` where ``m_rate`` is
     the Poisson sampling rate (which may differ from the realized total).
+    Each distinct count's term is a float a/d with d a power of two, so
+    the terms times their multiplicities sum to one exact integer over the
+    largest d, rounded once: the float ``math.fsum`` of all n terms gives.
     """
     if m_rate <= 0:
         raise ValueError("chi2 rate must be > 0")
@@ -105,22 +109,12 @@ def chi2_statistic(batch: SampleBatch, m_rate: float) -> float:
     values, mult = np.unique(batch.counts, return_counts=True)
     c = values.astype(np.float64)
     terms = ((c - expected) ** 2 - c) / expected
-    if not np.all(np.abs(terms) * mult < 2.0**996):
-        # the split or a product below could overflow: sum every term instead
+    if not np.all(np.isfinite(terms)):
+        # an inf or nan term: fsum of every term keeps its semantics
         return math.fsum(np.repeat(terms, mult).tolist())
-    # Equal counts give equal terms, so the sum is sum_v mult_v * term_v.  A
-    # Veltkamp split cuts each term into two floats of at most 26 significant
-    # bits and each multiplicity (< 2**53) into parts of at most 27, so the
-    # four partial products are exact and fsum rounds the exact total once,
-    # to the same float as the fsum of all n terms.
-    scaled = terms * 134217729.0  # 2**27 + 1
-    t_hi = scaled - (scaled - terms)
-    t_lo = terms - t_hi
-    m_lo = mult & (2**26 - 1)
-    m_hi = (mult - m_lo).astype(np.float64)
-    m_lo = m_lo.astype(np.float64)
-    parts = np.concatenate((t_hi * m_hi, t_hi * m_lo, t_lo * m_hi, t_lo * m_lo))
-    return math.fsum(parts.tolist())
+    ratios = [t.as_integer_ratio() for t in terms.tolist()]
+    den = max(d for _, d in ratios)
+    return sum(k * a * (den // d) for k, (a, d) in zip(mult.tolist(), ratios)) / den
 
 
 @lru_cache(maxsize=4096)

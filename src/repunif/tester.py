@@ -14,7 +14,7 @@ are sampled and compared in :mod:`repunif.harness`, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -31,6 +31,9 @@ __all__ = [
     "IdentityReducer",
     "run_identity_tester",
 ]
+
+# The band of the threshold coin r0, drawn uniformly from the internal stream.
+R0_LOW, R0_HIGH = 0.25, 0.75
 
 # An oracle maps (batch size, rng) to one SampleBatch.
 BatchOracle = Callable[[int, np.random.Generator], SampleBatch]
@@ -126,7 +129,7 @@ def run_tester(p_access, params: TesterParams, seeds: SeedSplit) -> Verdict:
     ``mu(U_n) + r0 * R`` with ``r0`` the first draw of the internal stream.
     """
     m, m0 = derive_sizes(params)
-    r0 = float(seeds.internal.uniform(0.25, 0.75))
+    r0 = float(seeds.internal.uniform(R0_LOW, R0_HIGH))
     regime, gap = expectation_gap(params.n, m, params.eps, params.c_gap)
     mu = exact_uniform_mean(params.n, m)
     threshold = mu + r0 * gap
@@ -166,7 +169,7 @@ class IdentityReducer:
         n = q.n
         big = 6 * n
         qbar = 0.5 * (q.probs + 1.0 / n)
-        cells = np.floor(big * qbar).astype(np.int64)  # >= 3 per element
+        cells = np.floor(big * qbar).astype(np.int64)  # >= 2 per element
         self.q = q
         self.n = n
         self.big = big
@@ -222,10 +225,7 @@ def run_identity_tester(p_access, q: Pmf, params: TesterParams, seeds: SeedSplit
     if params.n != q.n:
         raise ValueError("params.n must match q's domain")
     reducer = IdentityReducer(q)
-    reduced_params = TesterParams(
-        n=reducer.big, eps=params.eps / 3.0, rho=params.rho,
-        c_m1=params.c_m1, c_m2=params.c_m2, c_m0=params.c_m0, c_gap=params.c_gap,
-    )
+    reduced_params = replace(params, n=reducer.big, eps=params.eps / 3.0)
     if isinstance(p_access, Pmf):
         return run_tester(reducer.pushforward(p_access), reduced_params, seeds)
 

@@ -1,5 +1,6 @@
 """Instance construction, TV distance, and sampler tests."""
 
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,11 @@ from repunif.tester import IdentityReducer, TesterParams, derive_sizes
 
 def uniform(n):
     return make_instance(InstanceSpec.uniform(), n)
+
+
+def _stream_state(rng):
+    """The bit generator's state, with its arrays as lists so that states compare."""
+    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
 
 
 class TestPmf:
@@ -144,8 +150,16 @@ class TestTvDistance:
 
 class TestDrawBatch:
     def test_zero_samples(self):
-        batch = draw_batch(uniform(5), 0, stream(1, 2))
-        assert batch.m == 0 and np.all(batch.counts == 0)
+        # size-0 draws consume no stream, so m = 0 needs no branch of its own
+        for p in (uniform(5), make_instance(InstanceSpec.heavy(0.5), 40),
+                  Pmf(np.array([0.1, 0.2, 0.3, 0.15, 0.25]))):
+            rng = stream(1, 2)
+            before = _stream_state(rng)
+            batch = draw_batch(p, 0, rng)
+            assert batch.m == 0 and np.array_equal(batch.counts, np.zeros(p.n, dtype=np.int64))
+            samples = draw_samples(p, 0, rng)
+            assert samples.dtype == np.int64 and samples.shape == (0,)
+            assert _stream_state(rng) == before
 
     def test_point_mass(self):
         p = make_instance(InstanceSpec.heavy(1.0), 8)
@@ -221,6 +235,18 @@ def _leveled(n, levels):
     return Pmf(w / w.sum())
 
 
+def _level_draw_with_single_cell_branch(table, m, rng):
+    """``LevelTable.draw`` with its former shortcut for a one-cell level."""
+    counts = np.zeros(table.n, dtype=np.int64)
+    for cells, total in zip(table.cells, rng.multinomial(m, table.mass).tolist()):
+        g = cells.shape[0]
+        if g == 1:
+            counts[cells[0]] = total
+            continue
+        counts[cells] = np.bincount(rng.integers(0, g, total), minlength=g)
+    return counts
+
+
 class TestLevelPath:
     # two single-cell levels, a four-cell level and a zero-mass level
     MIXED = np.array([0.35, 0.15, 0.0, 0.15, 0.05, 0.15, 0.0, 0.15])
@@ -260,6 +286,17 @@ class TestLevelPath:
         a = draw_batch(p, 50, stream(42, 2))
         b = draw_batch(p, 50, stream(42, 2))
         assert np.array_equal(a.counts, b.counts)
+
+    @pytest.mark.parametrize("n, seed", [(7, 1), (1000, 2), (1000, 3)])
+    def test_single_cell_level_matches_direct_assignment(self, n, seed):
+        # heavy(0.5) has a one-cell level; spreading over it draws nothing
+        p = make_instance(InstanceSpec.heavy(0.5), n)
+        table = p.level_table()
+        assert [c.size for c in table.cells] == [1, n - 1]
+        rng, ref_rng = stream(seed, 8), stream(seed, 8)
+        counts = draw_batch(p, 2 * n, rng).counts
+        assert np.array_equal(counts, _level_draw_with_single_cell_branch(table, 2 * n, ref_rng))
+        assert _stream_state(rng) == _stream_state(ref_rng)
 
     @pytest.mark.parametrize("spec", [InstanceSpec.uniform(), InstanceSpec.paired_bias(0.0)])
     def test_level_mass_rounding_past_one(self, spec):
@@ -466,3 +503,12 @@ class TestSampleBatch:
     def test_rejects_float_counts(self):
         with pytest.raises(ValueError):
             SampleBatch(np.array([1.0, 2.0]))
+
+    def test_rejects_uint64_counts_past_int64(self):
+        with pytest.raises(ValueError):
+            SampleBatch(np.array([2**63, 1], dtype=np.uint64))
+
+    def test_accepts_small_unsigned_counts(self):
+        batch = SampleBatch(np.array([3, 1], dtype=np.uint8))
+        assert batch.counts.dtype == np.int64
+        assert batch.counts.tolist() == [3, 1] and batch.m == 4

@@ -1,12 +1,15 @@
 """Oracle self-consistency: enumeration, pushforward, and MI numerics."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from repunif.distributions import InstanceSpec, Pmf, make_instance, tv_distance
 from repunif.exact import (
+    TAIL_TOL,
     ReductionScan,
     _screen_margins,
     brute_force_mean_statistic,
@@ -111,6 +114,22 @@ class TestPushforward:
         firsts = sorted(set(float(p.probs[0]) for p in fam))
         assert firsts == pytest.approx([0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rational_family_matches_fraction_dedupe(self, n):
+        # the former set-of-Fractions dedupe, over compositions in lexicographic order
+        for max_denominator in range(1, 9):
+            seen, expected = set(), []
+            for d in range(1, max_denominator + 1):
+                compositions = (c for c in itertools.product(range(d + 1), repeat=n) if sum(c) == d)
+                for counts in compositions:
+                    key = tuple(Fraction(c, d) for c in counts)
+                    if key not in seen:
+                        seen.add(key)
+                        expected.append(np.array([c / d for c in counts]))
+            got = rational_pmfs(n, max_denominator)
+            assert len(got) == len(expected)
+            assert all(np.array_equal(p.probs, e) for p, e in zip(got, expected))
+
     def test_small_scan_passes(self):
         scan = reduction_check(2, 6)
         assert scan.passed
@@ -214,14 +233,15 @@ class TestPairJoint:
         assert np.allclose(col_marginal, mix, atol=1e-13)
 
     def test_tail_mass_under_tolerance(self):
-        d = pair_joint(1.0, 0.05, 0.2, tail_tol=1e-14)
-        assert 0 <= d.tail_mass <= 1e-14
+        d = pair_joint(1.0, 0.05, 0.2)
+        assert 0 <= d.tail_mass <= TAIL_TOL
         for j in d.joint:
             assert abs(j.sum() - (1 - d.tail_mass)) <= 1e-13
 
     def test_truncation_cap(self):
-        with pytest.raises(ValueError):
-            pair_joint(10**6, 0.0, 0.1, tail_tol=1e-300)
+        # K starts at ceil(lam * 1.1), already past the cap
+        with pytest.raises(ValueError, match="truncation"):
+            pair_joint(10**6, 0.0, 0.1)
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
@@ -257,8 +277,3 @@ class TestMutualInfo:
         half_lam = mutual_info_pair(pair_joint(lam / 2, eps - delta, eps)).value
         assert 2.5 <= full / half_delta <= 6.0
         assert 2.5 <= full / half_lam <= 6.0
-
-    def test_bound_rhs_uses_caller_constant(self):
-        d = pair_joint(0.5, 0.1, 0.2)
-        mi = mutual_info_pair(d, bound_const=3.0)
-        assert mi.bound_rhs == pytest.approx(3.0 * (0.2 * 0.1 * 0.5) ** 2)

@@ -206,6 +206,16 @@ class TestChi2Statistic:
         m_rate = float(rng.choice([0.5, 1.0, 17.0])) * n
         assert chi2_statistic(SampleBatch(counts), m_rate) == _chi2_reference(counts, m_rate)
 
+    def test_matches_fsum_of_every_term_on_a_large_domain(self):
+        # n = 2 * 10**6 with more than 10**6 zero counts and wide counts too
+        counts = np.zeros(2 * 10**6, dtype=np.int64)
+        counts[::3] = 1
+        counts[::7] = 5
+        counts[::11] = 2**40 + 3
+        assert np.count_nonzero(counts == 0) > 10**6
+        m_rate = 3.3e6
+        assert chi2_statistic(SampleBatch(counts), m_rate) == _chi2_reference(counts, m_rate)
+
     @pytest.mark.parametrize("m_rate", [2.0**-875, 1e-300])
     @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
     def test_huge_terms_match_fsum_of_every_term(self, m_rate):
