@@ -14,25 +14,33 @@ throughout the test suite and experiments:
 of distinct positive masses (the pmf's level sets).  Every instance family
 above has at most 3 levels.
 
-* level path, when ``n <= m < 16 n`` and ``L <= 3``: one multinomial over
-  the L levels gives each level's total, and each level spreads its total
-  uniformly over its cells with bounded integer draws and a ``bincount``
-  (``O(m)`` integer draws, about 6 ns each, plus ``O(n)`` passes; the level
-  table is built once per pmf in at most 4 vectorized passes).
+* level path, when ``min(n, 1024) <= m < 16 n`` and ``L <= 3``: one
+  multinomial over the L levels gives each level's total, and each level
+  spreads its total uniformly over its cells with bounded integer draws
+  (``O(m)`` integer draws, about 6 ns each; the level table is built once
+  per pmf in at most 4 vectorized passes).  From ``m = n`` each level's
+  draws are counted by a ``bincount`` and scattered into its cells; below
+  ``m = n`` they index the cells directly and one ``bincount`` counts all
+  levels, so no ``O(n)`` zeroing or scatter is paid.  The two forms make
+  the same draws in the same order and count the same cells, so the switch
+  between them moves no bits.
 * multinomial path, otherwise when ``m >= n``: numpy's conditional-binomial
   multinomial, ``O(n)`` binomial draws (50-105 ns each at ``m/n <= 8``).
-* alias path, when ``m < n``: ``m`` draws from the pmf's cached Walker
-  alias table plus one ``bincount`` (``O(m)`` draws and an ``O(n)`` pass;
-  the table itself is built once per pmf, in vectorized ``O(n)``).
+* alias path, otherwise: ``m`` draws from the pmf's cached Walker alias
+  table plus one ``bincount`` (``O(m)`` draws and an ``O(n)`` pass; the
+  table itself is built once per pmf, in vectorized ``O(n)``).
 
 The cutoffs come from the sampler timing tables in ROADMAP.md (n = 10^3 to
 10^5).  The level path beats the multinomial at every ``m/n`` from 1 to 16
 and loses on paired-bias at 24.  Each level costs about 6 us of calls, and
-3 levels cover every instance family above.  Below ``m = n`` its ``O(n)``
-passes no longer pay: at n = 10^4 and m = 400 it takes 34-40 us against the
-alias path's 20-22 us.  Every path draws
-exactly a multinomial(m, p) vector; they differ only in how they consume
-the stream.
+3 levels cover every instance family above.  Below ``m = n`` it saves the
+alias path's coin, one random word per sample, but costs 8-10 us more in
+numpy calls: it wins or ties from ``m = 1024`` at n = 10^4 and 10^5 and
+loses at 512.  Every path draws exactly a multinomial(m, p) vector; they
+differ only in how they consume the stream.
+
+Each path hands its fresh count vector to ``SampleBatch`` without a copy,
+with the total it was asked for.
 
 ``draw_poissonized_batch`` uses one Poisson per cell when ``m >= n``
 (``O(n)`` Poisson draws), and otherwise a Poisson total ``N ~ Poisson(m)``
@@ -45,6 +53,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,8 +64,10 @@ NORMALIZATION_TOL = 1e-12
 _POISSON_RATE_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 # Level-path limits, from the sampler timing tables in ROADMAP.md: below this m/n
 # the level path's per-sample integer draws cost less than the multinomial's
-# per-cell binomials, and each level adds about 6 us of calls.
+# per-cell binomials, and each level adds about 6 us of calls.  Below m = n it
+# saves the alias path's coin per sample, which pays from this many samples on.
 _LEVEL_MAX_RATIO = 16
+_LEVEL_MIN_SAMPLES = 1024
 _LEVEL_MAX_COUNT = 3
 
 __all__ = [
@@ -250,6 +261,19 @@ class SampleBatch:
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
 
+    @classmethod
+    def _adopt(cls, counts: np.ndarray, m: int) -> "SampleBatch":
+        """Wrap a fresh int64 vector that a sampler made and knows sums to ``m``.
+
+        The vector is frozen in place; the copy, the checks and the ``m``
+        pass of the constructor are skipped.
+        """
+        assert counts.dtype == np.int64
+        counts.flags.writeable = False
+        batch = object.__new__(cls)
+        batch.__dict__.update(counts=counts, m=m)
+        return batch
+
     @property
     def n(self) -> int:
         return self.counts.shape[0]
@@ -341,11 +365,18 @@ class LevelTable:
 
         Given its total K, a level's samples are K i.i.d. uniform draws over
         its g equal-mass cells, so the result is exactly multinomial(m, p).
+        Below ``m = n`` the drawn cells are gathered and counted at once;
+        from ``m = n`` each level's counts are scattered into its cells.
+        Same draws in the same order, so same counts and stream state.
         """
+        totals = rng.multinomial(m, self.mass).tolist()
+        if m < self.n:
+            drawn = [cells[rng.integers(0, cells.shape[0], k)] for cells, k in zip(self.cells, totals)]
+            return np.bincount(np.concatenate(drawn), minlength=self.n)
         counts = np.zeros(self.n, dtype=np.int64)
-        for cells, total in zip(self.cells, rng.multinomial(m, self.mass).tolist()):
+        for cells, k in zip(self.cells, totals):
             g = cells.shape[0]
-            counts[cells] = np.bincount(rng.integers(0, g, total), minlength=g)
+            counts[cells] = np.bincount(rng.integers(0, g, k), minlength=g)
         return counts
 
 
@@ -355,25 +386,27 @@ def draw_batch(p: Pmf, m: int, rng: np.random.Generator) -> SampleBatch:
     Deterministic given the stream state.  Three paths, by ``m``, ``n`` and
     the pmf's level count L (see the module docstring for their costs):
 
-    * ``n <= m < 16 n`` and ``L <= 3``: ``p.level_table()`` draws the L
-      level totals and spreads each uniformly over its cells;
+    * ``min(n, 1024) <= m < 16 n`` and ``L <= 3``: ``p.level_table()``
+      draws the L level totals and spreads each uniformly over its cells
+      (gathered below ``m = n``, scattered from it: same draws, same bits);
     * otherwise ``m >= n``: numpy's conditional-binomial multinomial;
-    * ``m < n``: ``m`` draws from ``p.alias_table()`` counted by ``bincount``.
+    * otherwise: ``m`` draws from ``p.alias_table()`` counted by ``bincount``.
 
-    The m/n test comes first, so a pmf drawn only outside ``[n, 16 n)``
-    never builds its level table.
+    The m test comes first, so a pmf drawn only outside
+    ``[min(n, 1024), 16 n)`` never builds its level table.
     """
+    m = operator.index(m)
     if m < 0:
         raise ValueError("sample count must be >= 0")
-    levels = p.level_table() if p.n <= m < _LEVEL_MAX_RATIO * p.n else None
+    n = p.n
+    levels = p.level_table() if min(n, _LEVEL_MIN_SAMPLES) <= m < _LEVEL_MAX_RATIO * n else None
     if levels is not None:
         counts = levels.draw(m, rng)
-    elif m >= p.n:
+    elif m >= n:
         counts = rng.multinomial(m, p.probs)
     else:
-        idx = p.alias_table().draw(m, rng)
-        counts = np.bincount(idx, minlength=p.n)
-    return SampleBatch(counts)
+        counts = np.bincount(p.alias_table().draw(m, rng), minlength=n)
+    return SampleBatch._adopt(counts, m)
 
 
 def draw_samples(p: Pmf, m: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,6 +14,7 @@ drives data draws and is fresh per run.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,9 @@ ROLE_INSTANCE = 2
 # documented reproducibility anchor.
 DEFAULT_SEED = 20240
 
+# numpy's SeedSequence pool size, in 32-bit words
+_POOL_SIZE = 4
+
 __all__ = [
     "ROLE_INTERNAL",
     "ROLE_SAMPLE",
@@ -38,13 +42,35 @@ __all__ = [
 ]
 
 
+def _words(value: int) -> list[int]:
+    """The little-endian 32-bit words of a nonnegative int (one word for 0)."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seed and key entries must be >= 0, got {value}")
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
 def stream(master_seed: int, *key: int) -> np.random.Generator:
     """Derive an independent random stream from a master seed and index key.
 
     The same ``(master_seed, *key)`` always yields a generator in the same
-    state; distinct keys yield statistically independent streams.
+    state; distinct keys yield statistically independent streams.  The
+    generator is that of ``SeedSequence(master_seed, spawn_key=key)``: its
+    entropy words are assembled here as numpy assembles them (the seed's
+    words, zero-padded to the pool size when there is a key, then each key
+    entry's words), which skips numpy's slower per-int conversion.
     """
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
+    words = _words(master_seed)
+    if key:
+        words += [0] * (_POOL_SIZE - len(words))
+        for k in key:
+            words += _words(k)
+    ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.Philox(ss))
 
 

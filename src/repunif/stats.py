@@ -103,8 +103,8 @@ def chi2_statistic(batch: SampleBatch, m_rate: float) -> float:
     the terms times their multiplicities sum to one exact integer over the
     largest d, rounded once: the float ``math.fsum`` of all n terms gives.
     """
-    if m_rate <= 0:
-        raise ValueError("chi2 rate must be > 0")
+    if not (m_rate > 0 and math.isfinite(m_rate)):
+        raise ValueError(f"chi2 rate must be finite and > 0, got {m_rate!r}")
     expected = m_rate / batch.n
     values, mult = np.unique(batch.counts, return_counts=True)
     c = values.astype(np.float64)

@@ -247,6 +247,31 @@ def _level_draw_with_single_cell_branch(table, m, rng):
     return counts
 
 
+def _scatter_level_draw(table, m, rng):
+    """The level draw's scatter form (its form from m = n), at any m."""
+    counts = np.zeros(table.n, dtype=np.int64)
+    for cells, total in zip(table.cells, rng.multinomial(m, table.mass).tolist()):
+        counts[cells] = np.bincount(rng.integers(0, cells.size, total), minlength=cells.size)
+    return counts
+
+
+def _gather_level_draw(table, m, rng):
+    """The level draw's gather form (its form below m = n), at any m."""
+    totals = rng.multinomial(m, table.mass).tolist()
+    drawn = [cells[rng.integers(0, cells.size, k)] for cells, k in zip(table.cells, totals)]
+    return np.bincount(np.concatenate(drawn), minlength=table.n)
+
+
+def _mixed_levels(n):
+    """Three levels (one heavy cell, two halves of the rest) and a zero-mass last cell."""
+    probs = np.zeros(n)
+    half = (n - 2) // 2
+    probs[0] = 0.1
+    probs[1:1 + half] = 0.6 / half
+    probs[1 + half:n - 1] = 0.3 / (n - 2 - half)
+    return Pmf(probs)
+
+
 class TestLevelPath:
     # two single-cell levels, a four-cell level and a zero-mass level
     MIXED = np.array([0.35, 0.15, 0.0, 0.15, 0.05, 0.15, 0.0, 0.15])
@@ -298,6 +323,51 @@ class TestLevelPath:
         assert np.array_equal(counts, _level_draw_with_single_cell_branch(table, 2 * n, ref_rng))
         assert _stream_state(rng) == _stream_state(ref_rng)
 
+    @pytest.mark.parametrize("p", [
+        uniform(2000),
+        make_instance(InstanceSpec.heavy(2000 ** -0.5), 2000),
+        make_instance(InstanceSpec.paired_bias(0.5), 2000),
+        _mixed_levels(2000),
+    ], ids=["uniform", "heavy", "paired", "mixed"])
+    def test_gather_form_equals_scatter_form(self, p):
+        # same counts and same stream state at every m, so the m < n switch
+        # between the two forms moves no bits
+        table = p.level_table()
+        assert table is not None
+        for m in (0, 1, 1023, 1024, p.n - 1, p.n, 8 * p.n):
+            rngs = [stream(23, m) for _ in range(3)]
+            counts = [table.draw(m, rngs[0]), _scatter_level_draw(table, m, rngs[1]),
+                      _gather_level_draw(table, m, rngs[2])]
+            assert all(np.array_equal(counts[0], c) for c in counts[1:]), m
+            assert counts[0].sum() == m
+            assert len({_stream_state(r) for r in rngs}) == 1, m
+
+    def test_multinomial_law_below_n(self):
+        # the heavy barrier instance at n = 10^4, m = 2000: the level path's
+        # gather form; moments on the heavy cell and a few light ones
+        p = make_instance(InstanceSpec.heavy(0.01), 10**4)
+        m = 2000
+        assert distributions._LEVEL_MIN_SAMPLES <= m < p.n
+        cells = [0, 1, 2, 4999, 9999]
+        rng = stream(37, 1)
+        draws = np.empty((20_000, len(cells)))
+        for t in range(draws.shape[0]):
+            batch = draw_batch(p, m, rng)
+            assert batch.m == m
+            draws[t] = batch.counts[cells]
+        _assert_multinomial_moments(draws, m, p.probs[cells])
+
+    def test_zero_mass_never_sampled_below_n(self):
+        p = _mixed_levels(3000)
+        probs = p.probs.copy()
+        probs[1::5] = 0.0  # a sparser support, still three levels
+        sparse = Pmf(probs / probs.sum())
+        for q in (p, sparse):
+            for t in range(100):
+                batch = draw_batch(q, 2000, stream(3, 5, t))
+                assert not batch.counts[q.probs == 0].any()
+            assert q.level_table() is not None
+
     @pytest.mark.parametrize("spec", [InstanceSpec.uniform(), InstanceSpec.paired_bias(0.0)])
     def test_level_mass_rounding_past_one(self, spec):
         # renormalized, each 1/998 rounds up one ulp and 998 of them to 1 + 2**-52
@@ -309,12 +379,24 @@ class TestLevelPath:
 class TestDrawDispatch:
     @pytest.mark.parametrize("p, m", [
         (_leveled(10**5, 200), 2000),
-        (make_instance(InstanceSpec.heavy(0.01), 10**4), 1600),  # 2 levels, m < n
+        # 2 levels, one sample short of the level path's lower cutoff
+        (make_instance(InstanceSpec.heavy(0.01), 10**4), distributions._LEVEL_MIN_SAMPLES - 1),
+        (make_instance(InstanceSpec.heavy(0.01), 1000), 999),  # m < n < the cutoff
     ])
     def test_below_n_draw_through_alias_table(self, p, m):
         batch = draw_batch(p, m, stream(8, 1))
         expected = np.bincount(p.alias_table().draw(m, stream(8, 1)), minlength=p.n)
         assert np.array_equal(batch.counts, expected)
+
+    @pytest.mark.parametrize("p, m", [
+        (make_instance(InstanceSpec.heavy(0.01), 10**4), 1600),
+        (make_instance(InstanceSpec.heavy(0.01), 10**4), distributions._LEVEL_MIN_SAMPLES),
+        (make_instance(InstanceSpec.paired_bias(0.5), 10**4), 5000),
+        (make_instance(InstanceSpec.heavy(0.01), 1000), 1000),  # m = n < the cutoff
+    ])
+    def test_level_path_from_the_lower_cutoff(self, p, m):
+        batch = draw_batch(p, m, stream(8, 3))
+        assert np.array_equal(batch.counts, _gather_level_draw(p.level_table(), m, stream(8, 3)))
 
     @pytest.mark.parametrize("p, m", [
         (_leveled(1000, 200), 4000),  # too many levels
@@ -389,9 +471,14 @@ class TestPoissonized:
             assert np.all(batch.counts[probs == 0] == 0)
 
     def test_m_field_is_realized_total(self):
-        p = make_instance(InstanceSpec.paired_bias(0.2), 10)
-        batch = draw_poissonized_batch(p, 40.0, stream(19, 0))
-        assert batch.m == int(batch.counts.sum())
+        # m >= n: one Poisson per cell; below n: a Poisson total then an
+        # adopted draw_batch (alias path at rate 3, level path at 1500)
+        for p, rate in ((make_instance(InstanceSpec.paired_bias(0.2), 10), 40.0),
+                        (make_instance(InstanceSpec.heavy(0.05), 2000), 3.0),
+                        (make_instance(InstanceSpec.heavy(0.05), 2000), 1500.0)):
+            batch = draw_poissonized_batch(p, rate, stream(19, 0))
+            assert batch.counts.dtype == np.int64 and not batch.counts.flags.writeable
+            assert type(batch.m) is int and batch.m == int(batch.counts.sum())
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
@@ -507,6 +594,26 @@ class TestSampleBatch:
     def test_rejects_uint64_counts_past_int64(self):
         with pytest.raises(ValueError):
             SampleBatch(np.array([2**63, 1], dtype=np.uint64))
+
+    @pytest.mark.parametrize("p, m", [
+        (make_instance(InstanceSpec.heavy(0.05), 2000), 0),
+        (make_instance(InstanceSpec.heavy(0.05), 2000), 5),        # alias
+        (make_instance(InstanceSpec.heavy(0.05), 2000), 1500),     # level, gather form
+        (make_instance(InstanceSpec.heavy(0.05), 2000), 4000),     # level, scatter form
+        (make_instance(InstanceSpec.heavy(0.05), 2000), 40_000),   # multinomial
+        (_leveled(2000, 200), 1500),                               # alias, many levels
+        (_leveled(2000, 200), 4000),                               # multinomial
+    ])
+    def test_adopted_batch_is_frozen_int64_with_its_total(self, p, m):
+        batch = draw_batch(p, m, stream(4, m))
+        assert batch.counts.dtype == np.int64 and not batch.counts.flags.writeable
+        assert type(batch.m) is int and batch.m == int(batch.counts.sum()) == m
+        with pytest.raises(ValueError):
+            batch.counts[0] = 1
+
+    def test_draw_batch_takes_numpy_integer_m(self):
+        batch = draw_batch(uniform(50), np.int64(30), stream(4, 2))
+        assert type(batch.m) is int and batch.m == 30
 
     def test_accepts_small_unsigned_counts(self):
         batch = SampleBatch(np.array([3, 1], dtype=np.uint8))

@@ -242,6 +242,15 @@ class TestBarrierExperiment:
         res = barrier_experiment("chi2", 400, [80, 160], 30, master_seed=37)
         assert res.rows[0].gap == pytest.approx(80 * 0.25)
 
+    @pytest.mark.parametrize("kind", ["collision", "chi2", "tvstat"])
+    def test_workers_do_not_change_report(self, kind, monkeypatch):
+        # the grid straddles both sampler cutoffs at n = 2000: the alias path
+        # (200), the level path below n (1024, 1500) and from n (3000)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        runs = [barrier_experiment(kind, 2000, [200, 1024, 1500, 3000], 20, master_seed=63,
+                                   workers=workers).to_dict() for workers in (1, 2)]
+        assert runs[0] == runs[1]
+
     def test_unknown_kind_and_bad_grid(self):
         with pytest.raises(ValueError):
             barrier_experiment("median", 400, [80, 160], 30, master_seed=1)

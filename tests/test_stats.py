@@ -179,6 +179,11 @@ class TestChi2Statistic:
         with pytest.raises(ValueError):
             chi2_statistic(batch(1, 1), 0.0)
 
+    @pytest.mark.parametrize("m_rate", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rate(self, m_rate):
+        with pytest.raises(ValueError, match="finite"):
+            chi2_statistic(batch(3, 1, 0), m_rate)
+
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=50)
     def test_permutation_invariance(self, seed):
