@@ -14,6 +14,7 @@ from .distributions import (
     Pmf,
     SampleBatch,
     draw_batch,
+    draw_batches,
     draw_poissonized_batch,
     draw_samples,
     make_instance,

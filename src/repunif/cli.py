@@ -104,6 +104,9 @@ def _emit(report, args, label) -> None:
 
 def cmd_experiment(args) -> int:
     status = 0
+    assert_rate = getattr(args, "assert_rate", None)
+    if assert_rate is not None and not 0.0 <= assert_rate <= 1.0:
+        raise ValueError(f"--assert-rate must lie in [0, 1], got {assert_rate!r}")
     if args.subkind == "correctness":
         params = _params(args)
         spec = _parse_instance(args.instance)

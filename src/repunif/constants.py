@@ -12,6 +12,7 @@ the ``REPUNIF_CONSTANTS`` environment variable.
 from __future__ import annotations
 
 import importlib.resources
+import math
 import os
 
 CONSTANTS_ENV_VAR = "REPUNIF_CONSTANTS"
@@ -37,7 +38,10 @@ def parse_constants(text: str) -> dict[str, float]:
         if "=" not in line:
             raise ValueError(f"constants line {lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
-        values[key.strip()] = float(raw.strip())
+        value = float(raw.strip())
+        if not math.isfinite(value):
+            raise ValueError(f"constants line {lineno}: {key.strip()} must be finite, got {raw.strip()!r}")
+        values[key.strip()] = value
     missing = [k for k in CONSTANT_KEYS if k not in values]
     if missing:
         raise ValueError(f"constants file missing keys: {', '.join(missing)}")

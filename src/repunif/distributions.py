@@ -25,7 +25,8 @@ above has at most 3 levels.
   the same draws in the same order and count the same cells, so the switch
   between them moves no bits.
 * multinomial path, otherwise when ``m >= n``: numpy's conditional-binomial
-  multinomial, ``O(n)`` binomial draws (50-105 ns each at ``m/n <= 8``).
+  multinomial, ``O(n)`` binomial draws (50-105 ns each at ``m/n <= 8``,
+  about 170 ns at 45).
 * alias path, otherwise: ``m`` draws from the pmf's cached Walker alias
   table plus one ``bincount`` (``O(m)`` draws and an ``O(n)`` pass; the
   table itself is built once per pmf, in vectorized ``O(n)``).
@@ -42,6 +43,30 @@ differ only in how they consume the stream.
 Each path hands its fresh count vector to ``SampleBatch`` without a copy,
 with the total it was asked for.
 
+``draw_batches`` draws k such vectors as one ``(k, n)`` array.  From
+``m = 5 n`` on a pmf with at most 3 levels it draws all k rows at once, in
+``O(k n)`` work (while ``3 sqrt(m) <= 16 n``, which bounds the top-up):
+
+1. every cell gets an independent Poisson(``r p_i``) count, with
+   ``r = m - 3 sqrt(m)``, by inverse-CDF lookup of one ``random((k, g))``
+   block per level in the cached table (``PoissonTable``) of the level's
+   cell rate; a level whose rate passes 4096 uses numpy's Poisson sampler;
+2. a row whose total N exceeds m (about 0.13% of rows) is redrawn;
+3. each row's ``m - N`` missing samples are split over the levels by one
+   multinomial call for all rows, spread uniformly in each level by one
+   ``integers`` call per level, and added by one offset ``bincount`` over
+   ``k n`` bins.
+
+Given N, a row of independent Poisson counts is multinomial(N, p), and
+acceptance depends on N only; the top-up adds an independent
+multinomial(m - N, p).  So every row is exactly multinomial(m, p), up to
+the float rounding of the Poisson tables (a cdf within 1e-13), the same
+standard the alias table meets.  Elsewhere the k rows are k ``draw_batch``
+calls in order.  ``draw_batch`` keeps its own paths: at k = 1 the stacked
+draw's fixed cost of about 110-190 us in numpy calls loses to the level
+path at n = 10^3 and to the multinomial below n = 300 (CHANGES.md has the
+timing tables).
+
 ``draw_poissonized_batch`` uses one Poisson per cell when ``m >= n``
 (``O(n)`` Poisson draws), and otherwise a Poisson total ``N ~ Poisson(m)``
 followed by ``draw_batch(p, N)``.  By Poissonization the two have the same
@@ -55,7 +80,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,6 +94,21 @@ _POISSON_RATE_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).ma
 _LEVEL_MAX_RATIO = 16
 _LEVEL_MIN_SAMPLES = 1024
 _LEVEL_MAX_COUNT = 3
+# From this m/n, draw_batches takes a few-level pmf's rows in one stacked
+# Poisson draw: 9 rows at n = 10^4 and 10^5 cost less than 9 draw_batch calls
+# from m/n = 5 on, and about 13% more at n = 10^4 and m/n = 4 (timing tables
+# in CHANGES.md).
+_POISSON_BATCH_RATIO = 5
+# The Poisson rows' total rate is m - slack * sqrt(m), so about 0.13% of rows
+# overshoot m and are redrawn.
+_POISSON_SLACK = 3.0
+# The top-up draws about slack * sqrt(m) integers per row.  Past this many per
+# cell they cost more than a row's O(n) binomials, and their memory grows with
+# sqrt(m): there the rows are draw_batch calls again.
+_TOPUP_MAX_PER_CELL = 16
+# Above this rate a Poisson table and its guide would pass about 256 KB:
+# such a level is drawn by numpy's own Poisson sampler instead.
+_POISSON_TABLE_MAX_RATE = 4096.0
 
 __all__ = [
     "NORMALIZATION_TOL",
@@ -79,7 +119,9 @@ __all__ = [
     "tv_distance",
     "AliasTable",
     "LevelTable",
+    "PoissonTable",
     "draw_batch",
+    "draw_batches",
     "draw_poissonized_batch",
 ]
 
@@ -380,6 +422,124 @@ class LevelTable:
         return counts
 
 
+class PoissonTable:
+    """Inverse-CDF table of Poisson(lam), read through a guide.
+
+    ``cdf[i]`` is ``P(X <= lo + i)``, built by the log-ratio recurrence
+    outward from the mode, normalized, and its last entry set to 1.0; each
+    value left out below ``lo`` or past the end is under ``2**-60`` times
+    the modal mass, and the cdf is within 1e-13 of the exact one.  A
+    uniform ``u`` maps to ``lo + searchsorted(cdf, u, "right")``.  The
+    guide splits ``[0, 1)`` into ``buckets`` = Q equal buckets, Q a power
+    of two at least 32 times the table, so ``floor(u * Q)`` is exact;
+    ``code[j]`` is the answer shared by every u in bucket j, or -1 when a
+    cdf entry falls inside the bucket (about 1% of u), and only those u
+    are searched.  The lookup thus equals the plain search bit for bit.
+    """
+
+    def __init__(self, lam: float):
+        mode = math.floor(lam)
+        reach = math.ceil(12.0 * math.sqrt(lam)) + 30
+        lo = max(0, mode - reach)
+        # log(pmf[k] / pmf[mode]); a rate of 0 (or one that underflows) gives
+        # log(0) = -inf past the mode, and the table [1.0]
+        with np.errstate(divide="ignore"):
+            up = np.cumsum(np.log(lam / np.arange(mode + 1, mode + reach + 1)))
+        down = np.cumsum(np.log(np.arange(mode, lo, -1) / lam))[::-1]
+        logs = np.concatenate((down, [0.0], up))
+        kept = np.flatnonzero(logs >= -60.0 * math.log(2.0))
+        first, last = int(kept[0]), int(kept[-1])
+        pmf = np.exp(logs[first:last + 1])
+        # the running sum can pass 1 by an ulp before its end: clip, so it stays sorted
+        cdf = np.minimum(np.cumsum(pmf / math.fsum(pmf.tolist())), 1.0)
+        cdf[-1] = 1.0
+        self.lo = lo + first
+        self.cdf = cdf
+        self.buckets = q = 1 << (32 * cdf.size - 1).bit_length()
+        # cdf * q is exact, so cdf[i] <= j/q iff ceil(cdf[i] * q) <= j: the
+        # running count of those ceilings is searchsorted(cdf, j/q, "right")
+        hits = np.bincount(np.ceil(cdf * q).astype(np.intp), minlength=q + 1)
+        self.code = np.where(hits[1:] > 0, -1, np.cumsum(hits[:-1])).astype(np.int32)
+
+    def lookup(self, u: np.ndarray) -> np.ndarray:
+        """Poisson variates for uniforms ``u`` in [0, 1), equal to the plain search."""
+        out = self.code[(u * self.buckets).astype(np.intp)]
+        ambiguous = np.flatnonzero(out < 0)
+        out.flat[ambiguous] = np.searchsorted(self.cdf, u.flat[ambiguous], side="right")
+        return out + self.lo
+
+
+# Tables are keyed by the cell rate, and a replicability prior makes new rates
+# for every pair; a pmf has at most 3 levels, so 16 tables serve 5 pmfs at once.
+@lru_cache(maxsize=16)
+def _poisson_table(lam: float) -> PoissonTable:
+    return PoissonTable(lam)
+
+
+def _poisson_rows(levels: LevelTable, rates: list[float], rows: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """A ``(rows, n)`` array of independent Poisson counts, cell rate ``rates[l]`` in level l."""
+    counts = np.zeros((rows, levels.n), dtype=np.int64)
+    for cells, lam in zip(levels.cells, rates):
+        if lam > _POISSON_TABLE_MAX_RATE:
+            counts[:, cells] = rng.poisson(lam, (rows, cells.size))
+        else:
+            counts[:, cells] = _poisson_table(lam).lookup(rng.random((rows, cells.size)))
+    return counts
+
+
+def _stacked_draw(p: Pmf, levels: LevelTable, m: int, k: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """k multinomial(m, p) rows: Poisson rows at total rate below m, then a top-up.
+
+    Each cell gets a Poisson(r p_i) count, ``r = m - slack * sqrt(m)``.  A
+    row whose total N passes m is redrawn; the rest are topped up with
+    ``m - N`` more samples, split over the levels by one multinomial and
+    spread uniformly in each level.  Given N a Poisson row is
+    multinomial(N, p) and acceptance depends on N only, so each row is
+    multinomial(N, p) plus an independent multinomial(m - N, p).
+    """
+    n = levels.n
+    rate = max(m - _POISSON_SLACK * math.sqrt(m), 0.0)
+    rates = [rate * float(p.probs[cells[0]]) for cells in levels.cells]
+    counts = _poisson_rows(levels, rates, k, rng)
+    totals = counts.sum(axis=1)
+    over = np.flatnonzero(totals > m)
+    while over.size:
+        counts[over] = _poisson_rows(levels, rates, over.size, rng)
+        totals[over] = counts[over].sum(axis=1)
+        over = over[totals[over] > m]
+    split = rng.multinomial(m - totals, levels.mass)
+    starts = np.arange(k) * n
+    flat = [np.repeat(starts, split[:, l]) + cells[rng.integers(0, cells.size, int(split[:, l].sum()))]
+            for l, cells in enumerate(levels.cells)]
+    counts += np.bincount(np.concatenate(flat), minlength=k * n).reshape(k, n)
+    return counts
+
+
+def draw_batches(p: Pmf, m: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw k independent multinomial(m, p) frequency vectors as a ``(k, n)`` int64 array.
+
+    Deterministic given the stream state.  For ``5 n <= m`` and
+    ``3 sqrt(m) <= 16 n``, on a pmf with at most 3 levels, all k rows come
+    from one stacked Poisson draw plus an exact top-up (``_stacked_draw``):
+    a fixed number of vectorized calls over ``k * n`` cells and ``k``
+    top-ups of about ``3 sqrt(m)`` samples.  Otherwise each row is one
+    ``draw_batch``, in order.
+    """
+    m, k = operator.index(m), operator.index(k)
+    if m < 0 or k < 0:
+        raise ValueError("sample count and batch count must be >= 0")
+    stacked = _POISSON_BATCH_RATIO * p.n <= m and _POISSON_SLACK * math.sqrt(m) <= _TOPUP_MAX_PER_CELL * p.n
+    levels = p.level_table() if stacked else None
+    if levels is not None:
+        return _stacked_draw(p, levels, m, k, rng)
+    counts = np.empty((k, p.n), dtype=np.int64)
+    for row in counts:
+        row[:] = draw_batch(p, m, rng).counts
+    return counts
+
+
 def draw_batch(p: Pmf, m: int, rng: np.random.Generator) -> SampleBatch:
     """Draw one multinomial(m, p) frequency vector.
 
@@ -393,7 +553,8 @@ def draw_batch(p: Pmf, m: int, rng: np.random.Generator) -> SampleBatch:
     * otherwise: ``m`` draws from ``p.alias_table()`` counted by ``bincount``.
 
     The m test comes first, so a pmf drawn only outside
-    ``[min(n, 1024), 16 n)`` never builds its level table.
+    ``[min(n, 1024), 16 n)`` never builds its level table.  Several batches
+    of one pmf and m are cheaper through ``draw_batches``.
     """
     m = operator.index(m)
     if m < 0:

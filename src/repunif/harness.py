@@ -48,8 +48,8 @@ from .distributions import (
     make_instance,
 )
 from .rng import ROLE_INSTANCE, ROLE_INTERNAL, ROLE_SAMPLE, SeedSplit, stream
-from .stats import chi2_statistic, collision_statistic, exact_uniform_mean, expectation_gap, tv_statistic
-from .tester import R0_LOW, TesterParams, Verdict, derive_sizes, run_tester
+from .stats import chi2_statistic, collision_statistic, expectation_gap, tv_statistic
+from .tester import R0_LOW, TesterParams, Verdict, _schedule, derive_sizes, run_tester
 
 # Experiment tags keep the derived streams of different experiments disjoint.
 EXP_CORRECTNESS = 1
@@ -538,10 +538,9 @@ def calibrate(
     ]
     c_lo_all, c_hi_all = 0.0, math.inf
     for pilot, (n, eps) in enumerate(pilot_grid):
-        params = TesterParams(n=n, eps=eps, rho=rho, c_m1=c_m1, c_m2=c_m2, c_m0=c_m0)
-        m, m0 = derive_sizes(params)
-        mu = exact_uniform_mean(n, m)
-        _, base = expectation_gap(n, m, eps, 1.0)
+        # c_gap = 1 makes the schedule's R the base gap that c_gap scales
+        params = TesterParams(n=n, eps=eps, rho=rho, c_m1=c_m1, c_m2=c_m2, c_m0=c_m0, c_gap=1.0)
+        m, m0, mu, _, base = _schedule(params)
         sides = (make_instance(InstanceSpec.uniform(), n), make_instance(InstanceSpec.paired_bias(2.0 * eps), n))
         jobs = [(pmf, params, master_seed, (EXP_CALIBRATE, pilot, side, t, ROLE_INTERNAL),
                  (EXP_CALIBRATE, pilot, side, t, ROLE_SAMPLE))

@@ -7,9 +7,10 @@ The TV statistic is accumulated in exact integer arithmetic,
 ``sum_i |n*X_i - m| / (2*m*n)``, so no precision is lost even when the
 sublinear signal scale ``eps^2 m^2 / n^2`` is tiny; the rational value is
 exposed for identity checks.  ``tv_statistics`` takes the numerators of
-several batches in one stacked numpy pass; ``tv_statistic`` is its
-one-batch case.  The chi-square statistic sums its float terms as one exact
-integer over their common power-of-two denominator, so it is rounded once.
+several batches, or of the rows of a stacked count array, in one numpy
+pass; ``tv_statistic`` is its one-batch case.  The chi-square statistic
+sums its float terms as one exact integer over their common power-of-two
+denominator, so it is rounded once.
 """
 
 from __future__ import annotations
@@ -54,13 +55,23 @@ def _tv_numerators(counts: np.ndarray, totals: list[int]) -> list[int]:
     return np.abs(n * counts - np.array(totals)[:, None]).sum(axis=1).tolist()
 
 
-def tv_statistics(batches: Sequence[SampleBatch]) -> list[float]:
-    """The TV statistic of each batch (all on one domain), in one stacked pass.
+def tv_statistics(batches: np.ndarray | Sequence[SampleBatch]) -> list[float]:
+    """The TV statistic of each row of a ``(k, n)`` count array, or of each batch
+    (all on one domain), in one stacked pass.
 
     Each value equals ``tv_statistic`` of its batch bit for bit.
     """
-    totals = [b.m for b in batches]
-    counts = np.array([b.counts for b in batches])  # raises unless one domain
+    if isinstance(batches, np.ndarray):
+        counts = batches
+        if counts.dtype != np.int64 or counts.ndim != 2 or counts.size == 0 or counts.min() < 0:
+            raise ValueError("counts must be a nonempty (k, n) int64 array of nonnegative counts")
+        if int(counts.max()) * counts.shape[1] < 2**63:
+            totals = counts.sum(axis=1).tolist()
+        else:  # wide-integer path: a row sum could wrap
+            totals = [sum(row) for row in counts.tolist()]
+    else:
+        totals = [b.m for b in batches]
+        counts = np.array([b.counts for b in batches])  # raises unless one domain
     n = counts.shape[1]
     return [num / (2 * m * n) for num, m in zip(_tv_numerators(counts, totals), totals)]
 

@@ -19,7 +19,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .distributions import Pmf, SampleBatch, draw_batch
+# draw_batch stays bound here too: perfbench's tests look it up on this module
+from .distributions import Pmf, SampleBatch, draw_batch, draw_batches  # noqa: F401
 from .rng import SeedSplit
 from .stats import GapRegime, exact_uniform_mean, expectation_gap, tv_statistics
 
@@ -63,8 +64,9 @@ class TesterParams:
         if not 0.0 < self.rho < 0.5:
             raise ValueError("rho must lie in (0, 1/2)")
         for name in ("c_m1", "c_m2", "c_m0", "c_gap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     @classmethod
     def from_constants(cls, n: int, eps: float, rho: float, constants) -> "TesterParams":
@@ -112,34 +114,37 @@ class Verdict:
         return d
 
 
-def _batch_oracle(p_access: Union[Pmf, BatchOracle]) -> BatchOracle:
-    """Adapt an explicit pmf (or pass through a callable) as a batch oracle."""
-    if isinstance(p_access, Pmf):
-        pmf = p_access
-        return lambda m, rng: draw_batch(pmf, m, rng)
-    return p_access
+def _schedule(params: TesterParams) -> tuple[int, int, float, GapRegime, float]:
+    """Batch size m, repetition count m0, ``mu(U_n)`` and the gap's regime and R."""
+    m, m0 = derive_sizes(params)
+    regime, gap = expectation_gap(params.n, m, params.eps, params.c_gap)
+    return m, m0, exact_uniform_mean(params.n, m), regime, gap
 
 
-def run_tester(p_access, params: TesterParams, seeds: SeedSplit) -> Verdict:
+def run_tester(p_access: Union[Pmf, BatchOracle], params: TesterParams, seeds: SeedSplit) -> Verdict:
     """The replicable uniformity tester.
 
     Draws m0 batches of m samples from the sample stream, takes the median
     of their TV statistics (computed in one stacked pass), and accepts iff
     it falls below
     ``mu(U_n) + r0 * R`` with ``r0`` the first draw of the internal stream.
+    An explicit ``Pmf`` gives all m0 batches in one ``draw_batches`` call;
+    a callable oracle is called once per batch.
     """
-    m, m0 = derive_sizes(params)
+    m, m0, mu, regime, gap = _schedule(params)
     r0 = float(seeds.internal.uniform(R0_LOW, R0_HIGH))
-    regime, gap = expectation_gap(params.n, m, params.eps, params.c_gap)
-    mu = exact_uniform_mean(params.n, m)
     threshold = mu + r0 * gap
-    oracle = _batch_oracle(p_access)
-    batches = []
-    for _ in range(m0):
-        batch = oracle(m, seeds.sample)
-        if batch.n != params.n:
-            raise ValueError("oracle produced a batch on the wrong domain")
-        batches.append(batch)
+    if isinstance(p_access, Pmf):
+        if p_access.n != params.n:
+            raise ValueError(f"pmf is on [{p_access.n}] but the tester's domain is [{params.n}]")
+        batches = draw_batches(p_access, m, m0, seeds.sample)
+    else:
+        batches = []
+        for _ in range(m0):
+            batch = p_access(m, seeds.sample)
+            if batch.n != params.n:
+                raise ValueError("oracle produced a batch on the wrong domain")
+            batches.append(batch)
     s_median = sorted(tv_statistics(batches))[m0 // 2]
     decision = "accept" if s_median < threshold else "reject"
     return Verdict(
@@ -216,8 +221,8 @@ def run_identity_tester(p_access, q: Pmf, params: TesterParams, seeds: SeedSplit
 
     ``params`` describes the original problem (domain n, tolerance eps); the
     reduced tester runs on domain 6n with tolerance eps/3 and the same rho.
-    An explicit ``Pmf`` p is sampled at count level: each reduced batch is
-    one ``draw_batch`` from the reducer's pushforward of p.  A callable
+    An explicit ``Pmf`` p is sampled at count level: the reduced batches
+    are drawn from the reducer's pushforward of p.  A callable
     ``p_access(m, rng)`` returns m raw 0-based samples, which are mapped one
     by one.  Reduction randomness is drawn from the sample stream: it does
     not need to be shared across paired runs.

@@ -178,6 +178,17 @@ class TestExperimentCommand:
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("kind, extra", [
+        ("correctness", ["--trials", "2"]),
+        ("replicability", ["--pairs", "2"]),
+    ])
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-0.1", "1.5"])
+    def test_assert_rate_outside_unit_interval_exit_two(self, kind, extra, rate, capsys):
+        # a nan rate would turn the gate off: rate < nan is never true
+        code, out, err = run(["experiment", kind, *BASE, *extra, "--assert-rate", rate], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: --assert-rate must lie in [0, 1]")
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         args = ["experiment", "correctness", *BASE, "--trials", "6"]
         p1, p2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -236,6 +247,28 @@ class TestConstantsResolution:
         # the experiments that build a tester still read the constants
         code, _, err = run(["experiment", "correctness", *BASE, "--trials", "2"], capsys)
         assert code == 2 and "missing.txt" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_constant_exit_two(self, value, tmp_path, monkeypatch, capsys):
+        # a nan c_gap printed "threshold": NaN (not JSON) and rejected the
+        # uniform distribution; an infinite one accepted everything
+        from repunif.constants import CONSTANTS_ENV_VAR
+
+        path = tmp_path / "bad.txt"
+        path.write_text(f"c_gap={value}\nc_m1=1.0\nc_m2=1.0\nc_m0=3.0\n")
+        argv = ["test", "--n", "200", "--eps", "0.3", "--rho", "0.3"]
+        for how in ("flag", "env"):
+            if how == "env":
+                monkeypatch.setenv(CONSTANTS_ENV_VAR, str(path))
+            code, out, err = run([*argv, "--constants", str(path)] if how == "flag" else argv, capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("error: constants line 1: c_gap must be finite")
+
+    def test_non_finite_calibrate_constant_exit_two(self, capsys):
+        code, out, err = run(["calibrate", "--grid", "300:0.3", "--rho", "0.2", "--trials", "8",
+                              "--c-m1", "nan"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: c_m1 must be finite and > 0")
 
     def test_explicit_flag_beats_env(self, tmp_path, monkeypatch, capsys):
         from repunif.constants import CONSTANTS_ENV_VAR, save_constants

@@ -14,15 +14,17 @@ from repunif.distributions import (
     InstanceSpec,
     LevelTable,
     Pmf,
+    PoissonTable,
     SampleBatch,
     draw_batch,
+    draw_batches,
     draw_poissonized_batch,
     draw_samples,
     make_instance,
     tv_distance,
 )
-from repunif.rng import stream
-from repunif.tester import IdentityReducer, TesterParams, derive_sizes
+from repunif.rng import SeedSplit, stream
+from repunif.tester import IdentityReducer, TesterParams, derive_sizes, run_identity_tester
 
 
 def uniform(n):
@@ -406,8 +408,24 @@ class TestDrawDispatch:
         batch = draw_batch(p, m, stream(8, 2))
         assert np.array_equal(batch.counts, stream(8, 2).multinomial(m, p.probs))
 
+    def test_identity_tester_takes_the_stacked_draw(self, monkeypatch):
+        # the identity benchmark's setting: all m0 reduced batches in one
+        # stacked draw over the pushforward's level table, no draw_batch
+        params = TesterParams.from_constants(200, 0.3, 0.2, default_constants())
+        q = make_instance(InstanceSpec.paired_bias(0.4), 200)
+
+        def forbidden(*args):
+            raise AssertionError("draw_batch called")
+
+        monkeypatch.setattr(distributions, "draw_batch", forbidden)
+        verdict = run_identity_tester(q, q, params, SeedSplit(stream(8, 7), stream(8, 8)))
+        assert verdict.m >= distributions._POISSON_BATCH_RATIO * verdict.n
+
     def test_identity_pushforward_never_builds_level_table(self, monkeypatch):
-        # the identity benchmark's setting: n=200, eps=0.3, rho=0.2, q = paired-bias(0.4)
+        # the identity benchmark's setting: n=200, eps=0.3, rho=0.2, q = paired-bias(0.4).
+        # One draw_batch at m/n = 44.7 keeps the multinomial path and builds no
+        # level table; the tester's m0 batches build it on purpose, through
+        # draw_batches (test above)
         params = TesterParams.from_constants(200, 0.3, 0.2, default_constants())
         q = make_instance(InstanceSpec.paired_bias(0.4), 200)
         reducer = IdentityReducer(q)
@@ -423,6 +441,162 @@ class TestDrawDispatch:
             pushed = reducer.pushforward(p)
             draw_batch(pushed, m, stream(8, 4))
             assert "_levels" not in vars(pushed)
+
+
+def _identity_pushforward():
+    """The identity benchmark's reduced pmf on 1200 cells: q = paired-bias(0.4) on 200."""
+    q = make_instance(InstanceSpec.paired_bias(0.4), 200)
+    return IdentityReducer(q).pushforward(q)
+
+
+def _level_ends(p):
+    """The first and last cell of each level, and every zero-mass cell."""
+    ends = [int(c) for cells in p.level_table().cells for c in (cells[0], cells[-1])]
+    return sorted(set(ends) | set(np.flatnonzero(p.probs == 0).tolist()))
+
+
+class TestDrawBatches:
+    RATIO = distributions._POISSON_BATCH_RATIO
+
+    @pytest.mark.parametrize("p, m", [
+        (make_instance(InstanceSpec.paired_bias(0.5), 1000), 7784),  # the headline batch
+        (_identity_pushforward(), 53587),
+        (uniform(500), 8 * 500),
+        (make_instance(InstanceSpec.heavy(1.0), 50), 10**4),  # point mass, rate past the table bound
+        (_mixed_levels(300), 8 * 300),  # 3 levels and a zero-mass cell
+        (uniform(200), 4200 * 200),  # a level past the table bound
+    ], ids=["paired", "identity", "uniform", "point-mass", "mixed", "high-rate"])
+    def test_multinomial_law(self, p, m):
+        assert self.RATIO * p.n <= m and 3 * math.sqrt(m) <= 16 * p.n
+        assert p.level_table() is not None
+        cells = _level_ends(p)
+        rng = stream(41, p.n)
+        draws = []
+        for _ in range(10):
+            batches = draw_batches(p, m, 2000, rng)
+            assert batches.shape == (2000, p.n) and batches.dtype == np.int64
+            assert np.all(batches.sum(axis=1) == m)
+            assert not batches[:, p.probs == 0].any()
+            draws.append(batches[:, cells])
+        _assert_multinomial_moments(np.concatenate(draws).astype(np.float64), m, p.probs[cells])
+
+    def test_rows_independent_through_redraws(self, monkeypatch):
+        # with no slack about half the Poisson rows overshoot m and are redrawn
+        monkeypatch.setattr(distributions, "_POISSON_SLACK", 0.0)
+        draws_made = []
+        poisson_rows = distributions._poisson_rows
+        monkeypatch.setattr(distributions, "_poisson_rows",
+                            lambda *args: draws_made.append(args[2]) or poisson_rows(*args))
+        p = _mixed_levels(20)
+        m, k, calls = 8 * 20, 6, 5000
+        rng = stream(43, 1)
+        draws = np.array([draw_batches(p, m, k, rng) for _ in range(calls)], dtype=np.float64)
+        assert len(draws_made) > 1.5 * calls and sum(draws_made) > 1.3 * k * calls
+        assert np.all(draws.sum(axis=2) == m)
+        cells = _level_ends(p)
+        for row in range(k):
+            _assert_multinomial_moments(draws[:, row, cells], m, p.probs[cells])
+        # rows of one call are independent: zero covariance between any two
+        var = m * p.probs * (1 - p.probs)
+        centered = draws - draws.mean(axis=0)
+        for a in range(k):
+            for b in range(a + 1, k):
+                cov = (centered[:, a] * centered[:, b]).mean(axis=0)
+                assert np.all(np.abs(cov) <= 5 * np.sqrt(var * var / calls) + 1e-12)
+
+    @pytest.mark.parametrize("p, m", [
+        (make_instance(InstanceSpec.paired_bias(0.5), 1000), 5 * 1000 - 1),  # one sample short
+        (make_instance(InstanceSpec.heavy(0.01), 10**4), 5000),  # level path below n
+        (_leveled(1000, 200), 8000),  # too many levels
+        (uniform(100), 0),
+        (uniform(2), 10**12),  # a top-up of 3 sqrt(m) = 3e6 samples per row: too long
+    ])
+    def test_rows_of_draw_batch_otherwise(self, p, m):
+        rng = stream(8, 5)
+        expected = np.array([draw_batch(p, m, rng).counts for _ in range(5)])
+        assert np.array_equal(draw_batches(p, m, 5, stream(8, 5)), expected)
+
+    def test_stacked_draw_from_the_ratio(self, monkeypatch):
+        p = make_instance(InstanceSpec.paired_bias(0.5), 1000)
+
+        def forbidden(*args):
+            raise AssertionError("draw_batch called")
+
+        monkeypatch.setattr(distributions, "draw_batch", forbidden)
+        assert draw_batches(p, self.RATIO * p.n, 3, stream(8, 6)).sum() == 3 * self.RATIO * p.n
+        with pytest.raises(AssertionError, match="draw_batch called"):
+            draw_batches(p, self.RATIO * p.n - 1, 3, stream(8, 6))
+
+    def test_deterministic_given_stream(self):
+        p = _identity_pushforward()
+        a = draw_batches(p, 53587, 9, stream(42, 3))
+        b = draw_batches(p, 53587, 9, stream(42, 3))
+        assert np.array_equal(a, b)
+        assert len({row.tobytes() for row in a}) == 9
+
+    def test_no_rows(self):
+        for m in (0, 10, 8000):
+            assert draw_batches(uniform(1000), m, 0, stream(1, 1)).shape == (0, 1000)
+
+    @pytest.mark.parametrize("m, k", [(-1, 3), (10, -1)])
+    def test_rejects_negative_counts(self, m, k):
+        with pytest.raises(ValueError):
+            draw_batches(uniform(10), m, k, stream(1, 1))
+
+    def test_small_domains(self):
+        # the Poisson rate m - 3 sqrt(m) is 0 or below for m <= 9: every sample
+        # comes from the top-up
+        for p, m in ((Pmf(np.array([0.5, 0.5])), 8), (Pmf(np.array([1.0])), 4),
+                     (Pmf(np.array([0.25, 0.75])), 12)):
+            counts = draw_batches(p, m, 50, stream(3, m))
+            assert np.all(counts.sum(axis=1) == m)
+
+
+class TestPoissonTable:
+    RATES = [1e-3, 0.5, 7.5, 44.7, distributions._POISSON_TABLE_MAX_RATE]
+
+    @pytest.mark.parametrize("lam", RATES)
+    def test_cdf_matches_scipy(self, lam):
+        from scipy.stats import poisson
+
+        table = PoissonTable(lam)
+        k = np.arange(table.lo, table.lo + table.cdf.size)
+        assert np.all(np.abs(table.cdf - poisson.cdf(k, lam)) <= 1e-12)
+        # the mass left out below and above the table
+        assert poisson.cdf(table.lo - 1, lam) <= 1e-15 and poisson.sf(k[-1], lam) <= 1e-15
+        assert table.cdf[-1] == 1.0 and np.all(np.diff(table.cdf) >= 0)
+
+    @staticmethod
+    def _edges(table):
+        """Every bucket edge j/Q and every cdf entry, each with its two float neighbours."""
+        points = np.concatenate((np.arange(table.buckets) / table.buckets, table.cdf))
+        u = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)))
+        return u[(u >= 0.0) & (u < 1.0)]
+
+    @pytest.mark.parametrize("lam", [*RATES, 0.0, 5e-324, 44.0771116817598])
+    def test_lookup_equals_search_at_every_edge(self, lam):
+        table = PoissonTable(lam)
+        u = self._edges(table)
+        assert np.array_equal(table.lookup(u), table.lo + np.searchsorted(table.cdf, u, side="right"))
+
+    @given(lam=st.floats(min_value=0.0, max_value=distributions._POISSON_TABLE_MAX_RATE),
+           data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_lookup_equals_search(self, lam, data):
+        table = PoissonTable(lam)
+        edges = self._edges(table)
+        picks = data.draw(st.lists(st.integers(0, edges.size - 1), min_size=1, max_size=50))
+        free = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+        u = np.concatenate((edges[picks], free)).reshape(1, -1)  # a (rows, cells) block
+        assert np.array_equal(table.lookup(u), table.lo + np.searchsorted(table.cdf, u, side="right"))
+
+    def test_guide_size(self):
+        # a power of two at least 32 times the table: about 1% of u are searched
+        for lam in self.RATES:
+            table = PoissonTable(lam)
+            q = table.buckets
+            assert q & (q - 1) == 0 and 32 * table.cdf.size <= q < 64 * table.cdf.size
+            assert (table.code < 0).mean() < 0.02
 
 
 class TestPoissonized:

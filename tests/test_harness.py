@@ -8,7 +8,13 @@ import pytest
 
 from repunif import harness
 from repunif.constants import load_constants, parse_constants, save_constants
-from repunif.distributions import InstanceSpec, draw_batch, draw_poissonized_batch, make_instance
+from repunif.distributions import (
+    InstanceSpec,
+    draw_batch,
+    draw_batches,
+    draw_poissonized_batch,
+    make_instance,
+)
 from repunif.harness import (
     CSV_COLUMNS,
     EXP_BARRIER,
@@ -34,6 +40,7 @@ from repunif.stats import (
     exact_uniform_mean,
     expectation_gap,
     tv_statistic,
+    tv_statistics,
 )
 from repunif.tester import TesterParams, derive_sizes, run_tester
 
@@ -304,6 +311,11 @@ class TestConstantsFile:
         with pytest.raises(ValueError):
             parse_constants("c_gap 0.5")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
+    def test_parse_rejects_non_finite(self, raw):
+        with pytest.raises(ValueError, match="line 2: c_m1 must be finite"):
+            parse_constants(f"c_gap=0.5\nc_m1={raw}\nc_m2=2\nc_m0=3\n")
+
     def test_comments_and_blanks_ignored(self):
         text = "# hi\n\nc_gap=0.5\nc_m1=1\nc_m2=2\nc_m0=3\n"
         assert parse_constants(text) == {"c_gap": 0.5, "c_m1": 1.0, "c_m2": 2.0, "c_m0": 3.0}
@@ -399,6 +411,7 @@ class TestStreamKeyContract:
             assert (row.mean, row.sd) == (float(np.mean(values)), float(np.std(values, ddof=1)))
 
     def test_calibrate_sample_draws(self):
+        # each trial's m0 batches are one draw_batches call on its sample stream
         n, eps, rho, trials = 300, 0.3, 0.2, 8
         constants, _ = calibrate([(n, eps)], rho=rho, trials=trials, master_seed=59)
         m, m0 = derive_sizes(TesterParams(n=n, eps=eps, rho=rho))
@@ -408,7 +421,7 @@ class TestStreamKeyContract:
             draws = []
             for t in range(trials):
                 rng = stream(59, EXP_CALIBRATE, 0, side, t, ROLE_SAMPLE)
-                draws.append(sorted(tv_statistic(draw_batch(pmf, m, rng)) for _ in range(m0))[m0 // 2])
+                draws.append(sorted(tv_statistics(draw_batches(pmf, m, m0, rng)))[m0 // 2])
             medians.append(np.array(draws))
         mu = exact_uniform_mean(n, m)
         _, base = expectation_gap(n, m, eps, 1.0)

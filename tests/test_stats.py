@@ -131,6 +131,25 @@ class TestStackedTvStatistics:
     def test_rejects_an_all_zero_row(self):
         with pytest.raises(ValueError, match="at least one sample"):
             tv_statistics([batch(2, 1), batch(0, 0)])
+        with pytest.raises(ValueError, match="at least one sample"):
+            tv_statistics(np.array([[2, 1], [0, 0]]))
+
+    @given(_count_rows())
+    @settings(max_examples=150)
+    def test_count_array_rows_equal_the_batches(self, rows):
+        counts = np.array(rows, dtype=np.int64)
+        assert tv_statistics(counts) == tv_statistics([SampleBatch(r) for r in counts])
+
+    @pytest.mark.parametrize("counts", [
+        np.array([[1.0, 2.0]]),  # not integers
+        np.array([[1, 2]], dtype=np.uint64),  # not int64
+        np.array([[3, -1]]),
+        np.array([3, 1]),  # not (k, n)
+        np.zeros((0, 4), dtype=np.int64),
+    ])
+    def test_count_array_rejected(self, counts):
+        with pytest.raises(ValueError, match="int64 array"):
+            tv_statistics(counts)
 
 
 class TestEmptyBucketCount:

@@ -50,6 +50,12 @@ class TestParams:
         with pytest.raises(ValueError):
             TesterParams(n=100, eps=0.25, rho=0.2, c_gap=0.0)
 
+    @pytest.mark.parametrize("name", ["c_m1", "c_m2", "c_m0", "c_gap"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_constants_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            TesterParams(n=100, eps=0.25, rho=0.2, **{name: value})
+
     def test_from_constants_round_trip(self):
         params = TesterParams.from_constants(50, 0.3, 0.1, CAL)
         assert {k: getattr(params, k) for k in CAL} == CAL
@@ -138,13 +144,26 @@ class TestRunTester:
         p = make_instance(InstanceSpec.heavy(0.2), 60)
         perm = stream(19, 0).permutation(60)
 
-        def permuted_oracle(m, rng):
-            batch = draw_batch(p, m, rng)
-            return SampleBatch(batch.counts[perm])
+        def oracle(m, rng):
+            return draw_batch(p, m, rng)
 
-        a = run_tester(p, params, seeds_for(23))
+        def permuted_oracle(m, rng):
+            return SampleBatch(oracle(m, rng).counts[perm])
+
+        a = run_tester(oracle, params, seeds_for(23))
         b = run_tester(permuted_oracle, params, seeds_for(23))
         assert a == b
+        # an explicit pmf's batches are one stacked draw, which fills each
+        # level's cells in ascending order, levels in order of first
+        # appearance: relabeling that keeps that order moves counts between
+        # cells, not the verdict
+        rest = stream(19, 1).permutation(np.repeat([1.0, 2.0, 3.0], 19))
+        weights = np.concatenate(([1.0, 2.0, 3.0], rest))
+        q = Pmf(weights / weights.sum())
+        shuffle = np.concatenate(([0, 1, 2], 3 + stream(19, 2).permutation(57)))
+        relabeled = Pmf(q.probs[shuffle])
+        assert not np.array_equal(relabeled.probs, q.probs)
+        assert run_tester(relabeled, params, seeds_for(23)) == run_tester(q, params, seeds_for(23))
 
     def test_regime_reported(self):
         params = TesterParams.from_constants(1000, 0.25, 0.2, CAL)
