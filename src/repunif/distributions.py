@@ -48,16 +48,28 @@ with the total it was asked for.
 ``O(k n)`` work (while ``3 sqrt(m) <= 16 n``, which bounds the top-up):
 
 1. every cell gets an independent Poisson(``r p_i``) count, with
-   ``r = m - 3 sqrt(m)``, by inverse-CDF lookup of one ``random((k, g))``
-   block per level in the cached table (``PoissonTable``) of the level's
-   cell rate; a level whose rate passes 4096 uses numpy's Poisson sampler;
+   ``r = m - 3 sqrt(m)``, by inverse-CDF lookup in the cached table
+   (``PoissonTable``) of the level's cell rate.  One ``random_raw`` call
+   gives each cell a 16-bit chunk, 4 per word, level 0's ``k x g0`` block
+   first; the chunk's top bits pick a guide bucket, and only the ~1% of
+   cells in a bucket that holds a cdf entry draw a fresh word to complete
+   their uniform.  A level whose rate passes 4096 uses numpy's Poisson
+   sampler;
 2. a row whose total N exceeds m (about 0.13% of rows) is redrawn;
 3. each row's ``m - N`` missing samples are split over the levels by one
    multinomial call for all rows, spread uniformly in each level by one
    ``integers`` call per level, and added by one offset ``bincount`` over
-   ``k n`` bins.
+   ``k`` rows of the positive-mass cells.
 
-Given N, a row of independent Poisson counts is multinomial(N, p), and
+The rows are level-major: level 0's cells, then level 1's, zero-mass cells
+left out.  ``draw_batches`` scatters them to cell order once; the tester
+scores them as they are, since TV does not depend on the order of cells.
+
+The chunks are exact: a chunk's top b bits and a fresh word's low 53 - b
+bits make a u uniform on the 53-bit grid of numpy's ``random()``, and
+every u of an unambiguous bucket has the bucket's answer, so each count is
+``searchsorted(cdf, u)`` of such a u, as if drawn from ``random()``.  Given
+N, a row of independent Poisson counts is multinomial(N, p), and
 acceptance depends on N only; the top-up adds an independent
 multinomial(m - N, p).  So every row is exactly multinomial(m, p), up to
 the float rounding of the Poisson tables (a cdf within 1e-13), the same
@@ -67,11 +79,12 @@ draw's fixed cost of about 110-190 us in numpy calls loses to the level
 path at n = 10^3 and to the multinomial below n = 300 (CHANGES.md has the
 timing tables).
 
-``draw_poissonized_batch`` uses one Poisson per cell when ``m >= n``
-(``O(n)`` Poisson draws), and otherwise a Poisson total ``N ~ Poisson(m)``
-followed by ``draw_batch(p, N)``.  By Poissonization the two have the same
-law: a multinomial(N, p) vector with ``N ~ Poisson(m)`` has independent
-Poisson(``m * p_i``) coordinates.
+``draw_poissonized_batch`` draws one Poisson per cell when ``m >= n``: one
+row of the stacked draw's Poisson lookup on a pmf with at most 3 levels,
+numpy's Poisson sampler otherwise.  Below ``m = n`` it draws a Poisson
+total ``N ~ Poisson(m)`` followed by ``draw_batch(p, N)``.  By
+Poissonization the two have the same law: a multinomial(N, p) vector with
+``N ~ Poisson(m)`` has independent Poisson(``m * p_i``) coordinates.
 """
 
 from __future__ import annotations
@@ -385,6 +398,9 @@ class LevelTable:
         self.n = n
         self.cells = cells
         self.mass = mass
+        # the level-major cell order of the stacked draw's rows, and each level's first column
+        self.order = np.concatenate(cells)
+        self.offsets = np.cumsum([0] + [c.size for c in cells[:-1]]).tolist()
 
     @classmethod
     def build(cls, probs: np.ndarray) -> "LevelTable | None":
@@ -423,18 +439,26 @@ class LevelTable:
 
 
 class PoissonTable:
-    """Inverse-CDF table of Poisson(lam), read through a guide.
+    """Inverse-CDF table of Poisson(lam), read through a guide of 16-bit chunks.
 
     ``cdf[i]`` is ``P(X <= lo + i)``, built by the log-ratio recurrence
     outward from the mode, normalized, and its last entry set to 1.0; each
     value left out below ``lo`` or past the end is under ``2**-60`` times
     the modal mass, and the cdf is within 1e-13 of the exact one.  A
-    uniform ``u`` maps to ``lo + searchsorted(cdf, u, "right")``.  The
-    guide splits ``[0, 1)`` into ``buckets`` = Q equal buckets, Q a power
-    of two at least 32 times the table, so ``floor(u * Q)`` is exact;
-    ``code[j]`` is the answer shared by every u in bucket j, or -1 when a
-    cdf entry falls inside the bucket (about 1% of u), and only those u
-    are searched.  The lookup thus equals the plain search bit for bit.
+    uniform ``u`` on numpy's 53-bit grid (``random()``) maps to
+    ``lo + searchsorted(cdf, u, "right")``.
+
+    The guide splits ``[0, 1)`` into Q = ``2**bits`` equal buckets, Q the
+    power of two at least 32 times the table (``bits <= 16`` up to the
+    rate bound 4096).  ``guide[j]`` is ``lo`` plus the answer shared by
+    every u in bucket j, or -1 when a cdf entry falls inside the bucket
+    (about 1% of buckets).  ``lookup`` takes the bucket from the top
+    ``bits`` of a random 16-bit chunk; only a cell whose bucket is
+    ambiguous draws a fresh 64-bit word, whose low ``53 - bits`` bits
+    complete u on the 53-bit grid.  So u is uniform on the grid ``random()``
+    uses, and the result equals the plain search of that u bit for bit:
+    the law is the one ``searchsorted(cdf, rng.random())`` gives, from a
+    quarter of a random word per cell.
     """
 
     def __init__(self, lam: float):
@@ -455,18 +479,32 @@ class PoissonTable:
         cdf[-1] = 1.0
         self.lo = lo + first
         self.cdf = cdf
-        self.buckets = q = 1 << (32 * cdf.size - 1).bit_length()
+        self.bits = (32 * cdf.size - 1).bit_length()
+        q = 1 << self.bits
         # cdf * q is exact, so cdf[i] <= j/q iff ceil(cdf[i] * q) <= j: the
         # running count of those ceilings is searchsorted(cdf, j/q, "right")
         hits = np.bincount(np.ceil(cdf * q).astype(np.intp), minlength=q + 1)
-        self.code = np.where(hits[1:] > 0, -1, np.cumsum(hits[:-1])).astype(np.int32)
+        self.guide = np.where(hits[1:] > 0, -1, self.lo + np.cumsum(hits[:-1])).astype(np.int32)
 
-    def lookup(self, u: np.ndarray) -> np.ndarray:
-        """Poisson variates for uniforms ``u`` in [0, 1), equal to the plain search."""
-        out = self.code[(u * self.buckets).astype(np.intp)]
+    def lookup(self, chunks: np.ndarray, fresh) -> np.ndarray:
+        """Poisson variates for random 16-bit ``chunks``, one per cell.
+
+        ``fresh(count)`` returns ``count`` random 64-bit words, called once
+        if any chunk falls in an ambiguous bucket.  The result equals
+        ``lo + searchsorted(cdf, u, "right")`` for the 53-bit u made of a
+        chunk's top ``bits`` and, in an ambiguous bucket, the low
+        ``53 - bits`` bits of that cell's fresh word.
+        """
+        bucket = chunks.astype(np.intp)
+        bucket >>= 16 - self.bits
+        out = self.guide[bucket]
         ambiguous = np.flatnonzero(out < 0)
-        out.flat[ambiguous] = np.searchsorted(self.cdf, u.flat[ambiguous], side="right")
-        return out + self.lo
+        if ambiguous.size:
+            low = 53 - self.bits
+            top = bucket[ambiguous].astype(np.uint64) << np.uint64(low)
+            grid = top | (fresh(ambiguous.size) & np.uint64((1 << low) - 1))
+            out[ambiguous] = self.lo + np.searchsorted(self.cdf, grid * 2.0**-53, side="right")
+        return out
 
 
 # Tables are keyed by the cell rate, and a replicability prior makes new rates
@@ -478,19 +516,33 @@ def _poisson_table(lam: float) -> PoissonTable:
 
 def _poisson_rows(levels: LevelTable, rates: list[float], rows: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """A ``(rows, n)`` array of independent Poisson counts, cell rate ``rates[l]`` in level l."""
-    counts = np.zeros((rows, levels.n), dtype=np.int64)
-    for cells, lam in zip(levels.cells, rates):
-        if lam > _POISSON_TABLE_MAX_RATE:
-            counts[:, cells] = rng.poisson(lam, (rows, cells.size))
+    """A ``(rows, G)`` array of independent Poisson counts over the G cells of
+    ``levels.order``, cell rate ``rates[l]`` in level l.
+
+    One ``random_raw`` call gives each cell of a tabled level a 16-bit chunk,
+    4 per word, level 0's ``rows x g0`` block first; a level whose rate passes
+    the table bound is drawn by numpy's Poisson sampler.
+    """
+    counts = np.empty((rows, levels.order.size), dtype=np.int64)
+    tables = [None if lam > _POISSON_TABLE_MAX_RATE else _poisson_table(lam) for lam in rates]
+    tabled = rows * sum(cells.size for cells, table in zip(levels.cells, tables) if table is not None)
+    chunks = rng.bit_generator.random_raw(-(-tabled // 4)).view(np.uint16)
+    start = 0
+    for cells, lam, table, off in zip(levels.cells, rates, tables, levels.offsets):
+        g = cells.size
+        if table is None:
+            counts[:, off:off + g] = rng.poisson(lam, (rows, g))
         else:
-            counts[:, cells] = _poisson_table(lam).lookup(rng.random((rows, cells.size)))
+            block = chunks[start:start + rows * g]
+            counts[:, off:off + g] = table.lookup(block, rng.bit_generator.random_raw).reshape(rows, g)
+            start += rows * g
     return counts
 
 
 def _stacked_draw(p: Pmf, levels: LevelTable, m: int, k: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """k multinomial(m, p) rows: Poisson rows at total rate below m, then a top-up.
+    """k multinomial(m, p) rows, level-major (columns ``levels.order``):
+    Poisson rows at total rate below m, then a top-up.
 
     Each cell gets a Poisson(r p_i) count, ``r = m - slack * sqrt(m)``.  A
     row whose total N passes m is redrawn; the rest are topped up with
@@ -499,7 +551,7 @@ def _stacked_draw(p: Pmf, levels: LevelTable, m: int, k: int,
     multinomial(N, p) and acceptance depends on N only, so each row is
     multinomial(N, p) plus an independent multinomial(m - N, p).
     """
-    n = levels.n
+    width = levels.order.size
     rate = max(m - _POISSON_SLACK * math.sqrt(m), 0.0)
     rates = [rate * float(p.probs[cells[0]]) for cells in levels.cells]
     counts = _poisson_rows(levels, rates, k, rng)
@@ -510,11 +562,31 @@ def _stacked_draw(p: Pmf, levels: LevelTable, m: int, k: int,
         totals[over] = counts[over].sum(axis=1)
         over = over[totals[over] > m]
     split = rng.multinomial(m - totals, levels.mass)
-    starts = np.arange(k) * n
-    flat = [np.repeat(starts, split[:, l]) + cells[rng.integers(0, cells.size, int(split[:, l].sum()))]
-            for l, cells in enumerate(levels.cells)]
-    counts += np.bincount(np.concatenate(flat), minlength=k * n).reshape(k, n)
+    starts = np.arange(k) * width
+    flat = [np.repeat(starts + off, split[:, l]) + rng.integers(0, cells.size, int(split[:, l].sum()))
+            for l, (cells, off) in enumerate(zip(levels.cells, levels.offsets))]
+    counts += np.bincount(np.concatenate(flat), minlength=k * width).reshape(k, width)
     return counts
+
+
+def _draw_rows(p: Pmf, m: int, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rows of ``draw_batches`` before their scatter to cell order.
+
+    Returns ``(rows, order)``: from the stacked draw the rows are level-major,
+    column j counting cell ``order[j]``, and the zero-mass cells are left out;
+    otherwise ``order`` is None and the rows are in cell order.
+    """
+    m, k = operator.index(m), operator.index(k)
+    if m < 0 or k < 0:
+        raise ValueError("sample count and batch count must be >= 0")
+    stacked = _POISSON_BATCH_RATIO * p.n <= m and _POISSON_SLACK * math.sqrt(m) <= _TOPUP_MAX_PER_CELL * p.n
+    levels = p.level_table() if stacked else None
+    if levels is not None:
+        return _stacked_draw(p, levels, m, k, rng), levels.order
+    counts = np.empty((k, p.n), dtype=np.int64)
+    for row in counts:
+        row[:] = draw_batch(p, m, rng).counts
+    return counts, None
 
 
 def draw_batches(p: Pmf, m: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -524,19 +596,24 @@ def draw_batches(p: Pmf, m: int, k: int, rng: np.random.Generator) -> np.ndarray
     ``3 sqrt(m) <= 16 n``, on a pmf with at most 3 levels, all k rows come
     from one stacked Poisson draw plus an exact top-up (``_stacked_draw``):
     a fixed number of vectorized calls over ``k * n`` cells and ``k``
-    top-ups of about ``3 sqrt(m)`` samples.  Otherwise each row is one
-    ``draw_batch``, in order.
+    top-ups of about ``3 sqrt(m)`` samples.  That draw makes its rows
+    level-major, and they are scattered to cell order once, here.
+    Otherwise each row is one ``draw_batch``, in order.
+
+    Each Poisson count of the stacked draw reads one 16-bit chunk of a
+    ``random_raw`` block, and only a cell whose guide bucket holds a cdf
+    entry (about 1%) reads a fresh word.  The chunk's top b bits and the
+    word's low ``53 - b`` bits form a u uniform on the 53-bit grid of
+    numpy's ``random()``, and every u of an unambiguous bucket gives that
+    bucket's count, so each count is the table's inverse-CDF value of a
+    ``random()``-distributed u: the law of a uniform per cell, from a
+    quarter of a word.
     """
-    m, k = operator.index(m), operator.index(k)
-    if m < 0 or k < 0:
-        raise ValueError("sample count and batch count must be >= 0")
-    stacked = _POISSON_BATCH_RATIO * p.n <= m and _POISSON_SLACK * math.sqrt(m) <= _TOPUP_MAX_PER_CELL * p.n
-    levels = p.level_table() if stacked else None
-    if levels is not None:
-        return _stacked_draw(p, levels, m, k, rng)
-    counts = np.empty((k, p.n), dtype=np.int64)
-    for row in counts:
-        row[:] = draw_batch(p, m, rng).counts
+    rows, order = _draw_rows(p, m, k, rng)
+    if order is None:
+        return rows
+    counts = np.zeros((rows.shape[0], p.n), dtype=np.int64)
+    counts[:, order] = rows
     return counts
 
 
@@ -595,4 +672,9 @@ def draw_poissonized_batch(p: Pmf, m: float, rng: np.random.Generator) -> Sample
     if top > _POISSON_RATE_MAX:
         raise ValueError(f"poisson rate m * p_i = {top!r} exceeds numpy's limit "
                          f"{_POISSON_RATE_MAX!r}")
-    return SampleBatch(rng.poisson(rates))
+    levels = p.level_table()
+    if levels is None:
+        return SampleBatch(rng.poisson(rates))
+    counts = np.zeros(p.n, dtype=np.int64)
+    counts[levels.order] = _poisson_rows(levels, [float(rates[cells[0]]) for cells in levels.cells], 1, rng)[0]
+    return SampleBatch(counts)

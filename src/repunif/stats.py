@@ -8,7 +8,10 @@ The TV statistic is accumulated in exact integer arithmetic,
 sublinear signal scale ``eps^2 m^2 / n^2`` is tiny; the rational value is
 exposed for identity checks.  ``tv_statistics`` takes the numerators of
 several batches, or of the rows of a stacked count array, in one numpy
-pass; ``tv_statistic`` is its one-batch case.  The chi-square statistic
+pass; ``tv_statistic`` is its one-batch case.  At ``m <= n`` a numerator
+is ``2*m*Z`` with Z the empty cells (the identity ``S = Z/n``), and the
+collision count is ``(sum X_i^2 - m) / 2``: one pass each, the same
+integers.  The chi-square statistic
 sums its float terms as one exact integer over their common power-of-two
 denominator, so it is rounded once.
 """
@@ -48,6 +51,11 @@ def _tv_numerators(counts: np.ndarray, totals: list[int]) -> list[int]:
     if min(totals) < 1:
         raise ValueError("tv statistic needs at least one sample")
     n = counts.shape[1]
+    if max(totals) <= n:
+        # S = Z/n: at m <= n only an empty cell's term is negative, and the
+        # terms sum to 0, so the sum of their absolute values is 2*m*Z
+        empty = np.count_nonzero(counts == 0, axis=1).tolist()
+        return [2 * m * z for m, z in zip(totals, empty)]
     if 2 * n * max(totals) >= 2**63:
         # wide-integer path: each term is at most n*m and the sum at most 2*n*m,
         # so below this bound int64 cannot wrap
@@ -76,6 +84,28 @@ def tv_statistics(batches: np.ndarray | Sequence[SampleBatch]) -> list[float]:
     return [num / (2 * m * n) for num, m in zip(_tv_numerators(counts, totals), totals)]
 
 
+def _tv_statistics_of_draw(rows: np.ndarray, m: int, n: int) -> list[float]:
+    """The TV statistic of each row of a fresh ``(k, g)`` int64 draw that the
+    caller hands over, each row totalling m, on a domain of n >= g cells whose
+    other ``n - g`` cells count 0 (each adds ``|0 - m|``).
+
+    The rows are overwritten.  TV is symmetric, so a row's columns may come
+    in any order: each value equals ``tv_statistics`` of the row scattered
+    to cell order, bit for bit.
+    """
+    if m < 1:
+        raise ValueError("tv statistic needs at least one sample")
+    absent = m * (n - rows.shape[1])
+    if 2 * n * m >= 2**63:  # wide-integer path, as in _tv_numerators
+        nums = [sum(abs(n * c - m) for c in row) for row in rows.tolist()]
+    else:
+        rows *= n
+        rows -= m
+        np.abs(rows, out=rows)
+        nums = rows.sum(axis=1).tolist()
+    return [(num + absent) / (2 * m * n) for num in nums]
+
+
 def tv_statistic(batch: SampleBatch) -> float:
     """TV distance between the empirical distribution and uniform.
 
@@ -99,10 +129,12 @@ def empty_bucket_count(batch: SampleBatch) -> int:
 def collision_statistic(batch: SampleBatch) -> int:
     """Number of colliding sample pairs, ``sum_i X_i (X_i - 1) / 2``, exact."""
     counts = batch.counts
-    if batch.m >= 2**31:
-        # wide-integer path: elementwise products would overflow int64
+    m = batch.m
+    if m >= 2**31:
+        # wide-integer path: the sum of squares could overflow int64
         return sum(int(c) * (int(c) - 1) for c in counts) // 2
-    return int((counts * (counts - 1)).sum()) // 2
+    # sum X_i (X_i - 1) = sum X_i^2 - m, and sum X_i^2 <= m^2 < 2**62
+    return (int(np.dot(counts, counts)) - m) // 2
 
 
 def chi2_statistic(batch: SampleBatch, m_rate: float) -> float:

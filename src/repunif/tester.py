@@ -20,9 +20,9 @@ from typing import Callable, Union
 import numpy as np
 
 # draw_batch stays bound here too: perfbench's tests look it up on this module
-from .distributions import Pmf, SampleBatch, draw_batch, draw_batches  # noqa: F401
+from .distributions import Pmf, SampleBatch, _draw_rows, draw_batch  # noqa: F401
 from .rng import SeedSplit
-from .stats import GapRegime, exact_uniform_mean, expectation_gap, tv_statistics
+from .stats import GapRegime, _tv_statistics_of_draw, exact_uniform_mean, expectation_gap, tv_statistics
 
 __all__ = [
     "TesterParams",
@@ -128,8 +128,11 @@ def run_tester(p_access: Union[Pmf, BatchOracle], params: TesterParams, seeds: S
     of their TV statistics (computed in one stacked pass), and accepts iff
     it falls below
     ``mu(U_n) + r0 * R`` with ``r0`` the first draw of the internal stream.
-    An explicit ``Pmf`` gives all m0 batches in one ``draw_batches`` call;
-    a callable oracle is called once per batch.
+    An explicit ``Pmf`` gives all m0 batches as the rows of one
+    ``draw_batches`` draw, scored before their scatter to cell order: TV
+    does not depend on the order of cells, so each statistic equals that
+    of the ``draw_batches`` row bit for bit.  A callable oracle is called
+    once per batch, and must return batches of m samples on ``[n]``.
     """
     m, m0, mu, regime, gap = _schedule(params)
     r0 = float(seeds.internal.uniform(R0_LOW, R0_HIGH))
@@ -137,15 +140,19 @@ def run_tester(p_access: Union[Pmf, BatchOracle], params: TesterParams, seeds: S
     if isinstance(p_access, Pmf):
         if p_access.n != params.n:
             raise ValueError(f"pmf is on [{p_access.n}] but the tester's domain is [{params.n}]")
-        batches = draw_batches(p_access, m, m0, seeds.sample)
+        rows, _ = _draw_rows(p_access, m, m0, seeds.sample)
+        statistics = _tv_statistics_of_draw(rows, m, params.n)
     else:
         batches = []
         for _ in range(m0):
             batch = p_access(m, seeds.sample)
             if batch.n != params.n:
                 raise ValueError("oracle produced a batch on the wrong domain")
+            if batch.m != m:
+                raise ValueError(f"oracle produced a batch of {batch.m} samples, not m = {m}")
             batches.append(batch)
-    s_median = sorted(tv_statistics(batches))[m0 // 2]
+        statistics = tv_statistics(batches)
+    s_median = sorted(statistics)[m0 // 2]
     decision = "accept" if s_median < threshold else "reject"
     return Verdict(
         decision=decision, statistic=s_median, threshold=threshold, r0=r0,
@@ -223,9 +230,9 @@ def run_identity_tester(p_access, q: Pmf, params: TesterParams, seeds: SeedSplit
     reduced tester runs on domain 6n with tolerance eps/3 and the same rho.
     An explicit ``Pmf`` p is sampled at count level: the reduced batches
     are drawn from the reducer's pushforward of p.  A callable
-    ``p_access(m, rng)`` returns m raw 0-based samples, which are mapped one
-    by one.  Reduction randomness is drawn from the sample stream: it does
-    not need to be shared across paired runs.
+    ``p_access(m, rng)`` must return exactly m raw 0-based samples, which
+    are mapped one by one.  Reduction randomness is drawn from the sample
+    stream: it does not need to be shared across paired runs.
     """
     if params.n != q.n:
         raise ValueError("params.n must match q's domain")
@@ -235,8 +242,10 @@ def run_identity_tester(p_access, q: Pmf, params: TesterParams, seeds: SeedSplit
         return run_tester(reducer.pushforward(p_access), reduced_params, seeds)
 
     def reduced_oracle(m, rng):
-        raw = p_access(m, rng)
-        mapped = reducer.map_many(np.asarray(raw, dtype=np.int64), rng)
+        raw = np.asarray(p_access(m, rng), dtype=np.int64)
+        if raw.shape != (m,):
+            raise ValueError(f"p_access returned {raw.size} samples, not m = {m}")
+        mapped = reducer.map_many(raw, rng)
         return SampleBatch(np.bincount(mapped, minlength=reducer.big))
 
     return run_tester(reduced_oracle, reduced_params, seeds)

@@ -567,36 +567,81 @@ class TestPoissonTable:
         assert table.cdf[-1] == 1.0 and np.all(np.diff(table.cdf) >= 0)
 
     @staticmethod
-    def _edges(table):
-        """Every bucket edge j/Q and every cdf entry, each with its two float neighbours."""
-        points = np.concatenate((np.arange(table.buckets) / table.buckets, table.cdf))
-        u = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)))
-        return u[(u >= 0.0) & (u < 1.0)]
+    def _grid_edges(table):
+        """Every bucket edge j/Q and every cdf entry, each with its two
+        neighbours on the 53-bit grid, as integers x (u = x / 2**53)."""
+        edges = np.arange(1 << table.bits, dtype=np.int64) << (53 - table.bits)
+        scaled = table.cdf * 2.0**53  # exact; an entry below 1/2 can fall between grid points
+        points = np.concatenate((edges, np.floor(scaled).astype(np.int64), np.ceil(scaled).astype(np.int64)))
+        x = np.unique(np.concatenate((points - 1, points, points + 1)))
+        return x[(x >= 0) & (x < 2**53)]
+
+    @staticmethod
+    def _lookup_grid(table, x, junk):
+        """``table.lookup`` of the 53-bit grid points x: each chunk carries x's
+        bucket in its top ``bits`` and junk below, and each fresh word carries
+        x's low ``53 - bits`` bits and junk above, so a lookup that used any
+        other bit would miss u."""
+        x = np.asarray(x, dtype=np.uint64)
+        bits, low = table.bits, 53 - table.bits
+        bucket = x >> np.uint64(low)
+        chunks = (bucket << np.uint64(16 - bits)) | (junk.integers(0, 1 << (16 - bits), x.size, dtype=np.uint64))
+        words = (x & np.uint64((1 << low) - 1)) | (junk.integers(0, 1 << (11 + bits), x.size, dtype=np.uint64) << np.uint64(low))
+        ambiguous = table.guide[bucket.astype(np.intp)] < 0
+        calls = []
+
+        def fresh(count):
+            calls.append(count)
+            return words[ambiguous]
+
+        out = table.lookup(chunks.astype(np.uint16), fresh)
+        # fresh words are drawn once, one per cell in an ambiguous bucket, in order
+        assert calls == ([int(ambiguous.sum())] if ambiguous.any() else [])
+        return out
+
+    @staticmethod
+    def _search(table, x):
+        return table.lo + np.searchsorted(table.cdf, np.asarray(x, dtype=np.float64) * 2.0**-53, side="right")
 
     @pytest.mark.parametrize("lam", [*RATES, 0.0, 5e-324, 44.0771116817598])
     def test_lookup_equals_search_at_every_edge(self, lam):
         table = PoissonTable(lam)
-        u = self._edges(table)
-        assert np.array_equal(table.lookup(u), table.lo + np.searchsorted(table.cdf, u, side="right"))
+        x = self._grid_edges(table)
+        assert np.array_equal(self._lookup_grid(table, x, stream(5, 1)), self._search(table, x))
 
     @given(lam=st.floats(min_value=0.0, max_value=distributions._POISSON_TABLE_MAX_RATE),
            data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_lookup_equals_search(self, lam, data):
         table = PoissonTable(lam)
-        edges = self._edges(table)
+        edges = self._grid_edges(table)
         picks = data.draw(st.lists(st.integers(0, edges.size - 1), min_size=1, max_size=50))
-        free = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
-        u = np.concatenate((edges[picks], free)).reshape(1, -1)  # a (rows, cells) block
-        assert np.array_equal(table.lookup(u), table.lo + np.searchsorted(table.cdf, u, side="right"))
+        free = data.draw(st.lists(st.integers(0, 2**53 - 1), max_size=50))
+        x = np.concatenate((edges[picks], np.array(free, dtype=np.int64)))
+        junk = stream(5, data.draw(st.integers(0, 2**32)))
+        assert np.array_equal(self._lookup_grid(table, x, junk), self._search(table, x))
+
+    def test_lookup_without_ambiguous_cells_draws_no_word(self):
+        table = PoissonTable(7.5)
+        clear = np.flatnonzero(table.guide >= 0)
+        chunks = (clear << (16 - table.bits)).astype(np.uint16)
+
+        def fresh(count):
+            raise AssertionError("fresh word drawn")
+
+        assert np.array_equal(table.lookup(chunks, fresh), table.guide[clear])
 
     def test_guide_size(self):
-        # a power of two at least 32 times the table: about 1% of u are searched
-        for lam in self.RATES:
+        # Q = 2**bits, at least 32 times the table, so about 1% of chunks are
+        # ambiguous; a 16-bit chunk holds the bucket up to the rate bound
+        top = distributions._POISSON_TABLE_MAX_RATE
+        for lam in [*self.RATES, 0.0, 0.5 * top, 0.9 * top, np.nextafter(top, 0.0)]:
             table = PoissonTable(lam)
-            q = table.buckets
-            assert q & (q - 1) == 0 and 32 * table.cdf.size <= q < 64 * table.cdf.size
-            assert (table.code < 0).mean() < 0.02
+            q = 1 << table.bits
+            assert table.bits <= 16 and 32 * table.cdf.size <= q < 64 * table.cdf.size
+            assert table.guide.size == q
+            if lam > 0:  # the one-entry table of rate 0 has 1 ambiguous bucket of 32
+                assert (table.guide < 0).mean() < 0.02
 
 
 class TestPoissonized:
@@ -635,6 +680,35 @@ class TestPoissonized:
             assert np.all(np.abs(np.cov(draws, rowvar=False)[off]) <= 5 * cov_sd[off])
             total_var = draws.sum(axis=1).var(ddof=1)
             assert abs(total_var - m) <= 5 * math.sqrt((m + 2 * m * m) / trials)
+
+    @pytest.mark.parametrize("p, m", [
+        (Pmf(TestLevelPath.MIXED), 8.0),  # rates 2.8, 1.2 and 0.4, two zero-mass cells
+        (_mixed_levels(20), 80.0),
+        (make_instance(InstanceSpec.heavy(0.5), 4), 10**4),  # the heavy level's rate passes the table bound
+    ], ids=["mixed-8", "mixed-20", "high-rate"])
+    def test_independent_poissons_from_n_on_few_levels(self, p, m, monkeypatch):
+        # m >= n on a pmf with at most 3 levels: one Poisson row through the
+        # level tables, independent Poisson(m p_i) counts as on the per-cell path
+        rows_drawn = []
+        poisson_rows = distributions._poisson_rows
+        monkeypatch.setattr(distributions, "_poisson_rows",
+                            lambda *args: rows_drawn.append(args[2]) or poisson_rows(*args))
+        trials = 20_000
+        rng = stream(17, 6)
+        draws = np.array([draw_poissonized_batch(p, m, rng).counts for _ in range(trials)],
+                         dtype=np.float64)
+        assert rows_drawn == [1] * trials
+        zero = p.probs == 0
+        assert not draws[:, zero].any()
+        draws, lam = draws[:, ~zero], m * p.probs[~zero]
+        assert np.all(np.abs(draws.mean(axis=0) - lam) <= 5 * np.sqrt(lam / trials))
+        var_sd = np.sqrt((lam + 2 * lam**2) / trials)
+        assert np.all(np.abs(draws.var(axis=0, ddof=1) - lam) <= 5 * var_sd)
+        off = ~np.eye(lam.size, dtype=bool)
+        cov_sd = np.sqrt(np.outer(lam, lam) / trials)
+        assert np.all(np.abs(np.cov(draws, rowvar=False)[off]) <= 5 * cov_sd[off])
+        total_var = draws.sum(axis=1).var(ddof=1)
+        assert abs(total_var - m) <= 5 * math.sqrt((m + 2 * m * m) / trials)
 
     def test_zero_mass_never_sampled_below_n(self):
         probs = np.zeros(10)

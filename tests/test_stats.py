@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repunif.distributions import InstanceSpec, Pmf, SampleBatch, make_instance
 from repunif.exact import brute_force_mean_statistic, exact_mean_tv
 from repunif.rng import stream
+from repunif import stats
 from repunif.stats import (
     GapRegime,
     chi2_statistic,
@@ -150,6 +151,65 @@ class TestStackedTvStatistics:
     def test_count_array_rejected(self, counts):
         with pytest.raises(ValueError, match="int64 array"):
             tv_statistics(counts)
+
+
+@st.composite
+def _level_major_draw(draw):
+    """k rows of g counts, each totalling m, on a domain of n >= g cells."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    g = draw(st.integers(min_value=1, max_value=n))
+    m = draw(st.integers(min_value=1, max_value=draw(st.sampled_from([50, 2**40, 2**62]))))
+    cuts = st.lists(st.integers(min_value=0, max_value=m), min_size=g - 1, max_size=g - 1)
+    rows = [np.diff([0, *sorted(c), m]) for c in draw(st.lists(cuts, min_size=1, max_size=6))]
+    return np.array(rows, dtype=np.int64), m, n
+
+
+class TestScoredDraw:
+    @given(_level_major_draw(), st.randoms())
+    @settings(max_examples=150)
+    def test_equals_the_scattered_rows(self, draw, rnd):
+        # the rows' g columns scattered in any order over n cells, zeros elsewhere
+        rows, m, n = draw
+        cols = rnd.sample(range(n), rows.shape[1])
+        scattered = np.zeros((rows.shape[0], n), dtype=np.int64)
+        scattered[:, cols] = rows
+        assert stats._tv_statistics_of_draw(rows, m, n) == tv_statistics(scattered)
+        assert tv_statistics(scattered) == [float(_tv_reference(r)) for r in scattered.tolist()]
+
+    def test_rejects_empty_rows(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            stats._tv_statistics_of_draw(np.zeros((2, 3), dtype=np.int64), 0, 4)
+
+
+class TestBarrierRewrites:
+    @given(st.integers(min_value=1, max_value=60), st.data())
+    @settings(max_examples=150)
+    def test_sublinear_numerators_count_empty_cells(self, n, data):
+        # at m <= n every row's numerator is 2*m*Z, the former sum of |n*X_i - m|
+        rows = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+            m = data.draw(st.integers(min_value=1, max_value=n))
+            samples = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+            rows.append(np.bincount(samples, minlength=n))
+        counts = np.array(rows, dtype=np.int64)
+        totals = counts.sum(axis=1)
+        former = np.abs(n * counts - totals[:, None]).sum(axis=1).tolist()
+        assert stats._tv_numerators(counts, totals.tolist()) == former
+        assert tv_statistics(counts) == [float(_tv_reference(r)) for r in counts.tolist()]
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**31), min_size=1, max_size=10))
+    @settings(max_examples=200)
+    def test_collisions_equal_the_pairwise_sum(self, counts):
+        # (sum X_i^2 - m) / 2 against sum X_i (X_i - 1) / 2, below and past m = 2**31
+        expected = sum(c * (c - 1) for c in counts) // 2
+        assert collision_statistic(SampleBatch(np.array(counts, dtype=np.int64))) == expected
+
+    @pytest.mark.parametrize("counts", [
+        (2**31 - 1,), (2**31,), (2**30, 2**30 - 1), (2**30, 2**30), (2**16, 1, 0, 2**31 - 2**16 - 2),
+    ])
+    def test_collisions_at_the_wide_guard(self, counts):
+        expected = sum(c * (c - 1) for c in counts) // 2
+        assert collision_statistic(SampleBatch(np.array(counts, dtype=np.int64))) == expected
 
 
 class TestEmptyBucketCount:

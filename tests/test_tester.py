@@ -2,21 +2,24 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repunif import distributions
 from repunif.distributions import (
     InstanceSpec,
     Pmf,
     SampleBatch,
     draw_batch,
+    draw_batches,
     draw_samples,
     make_instance,
 )
 from repunif.exact import exact_pushforward, rational_pmfs
 from repunif.rng import ROLE_INTERNAL, ROLE_SAMPLE, SeedSplit, stream
-from repunif.stats import GapRegime
+from repunif.stats import GapRegime, _tv_statistics_of_draw, tv_statistics
 from repunif.tester import (
     IdentityReducer,
     TesterParams,
@@ -165,6 +168,15 @@ class TestRunTester:
         assert not np.array_equal(relabeled.probs, q.probs)
         assert run_tester(relabeled, params, seeds_for(23)) == run_tester(q, params, seeds_for(23))
 
+    def test_oracle_batch_of_another_total_rejected(self):
+        params = TesterParams.from_constants(100, 0.3, 0.2, CAL)
+        m, _ = derive_sizes(params)
+        assert m == 1663
+        p = uniform(100)
+        for total in (m // 2, m + 1):
+            with pytest.raises(ValueError, match=f"batch of {total} samples, not m = {m}"):
+                run_tester(lambda k, g: draw_batch(p, total, g), params, seeds_for(41))
+
     def test_regime_reported(self):
         params = TesterParams.from_constants(1000, 0.25, 0.2, CAL)
         v = run_tester(uniform(1000), params, seeds_for(29))
@@ -182,6 +194,47 @@ class TestRunTester:
         assert parsed["decision"] == v.decision
         assert parsed["regime"] == v.regime.value
         assert parsed["m0"] == v.m0
+
+
+def _three_levels_and_an_empty_cell(n):
+    probs = np.zeros(n)
+    half = (n - 2) // 2
+    probs[0] = 0.1
+    probs[1:1 + half] = 0.6 / half
+    probs[1 + half:n - 1] = 0.3 / (n - 2 - half)
+    return Pmf(probs)
+
+
+def _scoring_cases():
+    """(pmf, params) pairs whose m0 batches take the stacked draw."""
+    q = make_instance(InstanceSpec.paired_bias(0.4), 200)
+    return {
+        "headline": (make_instance(InstanceSpec.paired_bias(0.5), 1000),
+                     TesterParams.from_constants(1000, 0.25, 0.2, CAL)),
+        "identity": (IdentityReducer(q).pushforward(q),
+                     TesterParams.from_constants(1200, 0.1, 0.2, CAL)),
+        "mixed": (_three_levels_and_an_empty_cell(300), TesterParams.from_constants(300, 0.25, 0.2, CAL)),
+        # point mass at m = 10,782: its one level's rate is past the table bound
+        "point-mass": (make_instance(InstanceSpec.heavy(1.0), 50), TesterParams.from_constants(50, 0.1, 0.2, CAL)),
+    }
+
+
+class TestScoredStackedDraw:
+    @pytest.mark.parametrize("case", list(_scoring_cases()))
+    def test_statistics_equal_the_cell_order_batches(self, case):
+        # run_tester scores the level-major rows as drawn; every statistic
+        # equals that of draw_batches on the same stream, bit for bit
+        p, params = _scoring_cases()[case]
+        m, m0 = derive_sizes(params)
+        rows, order = distributions._draw_rows(p, m, m0, stream(61, 0))
+        assert order is not None and rows.shape == (m0, int(np.count_nonzero(p.probs)))
+        if case == "point-mass":
+            assert m - 3 * math.sqrt(m) > distributions._POISSON_TABLE_MAX_RATE
+        expected = tv_statistics(draw_batches(p, m, m0, stream(61, 0)))
+        assert len(set(expected)) > 1 or case == "point-mass"
+        assert _tv_statistics_of_draw(rows, m, p.n) == expected
+        verdict = run_tester(p, params, SeedSplit(stream(61, 1), stream(61, 0)))
+        assert verdict.statistic == sorted(expected)[m0 // 2]
 
 
 class TestIdentityReducer:
@@ -311,6 +364,14 @@ class TestIdentityTester:
         params = TesterParams.from_constants(200, 0.3, 0.2, CAL)
         with pytest.raises(ValueError):
             run_identity_tester(uniform(p_n), q, params, seeds_for(104))
+
+    def test_black_box_oracle_of_another_total_rejected(self):
+        q = make_instance(InstanceSpec.paired_bias(0.4), 50)
+        params = TesterParams.from_constants(50, 0.15, 0.2, CAL)
+        m, _ = derive_sizes(replace(params, n=300, eps=0.05))
+        for total in (m // 2, m + 1):
+            with pytest.raises(ValueError, match=f"returned {total} samples, not m = {m}"):
+                run_identity_tester(lambda k, g: draw_samples(q, total, g), q, params, seeds_for(106))
 
     def test_black_box_oracle(self):
         n = 50
