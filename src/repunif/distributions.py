@@ -108,9 +108,11 @@ _LEVEL_MAX_RATIO = 16
 _LEVEL_MIN_SAMPLES = 1024
 _LEVEL_MAX_COUNT = 3
 # From this m/n, draw_batches takes a few-level pmf's rows in one stacked
-# Poisson draw: 9 rows at n = 10^4 and 10^5 cost less than 9 draw_batch calls
-# from m/n = 5 on, and about 13% more at n = 10^4 and m/n = 4 (timing tables
-# in CHANGES.md).
+# Poisson draw.  Since the rows read 16-bit raw words, 9 stacked rows cost
+# less than 9 draw_batch calls from m = n at n <= 3000 (n = 1000, m = 3n: 362
+# against 680 us), and at n = 10^4 from m = 2n but not at m = n (2211 against
+# 1587 us); medians of 15 on 2 shared cores.  The cutoff stays until a
+# benchmark workload covers n <= m < 5n (ROADMAP).
 _POISSON_BATCH_RATIO = 5
 # The Poisson rows' total rate is m - slack * sqrt(m), so about 0.13% of rows
 # overshoot m and are redrawn.

@@ -6,21 +6,20 @@ frequency vector, so any relabeling of the domain leaves them unchanged.
 The TV statistic is accumulated in exact integer arithmetic,
 ``sum_i |n*X_i - m| / (2*m*n)``, so no precision is lost even when the
 sublinear signal scale ``eps^2 m^2 / n^2`` is tiny; the rational value is
-exposed for identity checks.  ``tv_statistics`` takes the numerators of
-several batches, or of the rows of a stacked count array, in one numpy
-pass; ``tv_statistic`` is its one-batch case.  At ``m <= n`` a numerator
-is ``2*m*Z`` with Z the empty cells (the identity ``S = Z/n``), and the
-collision count is ``(sum X_i^2 - m) / 2``: one pass each, the same
-integers.  The chi-square statistic
-sums its float terms as one exact integer over their common power-of-two
-denominator, so it is rounded once.
+exposed for identity checks.  One kernel, ``_tv_numerators``, takes these
+numerators for every caller: one batch, or the m0 rows of a tester run in
+one numpy pass.  At ``m <= n`` a numerator is ``2*m*Z`` with Z the empty
+cells (the identity ``S = Z/n``), and the collision count is
+``(sum X_i^2 - m) / 2``: one pass each, the same integers.  The
+chi-square statistic sums its float terms as one exact integer over their
+common power-of-two denominator, so it is rounded once.  ``mu(U_n)``, the
+uniform-case mean of TV, is a binomial sum over one window around its mean.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,7 +30,6 @@ from .distributions import SampleBatch
 
 __all__ = [
     "tv_statistic",
-    "tv_statistics",
     "tv_statistic_fraction",
     "empty_bucket_count",
     "collision_statistic",
@@ -42,68 +40,29 @@ __all__ = [
 ]
 
 
-def _tv_numerators(counts: np.ndarray, totals: list[int]) -> list[int]:
-    """Exact integer ``sum_i |n*X_i - m|`` of each row of a ``(k, n)`` count array.
+def _tv_numerators(rows: np.ndarray, m: int, n: int) -> list[int]:
+    """Exact integer ``sum_i |n*X_i - m|`` of each row of a ``(k, g)`` int64 array.
 
-    ``totals`` are the k row totals m; each result is that row's TV statistic
-    times ``2*m*n``.
-    """
-    if min(totals) < 1:
-        raise ValueError("tv statistic needs at least one sample")
-    n = counts.shape[1]
-    if max(totals) <= n:
-        # S = Z/n: at m <= n only an empty cell's term is negative, and the
-        # terms sum to 0, so the sum of their absolute values is 2*m*Z
-        empty = np.count_nonzero(counts == 0, axis=1).tolist()
-        return [2 * m * z for m, z in zip(totals, empty)]
-    if 2 * n * max(totals) >= 2**63:
-        # wide-integer path: each term is at most n*m and the sum at most 2*n*m,
-        # so below this bound int64 cannot wrap
-        return [sum(abs(n * c - m) for c in row) for row, m in zip(counts.tolist(), totals)]
-    return np.abs(n * counts - np.array(totals)[:, None]).sum(axis=1).tolist()
-
-
-def tv_statistics(batches: np.ndarray | Sequence[SampleBatch]) -> list[float]:
-    """The TV statistic of each row of a ``(k, n)`` count array, or of each batch
-    (all on one domain), in one stacked pass.
-
-    Each value equals ``tv_statistic`` of its batch bit for bit.
-    """
-    if isinstance(batches, np.ndarray):
-        counts = batches
-        if counts.dtype != np.int64 or counts.ndim != 2 or counts.size == 0 or counts.min() < 0:
-            raise ValueError("counts must be a nonempty (k, n) int64 array of nonnegative counts")
-        if int(counts.max()) * counts.shape[1] < 2**63:
-            totals = counts.sum(axis=1).tolist()
-        else:  # wide-integer path: a row sum could wrap
-            totals = [sum(row) for row in counts.tolist()]
-    else:
-        totals = [b.m for b in batches]
-        counts = np.array([b.counts for b in batches])  # raises unless one domain
-    n = counts.shape[1]
-    return [num / (2 * m * n) for num, m in zip(_tv_numerators(counts, totals), totals)]
-
-
-def _tv_statistics_of_draw(rows: np.ndarray, m: int, n: int) -> list[float]:
-    """The TV statistic of each row of a fresh ``(k, g)`` int64 draw that the
-    caller hands over, each row totalling m, on a domain of n >= g cells whose
-    other ``n - g`` cells count 0 (each adds ``|0 - m|``).
-
-    The rows are overwritten.  TV is symmetric, so a row's columns may come
-    in any order: each value equals ``tv_statistics`` of the row scattered
-    to cell order, bit for bit.
+    Each row totals m, on a domain of n >= g cells whose other ``n - g`` cells
+    count 0; TV is symmetric, so the columns may come in any order.  Each
+    result is that row's TV statistic times ``2*m*n``.  ``rows`` is only read.
     """
     if m < 1:
         raise ValueError("tv statistic needs at least one sample")
-    absent = m * (n - rows.shape[1])
-    if 2 * n * m >= 2**63:  # wide-integer path, as in _tv_numerators
-        nums = [sum(abs(n * c - m) for c in row) for row in rows.tolist()]
-    else:
-        rows *= n
-        rows -= m
-        np.abs(rows, out=rows)
-        nums = rows.sum(axis=1).tolist()
-    return [(num + absent) / (2 * m * n) for num in nums]
+    absent = n - rows.shape[1]
+    if m <= n:
+        # S = Z/n: at m <= n only an empty cell's term is negative, and the
+        # terms sum to 0, so the sum of their absolute values is 2*m*Z
+        empty = np.count_nonzero(rows == 0, axis=1).tolist()
+        return [2 * m * (z + absent) for z in empty]
+    if 2 * n * m >= 2**63:
+        # wide-integer path: each term is at most n*m and the sum at most 2*n*m,
+        # so below this bound int64 cannot wrap
+        return [sum(abs(n * c - m) for c in row) + m * absent for row in rows.tolist()]
+    terms = rows * n
+    terms -= m
+    np.abs(terms, out=terms)
+    return [num + m * absent for num in terms.sum(axis=1).tolist()]
 
 
 def tv_statistic(batch: SampleBatch) -> float:
@@ -111,14 +70,14 @@ def tv_statistic(batch: SampleBatch) -> float:
 
     Returns ``(1/2) sum_i |X_i/m - 1/n|`` with a single rounding at the end.
     """
-    m = batch.m
-    return _tv_numerators(batch.counts[None, :], [m])[0] / (2 * m * batch.n)
+    m, n = batch.m, batch.n
+    return _tv_numerators(batch.counts[None, :], m, n)[0] / (2 * m * n)
 
 
 def tv_statistic_fraction(batch: SampleBatch) -> Fraction:
     """The TV statistic as an exact rational (denominator divides 2*m*n)."""
-    m = batch.m
-    return Fraction(_tv_numerators(batch.counts[None, :], [m])[0], 2 * m * batch.n)
+    m, n = batch.m, batch.n
+    return Fraction(_tv_numerators(batch.counts[None, :], m, n)[0], 2 * m * n)
 
 
 def empty_bucket_count(batch: SampleBatch) -> int:
@@ -165,9 +124,12 @@ def exact_uniform_mean(n: int, m: int) -> float:
     """Exact expectation of the TV statistic under the uniform distribution.
 
     By linearity this is ``(n/2) * E|K/m - 1/n|`` for ``K ~ Binomial(m, 1/n)``.
-    The binomial pmf is evaluated in log space over a window around the mean
-    wide enough that the excluded tail mass is below 1e-18 relative; the
-    window is widened until the included mass certifies that bound.
+    The binomial pmf is evaluated in log space over the window
+    ``mean +- t`` with ``t = 40*sd + 200``, clipped to ``[0, m]``.  Bernstein's
+    inequality bounds the mass outside it by ``2*exp(-t^2 / (2*(sd^2 + t/3)))``,
+    which is at most ``2*exp(-300)``: far below the last bit of the result,
+    so a wider window gives the same float (at the points the tests check,
+    every float term outside the window is 0).
     """
     if n < 2:
         raise ValueError("domain size must be >= 2")
@@ -175,18 +137,9 @@ def exact_uniform_mean(n: int, m: int) -> float:
         raise ValueError("sample count must be >= 1")
     p = 1.0 / n
     mean = m * p
-    sd = math.sqrt(m * p * (1.0 - p))
-    half_width = 40.0 * sd + 200.0
-    while True:
-        lo = max(0, int(math.floor(mean - half_width)))
-        hi = min(m, int(math.ceil(mean + half_width)))
-        k = np.arange(lo, hi + 1)
-        pmf = np.exp(sps.binom.logpmf(k, m, p))
-        mass = math.fsum(pmf.tolist())
-        if mass >= 1.0 - 1e-15 or (lo == 0 and hi == m):
-            break
-        half_width *= 2.0
-    terms = pmf * np.abs(k / m - p)
+    half_width = 40.0 * math.sqrt(m * p * (1.0 - p)) + 200.0
+    k = np.arange(max(0, math.floor(mean - half_width)), min(m, math.ceil(mean + half_width)) + 1)
+    terms = np.exp(sps.binom.logpmf(k, m, p)) * np.abs(k / m - p)
     return (n / 2.0) * math.fsum(terms.tolist())
 
 

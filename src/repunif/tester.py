@@ -22,7 +22,7 @@ import numpy as np
 # draw_batch stays bound here too: perfbench's tests look it up on this module
 from .distributions import Pmf, SampleBatch, _draw_rows, draw_batch  # noqa: F401
 from .rng import SeedSplit
-from .stats import GapRegime, _tv_statistics_of_draw, exact_uniform_mean, expectation_gap, tv_statistics
+from .stats import GapRegime, _tv_numerators, exact_uniform_mean, expectation_gap
 
 __all__ = [
     "TesterParams",
@@ -125,38 +125,39 @@ def run_tester(p_access: Union[Pmf, BatchOracle], params: TesterParams, seeds: S
     """The replicable uniformity tester.
 
     Draws m0 batches of m samples from the sample stream, takes the median
-    of their TV statistics (computed in one stacked pass), and accepts iff
-    it falls below
+    of their TV statistics, and accepts iff it falls below
     ``mu(U_n) + r0 * R`` with ``r0`` the first draw of the internal stream.
     An explicit ``Pmf`` gives all m0 batches as the rows of one
-    ``draw_batches`` draw, scored before their scatter to cell order: TV
-    does not depend on the order of cells, so each statistic equals that
-    of the ``draw_batches`` row bit for bit.  A callable oracle is called
-    once per batch, and must return batches of m samples on ``[n]``.
+    ``draw_batches`` draw, taken before their scatter to cell order.  A
+    callable oracle is called once per batch, and must return batches of m
+    samples on ``[n]``; they are copied into the rows of one ``(m0, n)``
+    array.  Either way the rows are scored in one exact pass: TV does not
+    depend on the order of cells, so each statistic equals ``tv_statistic``
+    of its batch bit for bit.
     """
     m, m0, mu, regime, gap = _schedule(params)
     r0 = float(seeds.internal.uniform(R0_LOW, R0_HIGH))
     threshold = mu + r0 * gap
+    n = params.n
     if isinstance(p_access, Pmf):
-        if p_access.n != params.n:
-            raise ValueError(f"pmf is on [{p_access.n}] but the tester's domain is [{params.n}]")
+        if p_access.n != n:
+            raise ValueError(f"pmf is on [{p_access.n}] but the tester's domain is [{n}]")
         rows, _ = _draw_rows(p_access, m, m0, seeds.sample)
-        statistics = _tv_statistics_of_draw(rows, m, params.n)
     else:
-        batches = []
-        for _ in range(m0):
+        rows = np.empty((m0, n), dtype=np.int64)
+        for row in rows:
             batch = p_access(m, seeds.sample)
-            if batch.n != params.n:
+            if batch.n != n:
                 raise ValueError("oracle produced a batch on the wrong domain")
             if batch.m != m:
                 raise ValueError(f"oracle produced a batch of {batch.m} samples, not m = {m}")
-            batches.append(batch)
-        statistics = tv_statistics(batches)
+            row[:] = batch.counts
+    statistics = [num / (2 * m * n) for num in _tv_numerators(rows, m, n)]
     s_median = sorted(statistics)[m0 // 2]
     decision = "accept" if s_median < threshold else "reject"
     return Verdict(
         decision=decision, statistic=s_median, threshold=threshold, r0=r0,
-        regime=regime, mu_uniform=mu, gap=gap, n=params.n, m=m, m0=m0,
+        regime=regime, mu_uniform=mu, gap=gap, n=n, m=m, m0=m0,
         kind="tv-median",
     )
 

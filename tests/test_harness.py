@@ -10,6 +10,7 @@ from repunif import harness
 from repunif.constants import load_constants, parse_constants, save_constants
 from repunif.distributions import (
     InstanceSpec,
+    SampleBatch,
     draw_batch,
     draw_batches,
     draw_poissonized_batch,
@@ -40,7 +41,6 @@ from repunif.stats import (
     exact_uniform_mean,
     expectation_gap,
     tv_statistic,
-    tv_statistics,
 )
 from repunif.tester import TesterParams, derive_sizes, run_tester
 
@@ -421,7 +421,7 @@ class TestStreamKeyContract:
             draws = []
             for t in range(trials):
                 rng = stream(59, EXP_CALIBRATE, 0, side, t, ROLE_SAMPLE)
-                draws.append(sorted(tv_statistics(draw_batches(pmf, m, m0, rng)))[m0 // 2])
+                draws.append(sorted(tv_statistic(SampleBatch(r)) for r in draw_batches(pmf, m, m0, rng))[m0 // 2])
             medians.append(np.array(draws))
         mu = exact_uniform_mean(n, m)
         _, base = expectation_gap(n, m, eps, 1.0)

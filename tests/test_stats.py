@@ -20,7 +20,6 @@ from repunif.stats import (
     expectation_gap,
     tv_statistic,
     tv_statistic_fraction,
-    tv_statistics,
 )
 
 
@@ -106,96 +105,117 @@ class TestTvStatistic:
         assert tv_statistic(b) == float(_tv_reference(counts))
 
 
-@st.composite
-def _count_rows(draw):
-    """1-6 count rows on one domain of 1-8 cells, narrow or wide, each nonzero."""
-    n = draw(st.integers(min_value=1, max_value=8))
-    top = draw(st.sampled_from([50, 2**40, 2**62]))
-    row = st.lists(st.integers(min_value=0, max_value=top), min_size=n, max_size=n).filter(any)
-    return draw(st.lists(row, min_size=1, max_size=6))
-
-
-class TestStackedTvStatistics:
-    @given(_count_rows())
-    @settings(max_examples=150)
-    def test_each_value_equals_the_one_batch_statistic(self, rows):
-        batches = [SampleBatch(np.array(r, dtype=np.int64)) for r in rows]
-        assert tv_statistics(batches) == [tv_statistic(b) for b in batches]
-        assert tv_statistics(batches) == [float(_tv_reference(r)) for r in rows]
-
-    def test_mixes_narrow_and_wide_rows(self):
-        rows = [(3, 1, 0, 0), (3 * 10**18, 0, 0, 0), (2**60 - 1, 0, 0, 0)]
-        batches = [batch(*r) for r in rows]
-        assert tv_statistics(batches) == [tv_statistic(b) for b in batches]
-        assert tv_statistics(batches) == [float(_tv_reference(r)) for r in rows]
-
-    def test_rejects_an_all_zero_row(self):
-        with pytest.raises(ValueError, match="at least one sample"):
-            tv_statistics([batch(2, 1), batch(0, 0)])
-        with pytest.raises(ValueError, match="at least one sample"):
-            tv_statistics(np.array([[2, 1], [0, 0]]))
-
-    @given(_count_rows())
-    @settings(max_examples=150)
-    def test_count_array_rows_equal_the_batches(self, rows):
-        counts = np.array(rows, dtype=np.int64)
-        assert tv_statistics(counts) == tv_statistics([SampleBatch(r) for r in counts])
-
-    @pytest.mark.parametrize("counts", [
-        np.array([[1.0, 2.0]]),  # not integers
-        np.array([[1, 2]], dtype=np.uint64),  # not int64
-        np.array([[3, -1]]),
-        np.array([3, 1]),  # not (k, n)
-        np.zeros((0, 4), dtype=np.int64),
-    ])
-    def test_count_array_rejected(self, counts):
-        with pytest.raises(ValueError, match="int64 array"):
-            tv_statistics(counts)
+def _kernel_statistics(rows, m, n):
+    """The kernel's TV statistics, with a check that it left ``rows`` as it was."""
+    before = rows.copy()
+    rows.flags.writeable = False  # a write would raise
+    nums = stats._tv_numerators(rows, m, n)
+    assert np.array_equal(rows, before)
+    return [num / (2 * m * n) for num in nums]
 
 
 @st.composite
-def _level_major_draw(draw):
-    """k rows of g counts, each totalling m, on a domain of n >= g cells."""
+def _kernel_rows(draw):
+    """k rows of g counts, each totalling m, on a domain of n >= g cells.
+
+    m is at most n in about a quarter of draws (the ``S = Z/n`` path), and
+    otherwise ranges up to 2**62, on both sides of the int64 bound.
+    """
     n = draw(st.integers(min_value=1, max_value=8))
     g = draw(st.integers(min_value=1, max_value=n))
-    m = draw(st.integers(min_value=1, max_value=draw(st.sampled_from([50, 2**40, 2**62]))))
+    m = draw(st.integers(min_value=1, max_value=draw(st.sampled_from([n, 50, 2**40, 2**62]))))
     cuts = st.lists(st.integers(min_value=0, max_value=m), min_size=g - 1, max_size=g - 1)
     rows = [np.diff([0, *sorted(c), m]) for c in draw(st.lists(cuts, min_size=1, max_size=6))]
     return np.array(rows, dtype=np.int64), m, n
 
 
+def _scatter(rows, n, cols):
+    """The rows' columns placed at cells ``cols`` of n, zeros elsewhere."""
+    scattered = np.zeros((rows.shape[0], n), dtype=np.int64)
+    scattered[:, cols] = rows
+    return scattered
+
+
+class TestStackedTvStatistics:
+    @given(_kernel_rows())
+    @settings(max_examples=150)
+    def test_each_value_equals_the_one_batch_statistic(self, draw):
+        # rows in cell order, every cell present
+        rows, m, n = draw
+        counts = _scatter(rows, n, list(range(rows.shape[1])))
+        expected = [float(_tv_reference(r)) for r in counts.tolist()]
+        assert _kernel_statistics(counts, m, n) == [tv_statistic(SampleBatch(r)) for r in counts] == expected
+
+    def test_mixes_narrow_and_wide_rows(self):
+        # 2 of n = 8 cells present: S = Z/n, int64 and wide-integer paths
+        for m in [3, 2**59 - 1, 2**59]:  # 2*n*m = 2**63 at m = 2**59
+            rows = np.array([[m, 0], [m - 1, 1], [m // 2, m - m // 2]], dtype=np.int64)
+            expected = [float(_tv_reference(r)) for r in _scatter(rows, 8, [5, 2]).tolist()]
+            assert _kernel_statistics(rows, m, 8) == expected, m
+            assert [tv_statistic(SampleBatch(r)) for r in _scatter(rows, 8, [5, 2])] == expected, m
+
+    def test_rejects_an_all_zero_row(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            tv_statistic(batch(0, 0))
+        with pytest.raises(ValueError, match="at least one sample"):
+            stats._tv_numerators(np.zeros((2, 2), dtype=np.int64), 0, 2)
+
+    @given(_kernel_rows())
+    @settings(max_examples=150)
+    def test_count_array_rows_equal_the_batches(self, draw):
+        # the kernel's numerators are the exact integers of each row as a batch
+        rows, m, n = draw
+        counts = _scatter(rows, n, list(range(n - rows.shape[1], n)))
+        nums = stats._tv_numerators(counts, m, n)
+        assert nums == [tv_statistic_fraction(SampleBatch(r)) * (2 * m * n) for r in counts]
+        assert nums == stats._tv_numerators(rows, m, n)
+
+    @pytest.mark.parametrize("counts", [
+        np.array([1.0, 2.0]),  # not integers
+        np.array([2**63, 1], dtype=np.uint64),  # past int64
+        np.array([3, -1]),
+        np.array([[3, 1]]),  # not a vector
+        np.zeros(0, dtype=np.int64),
+    ])
+    def test_count_array_rejected(self, counts):
+        # a count vector reaches the kernel through SampleBatch, which rejects these
+        with pytest.raises(ValueError, match="counts must be"):
+            tv_statistic(SampleBatch(counts))
+
+
 class TestScoredDraw:
-    @given(_level_major_draw(), st.randoms())
+    @given(_kernel_rows(), st.randoms())
     @settings(max_examples=150)
     def test_equals_the_scattered_rows(self, draw, rnd):
         # the rows' g columns scattered in any order over n cells, zeros elsewhere
         rows, m, n = draw
-        cols = rnd.sample(range(n), rows.shape[1])
-        scattered = np.zeros((rows.shape[0], n), dtype=np.int64)
-        scattered[:, cols] = rows
-        assert stats._tv_statistics_of_draw(rows, m, n) == tv_statistics(scattered)
-        assert tv_statistics(scattered) == [float(_tv_reference(r)) for r in scattered.tolist()]
+        scattered = _scatter(rows, n, rnd.sample(range(n), rows.shape[1]))
+        expected = [float(_tv_reference(r)) for r in scattered.tolist()]
+        assert _kernel_statistics(rows, m, n) == expected
+        assert _kernel_statistics(scattered, m, n) == expected
 
     def test_rejects_empty_rows(self):
         with pytest.raises(ValueError, match="at least one sample"):
-            stats._tv_statistics_of_draw(np.zeros((2, 3), dtype=np.int64), 0, 4)
+            stats._tv_numerators(np.zeros((2, 3), dtype=np.int64), 0, 4)
 
 
 class TestBarrierRewrites:
     @given(st.integers(min_value=1, max_value=60), st.data())
     @settings(max_examples=150)
     def test_sublinear_numerators_count_empty_cells(self, n, data):
-        # at m <= n every row's numerator is 2*m*Z, the former sum of |n*X_i - m|
+        # at m <= n every row's numerator is 2*m*Z, the former sum of |n*X_i - m|,
+        # also with the all-zero columns left out and the rest in any order
+        m = data.draw(st.integers(min_value=1, max_value=n))
         rows = []
         for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
-            m = data.draw(st.integers(min_value=1, max_value=n))
             samples = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
             rows.append(np.bincount(samples, minlength=n))
         counts = np.array(rows, dtype=np.int64)
-        totals = counts.sum(axis=1)
-        former = np.abs(n * counts - totals[:, None]).sum(axis=1).tolist()
-        assert stats._tv_numerators(counts, totals.tolist()) == former
-        assert tv_statistics(counts) == [float(_tv_reference(r)) for r in counts.tolist()]
+        former = np.abs(n * counts - m).sum(axis=1).tolist()
+        assert stats._tv_numerators(counts, m, n) == former
+        present = data.draw(st.permutations(np.flatnonzero(counts.any(axis=0)).tolist()))
+        assert stats._tv_numerators(counts[:, present], m, n) == former
+        assert _kernel_statistics(counts, m, n) == [float(_tv_reference(r)) for r in counts.tolist()]
 
     @given(st.lists(st.integers(min_value=0, max_value=2**31), min_size=1, max_size=10))
     @settings(max_examples=200)
@@ -308,6 +328,14 @@ class TestChi2Statistic:
         assert chi2_statistic(batch(*counts), m_rate) == _chi2_reference(counts, m_rate)
 
 
+def _full_range_mean(n, m):
+    """``mu(U_n)`` as the ``fsum`` of all m + 1 binomial terms."""
+    p = 1.0 / n
+    k = np.arange(m + 1)
+    terms = np.exp(stats.sps.binom.logpmf(k, m, p)) * np.abs(k / m - p)
+    return (n / 2.0) * math.fsum(terms.tolist())
+
+
 class TestExactUniformMean:
     def test_small_closed_forms(self):
         assert exact_uniform_mean(2, 2) == pytest.approx(0.25, abs=1e-15)
@@ -328,6 +356,35 @@ class TestExactUniformMean:
     def test_large_n_small_m_is_near_one(self):
         # nearly all buckets stay empty, S -> 1 - m/n
         assert exact_uniform_mean(10**6, 10) == pytest.approx(1 - 10 / 10**6, abs=1e-9)
+
+    def test_one_logpmf_pass_over_the_first_window(self, monkeypatch):
+        # the headline point: one pass over mean +- (40 sd + 200), not a widening loop
+        calls = []
+        logpmf = stats.sps.binom.logpmf
+
+        def recorded(k, *args):
+            calls.append(np.size(k))
+            return logpmf(k, *args)
+
+        monkeypatch.setattr(stats.sps.binom, "logpmf", recorded)
+        n, m = 1000, 7784
+        exact_uniform_mean.__wrapped__(n, m)
+        sd = math.sqrt(m / n * (1 - 1 / n))
+        assert len(calls) == 1
+        assert calls[0] <= 2 * math.ceil(40 * sd + 200) + 1
+
+    def test_small_grid_equals_the_full_range_sum(self):
+        # here the window covers all of [0, m]
+        for n in range(2, 13):
+            for m in range(1, 61):
+                assert exact_uniform_mean.__wrapped__(n, m) == _full_range_mean(n, m)
+
+    @pytest.mark.parametrize("n, m", [(2, 10**4), (3, 7784), (1000, 7784), (1200, 53587), (10**4, 10**5)])
+    def test_window_equals_the_full_range_sum(self, n, m):
+        # the window leaves out terms here, and each is 0 in float64
+        half_width = 40.0 * math.sqrt(m / n * (1.0 - 1.0 / n)) + 200.0
+        assert math.ceil(m / n + half_width) < m
+        assert exact_uniform_mean.__wrapped__(n, m) == _full_range_mean(n, m)
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,8 @@ from repunif.distributions import (
 )
 from repunif.exact import exact_pushforward, rational_pmfs
 from repunif.rng import ROLE_INTERNAL, ROLE_SAMPLE, SeedSplit, stream
-from repunif.stats import GapRegime, _tv_statistics_of_draw, tv_statistics
+from repunif import stats
+from repunif.stats import GapRegime, tv_statistic
 from repunif.tester import (
     IdentityReducer,
     TesterParams,
@@ -167,6 +168,16 @@ class TestRunTester:
         relabeled = Pmf(q.probs[shuffle])
         assert not np.array_equal(relabeled.probs, q.probs)
         assert run_tester(relabeled, params, seeds_for(23)) == run_tester(q, params, seeds_for(23))
+        # below m = 5n a pmf's batches are draw_batch calls in order, so the
+        # pmf and an oracle of the same draws score the same rows
+        params = TesterParams.from_constants(1000, 0.25, 0.4, CAL)
+        headline = make_instance(InstanceSpec.paired_bias(0.5), 1000)
+        assert derive_sizes(params)[0] == 3639
+
+        def headline_oracle(m, rng):
+            return draw_batch(headline, m, rng)
+
+        assert run_tester(headline_oracle, params, seeds_for(23)) == run_tester(headline, params, seeds_for(23))
 
     def test_oracle_batch_of_another_total_rejected(self):
         params = TesterParams.from_constants(100, 0.3, 0.2, CAL)
@@ -230,9 +241,9 @@ class TestScoredStackedDraw:
         assert order is not None and rows.shape == (m0, int(np.count_nonzero(p.probs)))
         if case == "point-mass":
             assert m - 3 * math.sqrt(m) > distributions._POISSON_TABLE_MAX_RATE
-        expected = tv_statistics(draw_batches(p, m, m0, stream(61, 0)))
+        expected = [tv_statistic(SampleBatch(r)) for r in draw_batches(p, m, m0, stream(61, 0))]
         assert len(set(expected)) > 1 or case == "point-mass"
-        assert _tv_statistics_of_draw(rows, m, p.n) == expected
+        assert [num / (2 * m * p.n) for num in stats._tv_numerators(rows, m, p.n)] == expected
         verdict = run_tester(p, params, SeedSplit(stream(61, 1), stream(61, 0)))
         assert verdict.statistic == sorted(expected)[m0 // 2]
 
