@@ -44,17 +44,14 @@ Each path hands its fresh count vector to ``SampleBatch`` without a copy,
 with the total it was asked for.
 
 ``draw_batches`` draws k such vectors as one ``(k, n)`` array.  From
-``m = 5 n`` on a pmf with at most 3 levels it draws all k rows at once, in
+``m = n`` on a pmf with at most 3 levels it draws all k rows at once, in
 ``O(k n)`` work (while ``3 sqrt(m) <= 16 n``, which bounds the top-up):
 
 1. every cell gets an independent Poisson(``r p_i``) count, with
-   ``r = m - 3 sqrt(m)``, by inverse-CDF lookup in the cached table
-   (``PoissonTable``) of the level's cell rate.  One ``random_raw`` call
-   gives each cell a 16-bit chunk, 4 per word, level 0's ``k x g0`` block
-   first; the chunk's top bits pick a guide bucket, and only the ~1% of
-   cells in a bucket that holds a cdf entry draw a fresh word to complete
-   their uniform.  A level whose rate passes 4096 uses numpy's Poisson
-   sampler;
+   ``r = m - 3 sqrt(m)``, by inverse-CDF lookup in the cached table of the
+   level's cell rate, at about a quarter of a random word per cell
+   (``PoissonTable`` shows the lookup exact).  A level whose rate passes
+   4096 uses numpy's Poisson sampler;
 2. a row whose total N exceeds m (about 0.13% of rows) is redrawn;
 3. each row's ``m - N`` missing samples are split over the levels by one
    multinomial call for all rows, spread uniformly in each level by one
@@ -65,26 +62,24 @@ The rows are level-major: level 0's cells, then level 1's, zero-mass cells
 left out.  ``draw_batches`` scatters them to cell order once; the tester
 scores them as they are, since TV does not depend on the order of cells.
 
-The chunks are exact: a chunk's top b bits and a fresh word's low 53 - b
-bits make a u uniform on the 53-bit grid of numpy's ``random()``, and
-every u of an unambiguous bucket has the bucket's answer, so each count is
-``searchsorted(cdf, u)`` of such a u, as if drawn from ``random()``.  Given
-N, a row of independent Poisson counts is multinomial(N, p), and
+Given N, a row of independent Poisson counts is multinomial(N, p), and
 acceptance depends on N only; the top-up adds an independent
 multinomial(m - N, p).  So every row is exactly multinomial(m, p), up to
 the float rounding of the Poisson tables (a cdf within 1e-13), the same
-standard the alias table meets.  Elsewhere the k rows are k ``draw_batch``
-calls in order.  ``draw_batch`` keeps its own paths: at k = 1 the stacked
-draw's fixed cost of about 110-190 us in numpy calls loses to the level
-path at n = 10^3 and to the multinomial below n = 300 (CHANGES.md has the
-timing tables).
+standard the alias table meets.  From ``m = n`` a tester run's m0 rows
+cost less stacked than as a loop of ``draw_batch`` calls (``run_tester``
+on paired-bias, loop against stacked: 0.55-0.76 against 0.23-0.46 ms at
+n = 10^3, m = 3.6 n; 3.7-5.6 against 1.5-2.9 ms at n = 10^4, m = 2.7 n;
+2 shared cores).  Elsewhere the k rows are k ``draw_batch`` calls in
+order.  ``draw_batch`` keeps its own paths: at k = 1 the stacked draw's
+fixed cost of about 110-190 us in numpy calls loses to the level path at
+n = 10^3 and to the multinomial below n = 300 (CHANGES.md has the timing
+tables).
 
-``draw_poissonized_batch`` draws one Poisson per cell when ``m >= n``: one
-row of the stacked draw's Poisson lookup on a pmf with at most 3 levels,
-numpy's Poisson sampler otherwise.  Below ``m = n`` it draws a Poisson
-total ``N ~ Poisson(m)`` followed by ``draw_batch(p, N)``.  By
-Poissonization the two have the same law: a multinomial(N, p) vector with
-``N ~ Poisson(m)`` has independent Poisson(``m * p_i``) coordinates.
+``draw_poissonized_batch`` draws a Poisson total ``N ~ Poisson(m)``
+followed by ``draw_batch(p, N)``.  By Poissonization that is the law asked
+for: a multinomial(N, p) vector with ``N ~ Poisson(m)`` has independent
+Poisson(``m * p_i``) coordinates.
 """
 
 from __future__ import annotations
@@ -107,13 +102,6 @@ _POISSON_RATE_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).ma
 _LEVEL_MAX_RATIO = 16
 _LEVEL_MIN_SAMPLES = 1024
 _LEVEL_MAX_COUNT = 3
-# From this m/n, draw_batches takes a few-level pmf's rows in one stacked
-# Poisson draw.  Since the rows read 16-bit raw words, 9 stacked rows cost
-# less than 9 draw_batch calls from m = n at n <= 3000 (n = 1000, m = 3n: 362
-# against 680 us), and at n = 10^4 from m = 2n but not at m = n (2211 against
-# 1587 us); medians of 15 on 2 shared cores.  The cutoff stays until a
-# benchmark workload covers n <= m < 5n (ROADMAP).
-_POISSON_BATCH_RATIO = 5
 # The Poisson rows' total rate is m - slack * sqrt(m), so about 0.13% of rows
 # overshoot m and are redrawn.
 _POISSON_SLACK = 3.0
@@ -200,7 +188,10 @@ class Pmf:
     @classmethod
     def from_json(cls, text: str) -> "Pmf":
         obj = json.loads(text)
-        pmf = cls(np.array(obj["probs"], dtype=np.float64))
+        probs = obj.get("probs") if isinstance(obj, dict) else None
+        if not (isinstance(probs, list) and "n" in obj and all(type(x) in (int, float) for x in probs)):
+            raise ValueError('pmf json: need an object with an "n" field and a "probs" list of numbers')
+        pmf = cls(np.array(probs, dtype=np.float64))
         if pmf.n != obj["n"]:
             raise ValueError("pmf json: n field disagrees with probs length")
         return pmf
@@ -521,9 +512,10 @@ def _poisson_rows(levels: LevelTable, rates: list[float], rows: int,
     """A ``(rows, G)`` array of independent Poisson counts over the G cells of
     ``levels.order``, cell rate ``rates[l]`` in level l.
 
-    One ``random_raw`` call gives each cell of a tabled level a 16-bit chunk,
-    4 per word, level 0's ``rows x g0`` block first; a level whose rate passes
-    the table bound is drawn by numpy's Poisson sampler.
+    One ``random_raw`` call gives each cell of a tabled level a 16-bit chunk
+    for ``PoissonTable.lookup``, 4 per word, level 0's ``rows x g0`` block
+    first; a level whose rate passes the table bound is drawn by numpy's
+    Poisson sampler.
     """
     counts = np.empty((rows, levels.order.size), dtype=np.int64)
     tables = [None if lam > _POISSON_TABLE_MAX_RATE else _poisson_table(lam) for lam in rates]
@@ -581,7 +573,7 @@ def _draw_rows(p: Pmf, m: int, k: int, rng: np.random.Generator) -> tuple[np.nda
     m, k = operator.index(m), operator.index(k)
     if m < 0 or k < 0:
         raise ValueError("sample count and batch count must be >= 0")
-    stacked = _POISSON_BATCH_RATIO * p.n <= m and _POISSON_SLACK * math.sqrt(m) <= _TOPUP_MAX_PER_CELL * p.n
+    stacked = p.n <= m and _POISSON_SLACK * math.sqrt(m) <= _TOPUP_MAX_PER_CELL * p.n
     levels = p.level_table() if stacked else None
     if levels is not None:
         return _stacked_draw(p, levels, m, k, rng), levels.order
@@ -594,22 +586,14 @@ def _draw_rows(p: Pmf, m: int, k: int, rng: np.random.Generator) -> tuple[np.nda
 def draw_batches(p: Pmf, m: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Draw k independent multinomial(m, p) frequency vectors as a ``(k, n)`` int64 array.
 
-    Deterministic given the stream state.  For ``5 n <= m`` and
+    Deterministic given the stream state.  For ``n <= m`` and
     ``3 sqrt(m) <= 16 n``, on a pmf with at most 3 levels, all k rows come
     from one stacked Poisson draw plus an exact top-up (``_stacked_draw``):
     a fixed number of vectorized calls over ``k * n`` cells and ``k``
-    top-ups of about ``3 sqrt(m)`` samples.  That draw makes its rows
+    top-ups of about ``3 sqrt(m)`` samples, each Poisson count read from a
+    16-bit chunk through ``PoissonTable``.  That draw makes its rows
     level-major, and they are scattered to cell order once, here.
     Otherwise each row is one ``draw_batch``, in order.
-
-    Each Poisson count of the stacked draw reads one 16-bit chunk of a
-    ``random_raw`` block, and only a cell whose guide bucket holds a cdf
-    entry (about 1%) reads a fresh word.  The chunk's top b bits and the
-    word's low ``53 - b`` bits form a u uniform on the 53-bit grid of
-    numpy's ``random()``, and every u of an unambiguous bucket gives that
-    bucket's count, so each count is the table's inverse-CDF value of a
-    ``random()``-distributed u: the law of a uniform per cell, from a
-    quarter of a word.
     """
     rows, order = _draw_rows(p, m, k, rng)
     if order is None:
@@ -659,24 +643,12 @@ def draw_samples(p: Pmf, m: int, rng: np.random.Generator) -> np.ndarray:
 def draw_poissonized_batch(p: Pmf, m: float, rng: np.random.Generator) -> SampleBatch:
     """Draw each count independently as Poisson(m * p_i).
 
-    When ``m < n`` this draws the total ``N ~ Poisson(m)`` and returns
-    ``draw_batch(p, N)``: given ``N``, Poisson counts are multinomial(N, p),
-    so the law is the same and a batch costs ``O(m)`` draws instead of ``n``
-    Poisson draws.  When ``m >= n`` it draws one Poisson per cell, which is
-    faster there than the total-then-multinomial route.
+    Draws the total ``N ~ Poisson(m)`` and returns ``draw_batch(p, N)``:
+    given ``N``, independent Poisson counts are multinomial(N, p), so the law
+    is the same, at the cost of one ``draw_batch``.
     """
     if not (m > 0 and math.isfinite(m)):
         raise ValueError(f"poisson rate must be finite and > 0, got {m!r}")
-    if m < p.n:
-        return draw_batch(p, int(rng.poisson(m)), rng)
-    rates = m * p.probs
-    top = float(rates.max())
-    if top > _POISSON_RATE_MAX:
-        raise ValueError(f"poisson rate m * p_i = {top!r} exceeds numpy's limit "
-                         f"{_POISSON_RATE_MAX!r}")
-    levels = p.level_table()
-    if levels is None:
-        return SampleBatch(rng.poisson(rates))
-    counts = np.zeros(p.n, dtype=np.int64)
-    counts[levels.order] = _poisson_rows(levels, [float(rates[cells[0]]) for cells in levels.cells], 1, rng)[0]
-    return SampleBatch(counts)
+    if m > _POISSON_RATE_MAX:
+        raise ValueError(f"poisson rate m = {m!r} exceeds numpy's limit {_POISSON_RATE_MAX!r}")
+    return draw_batch(p, int(rng.poisson(m)), rng)

@@ -75,6 +75,16 @@ class TestTestCommand:
             capsys)
         assert code == 2 and "disagrees" in err
 
+    @pytest.mark.parametrize("text", ['{"probs": [0.5, 0.5]}', '{"n": 2}', '{"n": 2, "probs": {"a": 1}}'],
+                             ids=["no-n", "no-probs", "probs-object"])
+    def test_malformed_pmf_json_exit_two(self, text, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        code, _, err = run(
+            ["test", "--n", "2", "--eps", "0.25", "--rho", "0.2", "--pmf-file", str(path)],
+            capsys)
+        assert code == 2 and "pmf json" in err
+
     @pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 GiB"])
     def test_allocation_failure_exit_two(self, message, monkeypatch, capsys):
         def fail(*args, **kwargs):

@@ -419,7 +419,7 @@ class TestDrawDispatch:
 
         monkeypatch.setattr(distributions, "draw_batch", forbidden)
         verdict = run_identity_tester(q, q, params, SeedSplit(stream(8, 7), stream(8, 8)))
-        assert verdict.m >= distributions._POISSON_BATCH_RATIO * verdict.n
+        assert verdict.m >= verdict.n
 
     def test_identity_pushforward_never_builds_level_table(self, monkeypatch):
         # the identity benchmark's setting: n=200, eps=0.3, rho=0.2, q = paired-bias(0.4).
@@ -456,8 +456,6 @@ def _level_ends(p):
 
 
 class TestDrawBatches:
-    RATIO = distributions._POISSON_BATCH_RATIO
-
     @pytest.mark.parametrize("p, m", [
         (make_instance(InstanceSpec.paired_bias(0.5), 1000), 7784),  # the headline batch
         (_identity_pushforward(), 53587),
@@ -465,9 +463,11 @@ class TestDrawBatches:
         (make_instance(InstanceSpec.heavy(1.0), 50), 10**4),  # point mass, rate past the table bound
         (_mixed_levels(300), 8 * 300),  # 3 levels and a zero-mass cell
         (uniform(200), 4200 * 200),  # a level past the table bound
-    ], ids=["paired", "identity", "uniform", "point-mass", "mixed", "high-rate"])
+        (make_instance(InstanceSpec.paired_bias(0.5), 1000), 1000),  # m = n, where the stacked draw starts
+        (_mixed_levels(300), 2 * 300),
+    ], ids=["paired", "identity", "uniform", "point-mass", "mixed", "high-rate", "paired-m=n", "mixed-m=2n"])
     def test_multinomial_law(self, p, m):
-        assert self.RATIO * p.n <= m and 3 * math.sqrt(m) <= 16 * p.n
+        assert p.n <= m and 3 * math.sqrt(m) <= 16 * p.n
         assert p.level_table() is not None
         cells = _level_ends(p)
         rng = stream(41, p.n)
@@ -505,7 +505,7 @@ class TestDrawBatches:
                 assert np.all(np.abs(cov) <= 5 * np.sqrt(var * var / calls) + 1e-12)
 
     @pytest.mark.parametrize("p, m", [
-        (make_instance(InstanceSpec.paired_bias(0.5), 1000), 5 * 1000 - 1),  # one sample short
+        (make_instance(InstanceSpec.paired_bias(0.5), 1000), 1000 - 1),  # one sample short of m = n
         (make_instance(InstanceSpec.heavy(0.01), 10**4), 5000),  # level path below n
         (_leveled(1000, 200), 8000),  # too many levels
         (uniform(100), 0),
@@ -517,15 +517,16 @@ class TestDrawBatches:
         assert np.array_equal(draw_batches(p, m, 5, stream(8, 5)), expected)
 
     def test_stacked_draw_from_the_ratio(self, monkeypatch):
+        # the stacked draw starts at m/n = 1; one sample short, the rows are draw_batch calls
         p = make_instance(InstanceSpec.paired_bias(0.5), 1000)
 
         def forbidden(*args):
             raise AssertionError("draw_batch called")
 
         monkeypatch.setattr(distributions, "draw_batch", forbidden)
-        assert draw_batches(p, self.RATIO * p.n, 3, stream(8, 6)).sum() == 3 * self.RATIO * p.n
+        assert draw_batches(p, p.n, 3, stream(8, 6)).sum() == 3 * p.n
         with pytest.raises(AssertionError, match="draw_batch called"):
-            draw_batches(p, self.RATIO * p.n - 1, 3, stream(8, 6))
+            draw_batches(p, p.n - 1, 3, stream(8, 6))
 
     def test_deterministic_given_stream(self):
         p = _identity_pushforward()
@@ -659,8 +660,8 @@ class TestPoissonized:
         assert abs(total / trials - 3.0) <= 4 * math.sqrt(3.0 / trials)
 
     def test_component_independence(self):
-        # independent Poisson(m p_i) counts on both paths (m < n: a Poisson
-        # total then an alias batch; m >= n: one Poisson per cell): mean =
+        # independent Poisson(m p_i) counts below and above m = n (a Poisson
+        # total N then a batch of N, mostly alias at 4.5 and multinomial at 30): mean =
         # variance = m p_i, zero covariance, and a total of variance m (a
         # multinomial at fixed m would give covariance -m p_i p_j and 0)
         trials = 20_000
@@ -686,18 +687,14 @@ class TestPoissonized:
         (_mixed_levels(20), 80.0),
         (make_instance(InstanceSpec.heavy(0.5), 4), 10**4),  # the heavy level's rate passes the table bound
     ], ids=["mixed-8", "mixed-20", "high-rate"])
-    def test_independent_poissons_from_n_on_few_levels(self, p, m, monkeypatch):
-        # m >= n on a pmf with at most 3 levels: one Poisson row through the
-        # level tables, independent Poisson(m p_i) counts as on the per-cell path
-        rows_drawn = []
-        poisson_rows = distributions._poisson_rows
-        monkeypatch.setattr(distributions, "_poisson_rows",
-                            lambda *args: rows_drawn.append(args[2]) or poisson_rows(*args))
+    def test_independent_poissons_from_n_on_few_levels(self, p, m):
+        # m >= n on a pmf with at most 3 levels: a Poisson total N then a batch
+        # of N on any of draw_batch's paths (mostly level at 8 and 80,
+        # multinomial past 16n) gives independent Poisson(m p_i) counts
         trials = 20_000
         rng = stream(17, 6)
         draws = np.array([draw_poissonized_batch(p, m, rng).counts for _ in range(trials)],
                          dtype=np.float64)
-        assert rows_drawn == [1] * trials
         zero = p.probs == 0
         assert not draws[:, zero].any()
         draws, lam = draws[:, ~zero], m * p.probs[~zero]
@@ -719,14 +716,31 @@ class TestPoissonized:
             assert np.all(batch.counts[probs == 0] == 0)
 
     def test_m_field_is_realized_total(self):
-        # m >= n: one Poisson per cell; below n: a Poisson total then an
-        # adopted draw_batch (alias path at rate 3, level path at 1500)
+        # a Poisson total then an adopted draw_batch: level path at rate 40
+        # (m >= n), alias path at rate 3 and level path at 1500 (m < n)
         for p, rate in ((make_instance(InstanceSpec.paired_bias(0.2), 10), 40.0),
                         (make_instance(InstanceSpec.heavy(0.05), 2000), 3.0),
                         (make_instance(InstanceSpec.heavy(0.05), 2000), 1500.0)):
             batch = draw_poissonized_batch(p, rate, stream(19, 0))
             assert batch.counts.dtype == np.int64 and not batch.counts.flags.writeable
             assert type(batch.m) is int and batch.m == int(batch.counts.sum())
+
+    @pytest.mark.parametrize("p", [
+        make_instance(InstanceSpec.heavy(1000 ** -0.5), 1000),
+        make_instance(InstanceSpec.paired_bias(0.5), 1000),
+        _leveled(1000, 200),  # too many levels for a level table
+    ], ids=["heavy", "paired", "many-levels"])
+    @pytest.mark.parametrize("ratio", [0.5, 1, 8])
+    def test_poisson_total_then_draw_batch(self, p, ratio):
+        # one route at every m: the same bits and the same stream state as a
+        # Poisson total followed by draw_batch
+        m = ratio * p.n
+        for seed in range(3):
+            rng, ref_rng = stream(29, seed), stream(29, seed)
+            batch = draw_poissonized_batch(p, m, rng)
+            expected = draw_batch(p, int(ref_rng.poisson(m)), ref_rng)
+            assert np.array_equal(batch.counts, expected.counts) and batch.m == expected.m
+            assert _stream_state(rng) == _stream_state(ref_rng)
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
@@ -739,7 +753,7 @@ class TestPoissonized:
 
     def test_rejects_rate_above_numpy_limit(self):
         p = Pmf(np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match=r"m \* p_i = 1\.5e\+19 exceeds"):
+        with pytest.raises(ValueError, match=r"m = 3e\+19 exceeds"):
             draw_poissonized_batch(p, 3e19, stream(1, 1))
 
 

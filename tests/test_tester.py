@@ -168,16 +168,19 @@ class TestRunTester:
         relabeled = Pmf(q.probs[shuffle])
         assert not np.array_equal(relabeled.probs, q.probs)
         assert run_tester(relabeled, params, seeds_for(23)) == run_tester(q, params, seeds_for(23))
-        # below m = 5n a pmf's batches are draw_batch calls in order, so the
-        # pmf and an oracle of the same draws score the same rows
+        # a pmf with 4 distinct masses has no level table, so its batches are
+        # draw_batch calls in order, and the pmf and an oracle of the same
+        # draws score the same rows
         params = TesterParams.from_constants(1000, 0.25, 0.4, CAL)
-        headline = make_instance(InstanceSpec.paired_bias(0.5), 1000)
-        assert derive_sizes(params)[0] == 3639
+        weights = np.tile([3.0, 1.0], 500)
+        weights[:2] = [2.0, 4.0]
+        four = Pmf(weights / weights.sum())
+        assert derive_sizes(params)[0] == 3639 and four.level_table() is None
 
-        def headline_oracle(m, rng):
-            return draw_batch(headline, m, rng)
+        def four_oracle(m, rng):
+            return draw_batch(four, m, rng)
 
-        assert run_tester(headline_oracle, params, seeds_for(23)) == run_tester(headline, params, seeds_for(23))
+        assert run_tester(four_oracle, params, seeds_for(23)) == run_tester(four, params, seeds_for(23))
 
     def test_oracle_batch_of_another_total_rejected(self):
         params = TesterParams.from_constants(100, 0.3, 0.2, CAL)
