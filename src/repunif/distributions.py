@@ -11,75 +11,45 @@ throughout the test suite and experiments:
 * ``custom(probs)``: any validated explicit pmf.
 
 ``draw_batch`` has three paths, chosen from ``m``, ``n`` and the number L
-of distinct positive masses (the pmf's level sets).  Every instance family
-above has at most 3 levels.
+of distinct positive masses (the pmf's level sets; every family above has
+at most 3):
 
 * level path, when ``min(n, 1024) <= m < 16 n`` and ``L <= 3``: one
-  multinomial over the L levels gives each level's total, and each level
-  spreads its total uniformly over its cells with bounded integer draws
-  (``O(m)`` integer draws, about 6 ns each; the level table is built once
-  per pmf in at most 4 vectorized passes).  From ``m = n`` each level's
-  draws are counted by a ``bincount`` and scattered into its cells; below
-  ``m = n`` they index the cells directly and one ``bincount`` counts all
-  levels, so no ``O(n)`` zeroing or scatter is paid.  The two forms make
-  the same draws in the same order and count the same cells, so the switch
-  between them moves no bits.
-* multinomial path, otherwise when ``m >= n``: numpy's conditional-binomial
-  multinomial, ``O(n)`` binomial draws (50-105 ns each at ``m/n <= 8``,
-  about 170 ns at 45).
+  multinomial over the levels gives each level's total, spread uniformly
+  over the level's cells by bounded integer draws.  From ``m = n`` each
+  level's draws are counted and scattered into its cells; below, they
+  index the cells directly.  Both forms make the same draws and count the
+  same cells.
+* multinomial path, otherwise when ``m >= n``: numpy's multinomial.
 * alias path, otherwise: ``m`` draws from the pmf's cached Walker alias
-  table plus one ``bincount`` (``O(m)`` draws and an ``O(n)`` pass; the
-  table itself is built once per pmf, in vectorized ``O(n)``).
+  table and one ``bincount``.
 
-The cutoffs come from the sampler timing tables in ROADMAP.md (n = 10^3 to
-10^5).  The level path beats the multinomial at every ``m/n`` from 1 to 16
-and loses on paired-bias at 24.  Each level costs about 6 us of calls, and
-3 levels cover every instance family above.  Below ``m = n`` it saves the
-alias path's coin, one random word per sample, but costs 8-10 us more in
-numpy calls: it wins or ties from ``m = 1024`` at n = 10^4 and 10^5 and
-loses at 512.  Every path draws exactly a multinomial(m, p) vector; they
-differ only in how they consume the stream.
+Every path draws exactly a multinomial(m, p) vector and hands it to
+``SampleBatch`` without a copy; the paths differ only in how they consume
+the stream.
 
-Each path hands its fresh count vector to ``SampleBatch`` without a copy,
-with the total it was asked for.
-
-``draw_batches`` draws k such vectors as one ``(k, n)`` array.  From
-``m = n`` on a pmf with at most 3 levels it draws all k rows at once, in
-``O(k n)`` work (while ``3 sqrt(m) <= 16 n``, which bounds the top-up):
+``draw_batches`` draws k such vectors as one ``(k, n)`` array.  When
+``n <= m``, ``L <= 3`` and ``3 sqrt(m) <= 16 n`` it draws all k rows at
+once:
 
 1. every cell gets an independent Poisson(``r p_i``) count, with
-   ``r = m - 3 sqrt(m)``, by inverse-CDF lookup in the cached table of the
-   level's cell rate, at about a quarter of a random word per cell
-   (``PoissonTable`` shows the lookup exact).  A level whose rate passes
-   4096 uses numpy's Poisson sampler;
-2. a row whose total N exceeds m (about 0.13% of rows) is redrawn;
+   ``r = m - 3 sqrt(m)``, by lookup in the cached ``PoissonTable`` of the
+   level's cell rate (numpy's Poisson sampler past rate 4096);
+2. a row whose total N exceeds m is redrawn;
 3. each row's ``m - N`` missing samples are split over the levels by one
-   multinomial call for all rows, spread uniformly in each level by one
-   ``integers`` call per level, and added by one offset ``bincount`` over
-   ``k`` rows of the positive-mass cells.
-
-The rows are level-major: level 0's cells, then level 1's, zero-mass cells
-left out.  ``draw_batches`` scatters them to cell order once; the tester
-scores them as they are, since TV does not depend on the order of cells.
+   multinomial for all rows and spread uniformly in each level.
 
 Given N, a row of independent Poisson counts is multinomial(N, p), and
 acceptance depends on N only; the top-up adds an independent
 multinomial(m - N, p).  So every row is exactly multinomial(m, p), up to
-the float rounding of the Poisson tables (a cdf within 1e-13), the same
-standard the alias table meets.  From ``m = n`` a tester run's m0 rows
-cost less stacked than as a loop of ``draw_batch`` calls (``run_tester``
-on paired-bias, loop against stacked: 0.55-0.76 against 0.23-0.46 ms at
-n = 10^3, m = 3.6 n; 3.7-5.6 against 1.5-2.9 ms at n = 10^4, m = 2.7 n;
-2 shared cores).  Elsewhere the k rows are k ``draw_batch`` calls in
-order.  ``draw_batch`` keeps its own paths: at k = 1 the stacked draw's
-fixed cost of about 110-190 us in numpy calls loses to the level path at
-n = 10^3 and to the multinomial below n = 300 (CHANGES.md has the timing
-tables).
+the float rounding of the Poisson tables (a cdf within 1e-13).  The rows
+are level-major (each level's cells in turn, zero-mass cells left out):
+``draw_batches`` scatters them to cell order, and the tester scores them as
+they are.  Otherwise the k rows are k ``draw_batch`` calls in order.
 
-``draw_poissonized_batch`` draws a Poisson total ``N ~ Poisson(m)``
-followed by ``draw_batch(p, N)``.  By Poissonization that is the law asked
-for: a multinomial(N, p) vector with ``N ~ Poisson(m)`` has independent
-Poisson(``m * p_i``) coordinates.
+``draw_poissonized_batch`` draws ``N ~ Poisson(m)`` and returns
+``draw_batch(p, N)``: by Poissonization its coordinates are independent
+Poisson(``m * p_i``).
 """
 
 from __future__ import annotations

@@ -26,6 +26,10 @@ g = grid index, r = run):
   ``(EXP_CALIBRATE, p, s, t, ROLE_INTERNAL)``, sample
   ``(EXP_CALIBRATE, p, s, t, ROLE_SAMPLE)``.
 
+Each experiment derives the Philox keys of all its streams in one
+:func:`~repunif.rng.stream_keys` pass, and each worker builds its
+generators from those keys with :func:`~repunif.rng.keyed`.
+
 Every tester trial runs through one worker, :func:`_trial`; each report
 type states its CSV columns and rows, and :func:`write_report` writes it.
 """
@@ -47,7 +51,9 @@ from .distributions import (
     draw_poissonized_batch,
     make_instance,
 )
-from .rng import ROLE_INSTANCE, ROLE_INTERNAL, ROLE_SAMPLE, SeedSplit, stream
+# stream stays bound here too: perfbench's tests look it up on this module
+from .rng import ROLE_INSTANCE, ROLE_INTERNAL, ROLE_SAMPLE, SeedSplit, keyed, stream_keys
+from .rng import stream  # noqa: F401
 from .stats import chi2_statistic, collision_statistic, expectation_gap, tv_statistic
 from .tester import R0_LOW, TesterParams, Verdict, _schedule, derive_sizes, run_tester
 
@@ -217,21 +223,17 @@ def _verdict_row(experiment_id: str, trial: int, run, spec: InstanceSpec, v: Ver
 
 
 def _trial(args) -> Verdict:
-    """One tester run with its coin and data streams derived from their keys."""
-    pmf, params, master_seed, internal_key, sample_key = args
-    seeds = SeedSplit(
-        internal=stream(master_seed, *internal_key),
-        sample=stream(master_seed, *sample_key),
-    )
-    return run_tester(pmf, params, seeds)
+    """One tester run with its coin and data streams built from their Philox keys."""
+    pmf, params, internal_key, sample_key = args
+    return run_tester(pmf, params, SeedSplit(internal=keyed(internal_key), sample=keyed(sample_key)))
 
 
 def _barrier_point(args) -> list[float]:
     """All runs for one (statistic, m) grid point; each run owns a stream."""
-    pmf, kind, m, runs, master_seed, grid_index = args
+    pmf, kind, m, run_keys = args
     values = []
-    for run in range(runs):
-        rng = stream(master_seed, EXP_BARRIER, grid_index, run, ROLE_SAMPLE)
+    for key in run_keys:
+        rng = keyed(key)
         if kind == "collision":
             values.append(float(collision_statistic(draw_batch(pmf, m, rng))))
         elif kind == "chi2":
@@ -290,8 +292,8 @@ def correctness_experiment(
     if expect not in ("accept", "reject"):
         raise ValueError("expect must be 'accept' or 'reject'")
     pmf = make_instance(instance, params.n)
-    jobs = [(pmf, params, master_seed, (EXP_CORRECTNESS, t, ROLE_INTERNAL), (EXP_CORRECTNESS, t, ROLE_SAMPLE))
-            for t in range(trials)]
+    keys = stream_keys(master_seed, EXP_CORRECTNESS, np.arange(trials)[:, None], (ROLE_INTERNAL, ROLE_SAMPLE))
+    jobs = [(pmf, params, internal, sample) for internal, sample in keys]
     verdicts = _map_jobs(_trial, jobs, workers)
     rows = [_verdict_row("correctness", t, None, instance, v) for t, v in enumerate(verdicts)]
     successes = sum(v.decision == expect for v in verdicts)
@@ -325,14 +327,15 @@ def replicability_experiment(
         raise ValueError("need pairs >= 1")
     if prior is None:
         prior = PairedBiasPrior(xi_max=2.0 * params.eps)
-    specs = [prior(stream(master_seed, EXP_REPLICABILITY, k, ROLE_INSTANCE)) for k in range(pairs)]
+    pair = np.arange(pairs)[:, None]
+    pair_keys = stream_keys(master_seed, EXP_REPLICABILITY, pair, (ROLE_INSTANCE, ROLE_INTERNAL))
+    runs = (0, 0) if shared_sample_seeds else (0, 1)
+    sample_keys = stream_keys(master_seed, EXP_REPLICABILITY, pair, runs, ROLE_SAMPLE)
+    specs = [prior(keyed(instance)) for instance, _ in pair_keys]
     jobs = []
-    for k, spec in enumerate(specs):
+    for spec, (_, internal), samples in zip(specs, pair_keys, sample_keys):
         pmf = make_instance(spec, params.n)
-        for run in (0, 1):
-            sample_run = 0 if shared_sample_seeds else run
-            jobs.append((pmf, params, master_seed, (EXP_REPLICABILITY, k, ROLE_INTERNAL),
-                         (EXP_REPLICABILITY, k, sample_run, ROLE_SAMPLE)))
+        jobs += [(pmf, params, internal, sample) for sample in samples]
     verdicts = _map_jobs(_trial, jobs, workers)
     rows, successes = [], 0
     for k, spec in enumerate(specs):
@@ -371,12 +374,14 @@ def acceptance_sweep(
         raise ValueError("xi grid must be strictly increasing")
     if trials_per_point < 1:
         raise ValueError("need trials_per_point >= 1")
+    g, t = np.arange(len(xi_grid))[:, None], np.arange(trials_per_point)
+    sample_keys = stream_keys(master_seed, EXP_SWEEP, g, t, ROLE_SAMPLE)
+    internal_keys = (np.broadcast_to(stream_keys(master_seed, EXP_SWEEP, ROLE_INTERNAL), sample_keys.shape)
+                     if fixed_internal else stream_keys(master_seed, EXP_SWEEP, g, t, ROLE_INTERNAL))
     jobs = []
-    for g, xi in enumerate(xi_grid):
+    for xi, internals, samples in zip(xi_grid, internal_keys, sample_keys):
         pmf = make_instance(InstanceSpec.paired_bias(xi), params.n)
-        for t in range(trials_per_point):
-            internal = (EXP_SWEEP, ROLE_INTERNAL) if fixed_internal else (EXP_SWEEP, g, t, ROLE_INTERNAL)
-            jobs.append((pmf, params, master_seed, internal, (EXP_SWEEP, g, t, ROLE_SAMPLE)))
+        jobs += [(pmf, params, internal, sample) for internal, sample in zip(internals, samples)]
     verdicts = _map_jobs(_trial, jobs, workers)
     accepts = [sum(v.accept for v in verdicts[g * trials_per_point:(g + 1) * trials_per_point])
                for g in range(len(xi_grid))]
@@ -473,7 +478,9 @@ def barrier_experiment(
     gaps = [_barrier_gap(kind, m, n, eps) for m in m_grid]  # checks kind before sampling
     heavy_mass = n ** -0.5
     pmf = make_instance(InstanceSpec.heavy(heavy_mass), n)
-    jobs = [(pmf, kind, m, runs_per_m, master_seed, g) for g, m in enumerate(m_grid)]
+    keys = stream_keys(master_seed, EXP_BARRIER, np.arange(len(m_grid))[:, None],
+                       np.arange(runs_per_m), ROLE_SAMPLE)
+    jobs = [(pmf, kind, m, run_keys) for m, run_keys in zip(m_grid, keys)]
     per_point = _map_jobs(_barrier_point, jobs, workers)
     rows = []
     for m, gap, point_values in zip(m_grid, gaps, per_point):
@@ -542,9 +549,10 @@ def calibrate(
         params = TesterParams(n=n, eps=eps, rho=rho, c_m1=c_m1, c_m2=c_m2, c_m0=c_m0, c_gap=1.0)
         m, m0, mu, _, base = _schedule(params)
         sides = (make_instance(InstanceSpec.uniform(), n), make_instance(InstanceSpec.paired_bias(2.0 * eps), n))
-        jobs = [(pmf, params, master_seed, (EXP_CALIBRATE, pilot, side, t, ROLE_INTERNAL),
-                 (EXP_CALIBRATE, pilot, side, t, ROLE_SAMPLE))
-                for side, pmf in enumerate(sides) for t in range(trials)]
+        keys = stream_keys(master_seed, EXP_CALIBRATE, pilot, np.arange(2)[:, None, None],
+                           np.arange(trials)[:, None], (ROLE_INTERNAL, ROLE_SAMPLE))
+        jobs = [(pmf, params, internal, sample)
+                for pmf, side_keys in zip(sides, keys) for internal, sample in side_keys]
         s_median = np.array([v.statistic for v in _map_jobs(_trial, jobs, workers)])
         uni_hi = float(np.quantile(s_median[:trials], 1.0 - rho / 4.0))
         far_lo = float(np.quantile(s_median[trials:], rho / 4.0))

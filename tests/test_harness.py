@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repunif import harness
-from repunif.constants import load_constants, parse_constants, save_constants
+from repunif.constants import default_constants, load_constants, parse_constants, save_constants
 from repunif.distributions import (
     InstanceSpec,
     SampleBatch,
@@ -198,6 +198,19 @@ class TestReplicabilityExperiment:
         assert rep.config_echo["prior"] == echo
 
 
+class TestSublinearRegime:
+    def test_accepts_uniform_rejects_far_below_n(self):
+        # m < n: the tester scores the share of empty cells, and the gap schedule
+        # takes its sublinear branch, which the packaged constants never saw
+        params = TesterParams.from_constants(10**5, 0.25, 0.2, default_constants())
+        m, _ = derive_sizes(params)
+        assert m == 92_043 < params.n
+        uniform = correctness_experiment(InstanceSpec.uniform(), params, 20, master_seed=71)
+        far = correctness_experiment(InstanceSpec.paired_bias(0.5), params, 20, master_seed=71,
+                                     expect="reject")
+        assert uniform.successes >= 18 and far.successes >= 18
+
+
 class TestAcceptanceSweep:
     def test_fixed_internal_brackets_half(self):
         curve = acceptance_sweep(FAST, [0.0, 0.6], 30, master_seed=29, fixed_internal=True)
@@ -377,6 +390,18 @@ class TestStreamKeyContract:
             v = _keyed_verdict(make_instance(spec, FAST.n), 53,
                                (EXP_REPLICABILITY, k, ROLE_INTERNAL),
                                (EXP_REPLICABILITY, k, run, ROLE_SAMPLE))
+            assert {key: row[key] for key in _row_fields(v)} == _row_fields(v)
+
+    def test_replicability_shared_sample_seeds(self):
+        # both runs of a pair replay the run-0 sample stream
+        spec = InstanceSpec.paired_bias(0.3)
+        rep = replicability_experiment(FixedPrior(spec), FAST, 2, master_seed=55,
+                                       shared_sample_seeds=True)
+        pmf = make_instance(spec, FAST.n)
+        for row in rep.per_trial:
+            k = row["trial"]
+            v = _keyed_verdict(pmf, 55, (EXP_REPLICABILITY, k, ROLE_INTERNAL),
+                               (EXP_REPLICABILITY, k, 0, ROLE_SAMPLE))
             assert {key: row[key] for key in _row_fields(v)} == _row_fields(v)
 
     @pytest.mark.parametrize("fixed_internal", [False, True])
