@@ -99,6 +99,21 @@ __all__ = [
 ]
 
 
+def _normalize_rows(arr: np.ndarray) -> np.ndarray:
+    """``Pmf``'s renormalization, in place, of a float64 vector or each matrix row.
+
+    A row is divided by its ``math.fsum`` total; ``ValueError`` if that total
+    departs from 1 by more than ``NORMALIZATION_TOL``.
+    """
+    for row in (arr,) if arr.ndim == 1 else arr:
+        total = math.fsum(row.tolist())
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise ValueError(f"pmf sums to {total!r}, not 1 within {NORMALIZATION_TOL}")
+        if total != 1.0:
+            row /= total
+    return arr
+
+
 @dataclass(frozen=True)
 class Pmf:
     """An explicit probability mass function over ``{1, ..., n}``.
@@ -117,11 +132,7 @@ class Pmf:
             raise ValueError("pmf must be a nonempty 1-d vector")
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
             raise ValueError("pmf entries must be finite and >= 0")
-        total = math.fsum(arr.tolist())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"pmf sums to {total!r}, not 1 within {NORMALIZATION_TOL}")
-        if total != 1.0:
-            arr /= total
+        _normalize_rows(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 

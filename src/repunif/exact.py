@@ -6,10 +6,11 @@ distribution of the identity-to-uniformity reduction, and the mutual
 information carried by a truncated pair of mixed Poisson counts.  They are
 deliberately independent of the sampling implementations they check.
 
-The exhaustive reduction scan screens, then confirms: one numpy pass per q
-bounds the margins of every p at once, and only the pairs near the least
-margin are rebuilt with ``exact_pushforward``, which gives the reported
-number.
+The exhaustive reduction scan takes each domain size's family as one array
+and screens, then confirms: one numpy pass per block of q rows bounds the
+margins of all their pairs at once, and only the pairs near the least margin
+become ``Pmf`` objects, rebuilt with ``exact_pushforward`` to give the
+reported number.  ``pair_joint`` calls the ``scipy.special`` Poisson kernels.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
-from .distributions import NORMALIZATION_TOL, Pmf, SampleBatch, tv_distance
+from .distributions import NORMALIZATION_TOL, Pmf, SampleBatch, _normalize_rows, tv_distance
 
 ENUMERATION_GUARD = 10**7
 
@@ -82,7 +83,7 @@ def brute_force_mean_statistic(
                     weight *= prob**c
             if weight == 0.0:
                 continue
-            batch = SampleBatch(np.array(counts, dtype=np.int64))
+            batch = SampleBatch._adopt(np.array(counts, dtype=np.int64), m)
             total.append(coeff * weight * statistic(batch))
         return math.fsum(total)
     if n**m > ENUMERATION_GUARD:
@@ -105,6 +106,8 @@ def exact_mean_tv(p: Pmf, m: int) -> float:
     Linearity of expectation gives ``(1/2) sum_i E|K_i/m - 1/n|`` with
     ``K_i ~ Binomial(m, p_i)``; no enumeration needed.
     """
+    from scipy import stats as sps
+
     if m < 1:
         raise ValueError("need m >= 1")
     k = np.arange(m + 1)
@@ -118,18 +121,31 @@ def exact_mean_tv(p: Pmf, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _blocks(q: Pmf) -> tuple[int, np.ndarray, np.ndarray, int]:
+def _blocks(qs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The reduction's layout on ``[big] = [6n]``: ``(big, cells, spread, overflow_size)``.
 
-    Element i owns ``cells_i = floor(6n * qbar_i)`` cells, ``qbar = (q + U_n)/2``,
-    and keeps a mixed sample there with probability ``spread_i = cells_i /
-    (6n * qbar_i)``; the last ``overflow_size`` cells are the shared overflow
-    block.  As ``qbar_i >= 1/(2n)``, every block has at least 2 cells.
+    One row per row q of ``qs``.  Element i owns ``cells_i = floor(6n *
+    qbar_i)`` cells, ``qbar = (q + U_n)/2``, and keeps a mixed sample there
+    with probability ``spread_i = cells_i / (6n * qbar_i)``; the last
+    ``overflow_size`` cells are the shared overflow block.  As ``qbar_i >=
+    1/(2n)``, every block has at least 2 cells.
     """
-    big = 6 * q.n
-    qbar = 0.5 * (q.probs + 1.0 / q.n)
+    big = 6 * qs.shape[-1]
+    qbar = 0.5 * (qs + 1.0 / qs.shape[-1])
     cells = np.floor(big * qbar).astype(np.int64)
-    return big, cells, cells / (big * qbar), big - int(cells.sum())
+    return big, cells, cells / (big * qbar), big - cells.sum(axis=-1)
+
+
+def _pushforwards(qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Row r: the reduction built from ``qs[r]`` fed ``ps[r]``, before ``Pmf``'s renormalization."""
+    big, cells, spread, overflow_size = _blocks(qs)
+    pbar = 0.5 * (ps + 1.0 / ps.shape[-1])
+    overflow = [math.fsum(row) for row in (pbar * (1.0 - spread)).tolist()]
+    levels = np.concatenate([pbar * spread / cells,
+                             (overflow / np.maximum(overflow_size, 1))[:, None]], axis=1)
+    # each row's blocks and overflow together fill its 6n cells
+    counts = np.concatenate([cells, overflow_size[:, None]], axis=1)
+    return np.repeat(levels, counts.ravel()).reshape(-1, big)
 
 
 def exact_pushforward(q: Pmf, p: Pmf) -> Pmf:
@@ -142,14 +158,14 @@ def exact_pushforward(q: Pmf, p: Pmf) -> Pmf:
     """
     if q.n != p.n:
         raise ValueError("p and q must share a domain")
-    big, cells, spread, overflow_size = _blocks(q)
-    pbar = 0.5 * (p.probs + 1.0 / p.n)
-    out = np.empty(big, dtype=np.float64)
-    used = big - overflow_size
-    out[:used] = np.repeat(pbar * spread / cells, cells)
-    if overflow_size > 0:
-        out[used:] = math.fsum((pbar * (1.0 - spread)).tolist()) / overflow_size
-    return Pmf(out)
+    return Pmf(_pushforwards(q.probs[None], p.probs[None])[0])
+
+
+def _rational_rows(n: int, max_denominator: int) -> np.ndarray:
+    """``rational_pmfs(n, max_denominator)`` as one array, before ``Pmf``'s renormalization."""
+    return np.array([[c / d for c in counts] for d in range(1, max_denominator + 1)
+                     for counts in _compositions(d, n) if math.gcd(*counts) == 1],
+                    dtype=np.float64).reshape(-1, n)
 
 
 def rational_pmfs(n: int, max_denominator: int) -> list[Pmf]:
@@ -157,9 +173,7 @@ def rational_pmfs(n: int, max_denominator: int) -> list[Pmf]:
 
     Each appears once, at its least denominator d: a composition of d with gcd 1.
     """
-    return [Pmf(np.array([c / d for c in counts], dtype=np.float64))
-            for d in range(1, max_denominator + 1)
-            for counts in _compositions(d, n) if math.gcd(*counts) == 1]
+    return [Pmf(row) for row in _rational_rows(n, max_denominator)]
 
 
 @dataclass(frozen=True)
@@ -177,36 +191,39 @@ class ReductionScan:
 
 
 SCREEN_WINDOW = 2e-12
+# Rows of q per screen pass: its one (rows, n, P) float64 buffer stays under 128 KB.
+SCREEN_BLOCK_BYTES = 2**17
 
 
-def _screen_margins(q: Pmf, family: np.ndarray) -> np.ndarray:
-    """Margins ``tv(pushforward(q, p), U_6n) - tv(p, q)/3`` for every row p.
+def _screen_margins(qs: np.ndarray, family: np.ndarray) -> np.ndarray:
+    """Margins ``tv(pushforward(q, p), U_6n) - tv(p, q)/3``, shape ``(B, P)``.
 
-    ``family`` is a ``(k, n)`` array of pmfs.  The pushforward is affine in
-    p and constant on each of q's cell blocks, so its distance from uniform
-    is a per-block sum, ``cells_i * |pbar_i * spread_i / cells_i - 1/6n|``,
-    plus one overflow term: O(k n) work instead of building k vectors of
-    length 6n.  Sums run in numpy's order rather than ``math.fsum``'s and
-    skip ``Pmf``'s renormalization, so a margin can differ from the scalar
-    path's in its last bits.  Rows at distance 0 from q, which the check
-    skips, get ``inf``.  Raises
-    ``ValueError`` if a pushforward's total departs from 1 by more than
-    ``NORMALIZATION_TOL``, as building it as a ``Pmf`` would.
+    ``qs`` is a ``(B, n)`` block of pmfs and ``family`` a ``(P, n)`` array of
+    pmfs.  The pushforward is affine in p and constant on each of q's cell
+    blocks, so its distance from uniform is a per-block sum,
+    ``|pbar_i * spread_i - cells_i/6n|``, plus one overflow term: O(B P n)
+    work instead of building B P vectors of length 6n, laid out ``(B, n, P)``
+    so numpy's inner loops run over p.  Sums run in numpy's order rather than
+    ``math.fsum``'s and skip ``Pmf``'s renormalization, so a margin can differ
+    from the scalar path's in its last bits.  Pairs at distance 0, which the
+    check skips, get ``inf``.  Raises ``ValueError`` if a pushforward's total
+    departs from 1 by more than ``NORMALIZATION_TOL``, as a ``Pmf`` would.
     """
-    big, cells, spread, overflow_size = _blocks(q)
+    big, cells, spread, overflow_size = _blocks(qs)
     target = 1.0 / big
-    pbar = 0.5 * (family + 1.0 / q.n)
-    per_cell = pbar * spread / cells
-    total = per_cell @ cells
-    dev = np.abs(per_cell - target) @ cells
-    if overflow_size > 0:
-        overflow_mass = (pbar * (1.0 - spread)).sum(axis=1)
-        total = total + overflow_mass
-        dev = dev + overflow_size * np.abs(overflow_mass / overflow_size - target)
+    columns = np.ascontiguousarray(family.T)
+    pbar = 0.5 * (columns + 1.0 / len(columns))
+    work = spread[:, :, None] * pbar   # the one (B, n, P) buffer: mass kept per block
+    overflow_mass = (1.0 - spread) @ pbar
+    size = overflow_size[:, None]
+    total = work.sum(axis=1) + overflow_mass
+    work -= (cells * target)[:, :, None]
+    dev = (np.abs(work, out=work).sum(axis=1)
+           + size * np.abs(overflow_mass / np.maximum(size, 1) - target))
     if np.any(np.abs(total - 1.0) > NORMALIZATION_TOL):
-        raise ValueError(f"a pushforward of q={q.probs.tolist()} does not sum "
+        raise ValueError(f"a pushforward of a q in {qs.tolist()} does not sum "
                          f"to 1 within {NORMALIZATION_TOL}")
-    dist = 0.5 * np.abs(family - q.probs).sum(axis=1)
+    dist = 0.5 * np.abs(np.subtract(columns, qs[:, :, None], out=work), out=work).sum(axis=1)
     return np.where(dist > 0.0, 0.5 * dev - dist / 3.0, math.inf)
 
 
@@ -218,14 +235,16 @@ def reduction_check(max_n: int, max_denominator: int = 8) -> ReductionScan:
     p of the family must give a pushforward at least ``tv(p, q)/3`` from
     uniform (within 1e-12).
 
-    The second guarantee is screened, then confirmed.  For each q one numpy
-    pass (``_screen_margins``) gives the margins of all p at once; those
-    agree with the scalar path's within 1e-13.  Every pair whose screened
-    margin lies within ``SCREEN_WINDOW`` of the least is then rebuilt with
-    ``exact_pushforward`` and ``tv_distance``, and the reported
-    ``min_margin`` is the least of those scalar margins, so it is the same
-    float a pair-by-pair scan would report.  ``max_uniform_error`` comes
-    from ``exact_pushforward(q, q)`` for every q.
+    Each domain size's family is one ``(P, n)`` array.  One pass of
+    ``_pushforwards`` with q = p in every row, renormalized as ``Pmf`` does,
+    gives every ``exact_pushforward(q, q)`` bit for bit.  The second
+    guarantee is screened, then confirmed.  One ``_screen_margins`` pass per
+    block of q rows gives the margins of the block's pairs; those agree with
+    the scalar path's within 1e-13.  Only the pairs whose screened margin
+    lies within ``SCREEN_WINDOW`` of the least become ``Pmf`` objects, rebuilt
+    with ``exact_pushforward`` and ``tv_distance``; the reported
+    ``min_margin`` is the least of those scalar margins, the same float a
+    pair-by-pair scan would report.
     """
     if max_n < 1 or max_denominator < 1:
         raise ValueError(f"need max_n >= 1 and max_denominator >= 1, "
@@ -233,26 +252,27 @@ def reduction_check(max_n: int, max_denominator: int = 8) -> ReductionScan:
     num_pmfs = num_pairs = 0
     max_err = 0.0
     least = math.inf
-    candidates = []   # (screened margin, q, p)
+    candidates = []   # (screened margin, q row, p row), rows before Pmf's renormalization
     for n in range(1, max_n + 1):
-        family = rational_pmfs(n, max_denominator)
+        raw = _rational_rows(n, max_denominator)
+        family = _normalize_rows(raw.copy())
         num_pmfs += len(family)
         num_pairs += len(family) * (len(family) - 1)
-        target = 1.0 / (6 * n)
-        stacked = np.stack([p.probs for p in family])
-        for q in family:
-            push_q = exact_pushforward(q, q)
-            max_err = max(max_err, float(np.max(np.abs(push_q.probs - target))))
-            margins = _screen_margins(q, stacked)
+        push = _normalize_rows(_pushforwards(family, family))
+        max_err = max(max_err, float(np.max(np.abs(push - 1.0 / (6 * n)))))
+        rows = max(1, SCREEN_BLOCK_BYTES // (8 * family.size))
+        for start in range(0, len(family), rows):
+            margins = _screen_margins(family[start:start + rows], family)
             least = min(least, float(margins.min()))
             if math.isfinite(least):
-                candidates.extend((float(margins[i]), q, family[i])
-                                  for i in np.flatnonzero(margins <= least + SCREEN_WINDOW))
+                candidates.extend((float(margins[b, i]), raw[start + b], raw[i])
+                                  for b, i in zip(*np.nonzero(margins <= least + SCREEN_WINDOW)))
 
     min_margin = math.inf
-    for screened, q, p in candidates:
+    for screened, q_row, p_row in candidates:
         if screened > least + SCREEN_WINDOW:
             continue
+        q, p = Pmf(q_row), Pmf(p_row)
         uniform_big = Pmf(np.full(6 * q.n, 1.0 / (6 * q.n)))
         margin = tv_distance(exact_pushforward(q, p), uniform_big) - tv_distance(p, q) / 3.0
         min_margin = min(min_margin, margin)
@@ -290,8 +310,9 @@ class PairJointDist:
 
 def _mixture_matrix(lam: float, eps: float, K: int) -> np.ndarray:
     a = np.arange(K + 1)
-    hi = sps.poisson.pmf(a, lam * (1.0 + eps))
-    lo = sps.poisson.pmf(a, lam * (1.0 - eps))
+    # scipy.stats.poisson.pmf's own kernel, without its argument handling
+    hi, lo = (np.exp(special.xlogy(a, mu) - special.gammaln(a + 1) - mu)
+              for mu in (lam * (1.0 + eps), lam * (1.0 - eps)))
     return 0.5 * (np.outer(hi, lo) + np.outer(lo, hi))
 
 
@@ -300,22 +321,21 @@ def pair_joint(lam: float, eps0: float, eps1: float) -> PairJointDist:
 
     K starts at ``max(8, ceil(lam * (1 + eps1)))`` and doubles until each
     joint misses at most ``TAIL_TOL``; ``ValueError`` past ``TRUNCATION_CAP``.
+    The Poisson cdf and pmf are the ``scipy.special`` kernels under
+    ``scipy.stats.poisson`` (``pdtr(K, mu)``; ``exp(xlogy(k, mu) - gammaln(k
+    + 1) - mu)``), so every matrix, K and ``tail_mass`` is what it gives.
     """
     if not (0.0 <= eps0 <= eps1 < 1.0):
         raise ValueError("need 0 <= eps0 <= eps1 < 1")
-    if lam <= 0:
-        raise ValueError("need lam > 0")
-    K = max(8, int(math.ceil(lam * (1.0 + eps1))))
-    while True:
-        tails = []
-        for eps in (eps0, eps1):
-            f_hi = sps.poisson.cdf(K, lam * (1.0 + eps))
-            f_lo = sps.poisson.cdf(K, lam * (1.0 - eps))
-            tails.append(1.0 - f_hi * f_lo)
-        if max(tails) <= TAIL_TOL:
-            break
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"need a finite lam > 0, got lam={lam!r}")
+    K = max(8, math.ceil(lam * (1.0 + eps1)))
+    # a starting K past the cap fails before any cdf or pmf is evaluated
+    while K > TRUNCATION_CAP or TAIL_TOL < max(
+            1.0 - special.pdtr(K, lam * (1.0 + eps)) * special.pdtr(K, lam * (1.0 - eps))
+            for eps in (eps0, eps1)):
         if K >= TRUNCATION_CAP:
-            raise ValueError(f"truncation would exceed {TRUNCATION_CAP}")
+            raise ValueError(f"truncation would exceed {TRUNCATION_CAP} at lam={lam!r}")
         K = min(TRUNCATION_CAP, 2 * K)
     joints = tuple(_mixture_matrix(lam, eps, K) for eps in (eps0, eps1))
     tail_mass = max(1.0 - float(j.sum()) for j in joints)

@@ -310,3 +310,12 @@ class TestOracleCommand:
         assert lines[0].startswith("# config: ")
         assert lines[1] == "lambda,eps0,eps1,K,tail_mass,mi_nats,error_budget"
         assert len(lines) == 2 + 2
+
+    @pytest.mark.parametrize("lam, message", [
+        ("inf", "need a finite lam > 0, got lam=inf"),
+        ("nan", "need a finite lam > 0, got lam=nan"),
+        ("1e300", "truncation would exceed 10000 at lam=1e+300"),
+    ])
+    def test_mi_grid_bad_lambda_exit_two(self, lam, message, capsys):
+        code, out, err = run(["oracle", "mi-grid", "--lambdas", lam], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")

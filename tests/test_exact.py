@@ -6,11 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
-from repunif.distributions import InstanceSpec, Pmf, make_instance, tv_distance
+from repunif import exact
+from repunif.distributions import InstanceSpec, Pmf, _normalize_rows, make_instance, tv_distance
 from repunif.exact import (
     TAIL_TOL,
+    TRUNCATION_CAP,
     ReductionScan,
+    _pushforwards,
     _screen_margins,
     brute_force_mean_statistic,
     exact_mean_tv,
@@ -137,6 +141,23 @@ class TestPushforward:
         assert scan.min_margin >= -1e-12
 
 
+def _repeat_pushforward(q, p):
+    """The one-pair construction the family pass replaced: each block's level
+    repeated over its cells, then the overflow level, as a ``Pmf``."""
+    big = 6 * q.n
+    qbar = 0.5 * (q.probs + 1.0 / q.n)
+    cells = np.floor(big * qbar).astype(np.int64)
+    spread = cells / (big * qbar)
+    overflow_size = big - int(cells.sum())
+    pbar = 0.5 * (p.probs + 1.0 / p.n)
+    out = np.empty(big)
+    used = big - overflow_size
+    out[:used] = np.repeat(pbar * spread / cells, cells)
+    if overflow_size > 0:
+        out[used:] = math.fsum((pbar * (1.0 - spread)).tolist()) / overflow_size
+    return Pmf(out)
+
+
 def _scalar_reduction_check(max_n, max_denominator):
     """The pair-by-pair scan the screen replaced: the reference."""
     num_pmfs = num_pairs = 0
@@ -169,7 +190,8 @@ def _scalar_reduction_check(max_n, max_denominator):
 class TestReductionScan:
     # At D = 3 the screened minimum differs from the scalar one in its last
     # bits (0.027777777777777762 against ...776 at (2, 3)): only the
-    # confirmation step makes these equal.
+    # confirmation step makes these equal.  (4, 5) has 103 pmfs on [4], so
+    # its screen runs in three blocks of q rows (39, 39 and 25).
     @pytest.mark.parametrize("max_n, max_denominator", [
         *((n, d) for n in (1, 2, 3) for d in (1, 2, 3, 5, 8)),
         (4, 3), (4, 5), (5, 3),
@@ -178,27 +200,69 @@ class TestReductionScan:
         assert reduction_check(max_n, max_denominator) == _scalar_reduction_check(
             max_n, max_denominator)
 
+    @pytest.mark.parametrize("block_bytes", [1, 8 * 4 * 51 * 4])
+    def test_block_size_changes_nothing(self, block_bytes, monkeypatch):
+        # blocks of 1 row, and of 4 rows on [4] at D = 4 (51 pmfs, so the
+        # last block has 3)
+        monkeypatch.setattr(exact, "SCREEN_BLOCK_BYTES", block_bytes)
+        blocks, screen = [], exact._screen_margins
+        monkeypatch.setattr(exact, "_screen_margins",
+                            lambda qs, family: blocks.append((len(qs), len(family))) or screen(qs, family))
+        assert reduction_check(4, 4) == _scalar_reduction_check(4, 4)
+        rows_on_4 = [rows for rows, size in blocks if size == 51]
+        assert rows_on_4 == ([1] * 51 if block_bytes == 1 else [4] * 12 + [3])
+
+    def test_pinned_scan(self):
+        assert reduction_check(4, 8) == ReductionScan(
+            num_pmfs=549, num_pairs=179554, max_uniform_error=1.457167719820518e-16,
+            min_margin=0.002380952380952407)
+
+    def test_uniform_error_matches_per_q_pushforwards(self):
+        # the family pass gives exact_pushforward(q, q), and the former
+        # one-pair construction, bit for bit for every q
+        errors = []
+        for n in (1, 2, 3, 4):
+            family = rational_pmfs(n, 8)
+            stacked = np.stack([q.probs for q in family])
+            push = _normalize_rows(_pushforwards(stacked, stacked))
+            for q, row in zip(family, push):
+                assert np.array_equal(row, exact_pushforward(q, q).probs)
+                assert np.array_equal(row, _repeat_pushforward(q, q).probs)
+            errors.append(max(float(np.max(np.abs(_repeat_pushforward(q, q).probs - 1 / (6 * n))))
+                              for q in family))
+            assert reduction_check(n, 8).max_uniform_error == max(errors)
+
+    def test_pushforward_matches_repeat_construction(self):
+        for n in (1, 2, 3, 4):
+            family = rational_pmfs(n, 4)
+            for q in family:
+                for p in family[::3]:
+                    assert np.array_equal(exact_pushforward(q, p).probs,
+                                          _repeat_pushforward(q, p).probs)
+
     def test_screen_within_tolerance_of_scalar_margins(self):
         # reduction_check confirms every pair within 2e-12 of the screened
         # minimum; that window is sound only if the screen is this close.
+        # Blocks of 7 q rows, so block boundaries fall inside each family.
         for n in (1, 2, 3):
             family = rational_pmfs(n, 5)
             stacked = np.stack([p.probs for p in family])
             uniform_big = uniform(6 * n)
-            for q in family:
-                margins = _screen_margins(q, stacked)
-                for p, screened in zip(family, margins):
-                    if p is q:
-                        assert screened == math.inf
-                        continue
-                    scalar = (tv_distance(exact_pushforward(q, p), uniform_big)
-                              - tv_distance(p, q) / 3.0)
-                    assert abs(screened - scalar) <= 1e-13
+            for start in range(0, len(family), 7):
+                block = _screen_margins(stacked[start:start + 7], stacked)
+                assert block.shape == (len(family[start:start + 7]), len(family))
+                for q, margins in zip(family[start:start + 7], block):
+                    for p, screened in zip(family, margins):
+                        if p is q:
+                            assert screened == math.inf
+                            continue
+                        scalar = (tv_distance(exact_pushforward(q, p), uniform_big)
+                                  - tv_distance(p, q) / 3.0)
+                        assert abs(screened - scalar) <= 1e-13
 
     def test_screen_rejects_unnormalized_rows(self):
-        q = uniform(2)
         with pytest.raises(ValueError, match="sum"):
-            _screen_margins(q, np.array([[0.5, 0.5], [0.6, 0.6]]))
+            _screen_margins(uniform(2).probs[None], np.array([[0.5, 0.5], [0.6, 0.6]]))
 
     @pytest.mark.parametrize("max_n, max_denominator", [(0, 8), (-2, 8), (4, 0), (4, -1)])
     def test_rejects_empty_scan(self, max_n, max_denominator):
@@ -221,8 +285,6 @@ class TestPairJoint:
         assert np.allclose(d.joint[0], expected, rtol=1e-10, atol=1e-300)
 
     def test_marginals_are_poisson_mixtures(self):
-        from scipy import stats as sps
-
         lam, eps = 0.8, 0.3
         d = pair_joint(lam, 0.1, eps)
         a = np.arange(d.truncation + 1)
@@ -243,11 +305,49 @@ class TestPairJoint:
         with pytest.raises(ValueError, match="truncation"):
             pair_joint(10**6, 0.0, 0.1)
 
+    @pytest.mark.parametrize("lam", [10**6, 1e300, 9100.0])
+    def test_truncation_cap_checked_before_any_pmf(self, lam, monkeypatch):
+        # 9100 * 1.1 = 10010: the starting K alone passes the cap
+        monkeypatch.setattr(exact, "special", None)
+        with pytest.raises(ValueError, match=f"truncation would exceed {TRUNCATION_CAP} at lam="):
+            pair_joint(lam, 0.0, 0.1)
+
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_lam(self, lam):
+        with pytest.raises(ValueError, match=f"need a finite lam > 0, got lam={lam!r}"):
+            pair_joint(lam, 0.0, 0.1)
+
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
             pair_joint(1.0, 0.3, 0.2)
         with pytest.raises(ValueError):
             pair_joint(0.0, 0.1, 0.2)
+
+    # 7.784 and 44.66 are the m/n of the headline and identity points
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 7.784, 44.66])
+    @pytest.mark.parametrize("eps", [0.1, 0.25])
+    @pytest.mark.parametrize("delta", [0.0, 0.01, 0.02])
+    def test_matches_scipy_stats_construction(self, lam, eps, delta):
+        K, joints, tail_mass = _scipy_stats_pair_joint(lam, eps - delta, eps)
+        d = pair_joint(lam, eps - delta, eps)
+        assert d.truncation == K
+        assert d.tail_mass == tail_mass
+        for got, want in zip(d.joint, joints):
+            assert np.array_equal(got, want)
+
+
+def _scipy_stats_pair_joint(lam, eps0, eps1):
+    """``pair_joint`` built from ``scipy.stats.poisson``: the reference."""
+    K = max(8, math.ceil(lam * (1.0 + eps1)))
+    while max(1.0 - sps.poisson.cdf(K, lam * (1.0 + eps)) * sps.poisson.cdf(K, lam * (1.0 - eps))
+              for eps in (eps0, eps1)) > TAIL_TOL:
+        K = min(TRUNCATION_CAP, 2 * K)
+    a = np.arange(K + 1)
+    joints = []
+    for eps in (eps0, eps1):
+        hi, lo = sps.poisson.pmf(a, lam * (1.0 + eps)), sps.poisson.pmf(a, lam * (1.0 - eps))
+        joints.append(0.5 * (np.outer(hi, lo) + np.outer(lo, hi)))
+    return K, joints, max(0.0, max(1.0 - float(j.sum()) for j in joints))
 
 
 class TestMutualInfo:
