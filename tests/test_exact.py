@@ -9,12 +9,21 @@ import pytest
 from scipy import stats as sps
 
 from repunif import exact
-from repunif.distributions import InstanceSpec, Pmf, _normalize_rows, make_instance, tv_distance
+from repunif.distributions import (
+    InstanceSpec,
+    Pmf,
+    SampleBatch,
+    _normalize_rows,
+    make_instance,
+    tv_distance,
+)
 from repunif.exact import (
     TAIL_TOL,
     TRUNCATION_CAP,
+    SCREEN_WINDOW,
     ReductionScan,
     _pushforwards,
+    _rational_rows,
     _screen_margins,
     brute_force_mean_statistic,
     exact_mean_tv,
@@ -25,7 +34,7 @@ from repunif.exact import (
     reduction_check,
 )
 from repunif.rng import stream
-from repunif.stats import collision_statistic, tv_statistic
+from repunif.stats import collision_statistic, exact_uniform_mean, tv_statistic
 
 
 def uniform(n):
@@ -66,6 +75,33 @@ class TestBruteForce:
         expected = math.comb(m, 2) * float(np.sum(p.probs**2))
         assert brute_force_mean_statistic(p, m, collision_statistic) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [1030, 1100, 2000])
+    def test_large_m_matches_exact_uniform_mean(self, m):
+        # an int multinomial coefficient past float range, and 0.5**m below
+        # the least subnormal, must not reach the sum: weights in log space
+        assert abs(brute_force_mean_statistic(uniform(2), m, tv_statistic)
+                   - exact_uniform_mean(2, m)) <= 1e-12
+
+    @pytest.mark.parametrize("statistic", [tv_statistic, collision_statistic])
+    def test_grouping_matches_loop(self, statistic):
+        # one statistic call per count multiset of positive weight: a
+        # partition of m into at most as many parts as p has support cells
+        calls = []
+
+        def counted(batch):
+            calls.append(batch.counts.tolist())
+            return statistic(batch)
+
+        for n in (1, 2, 3, 4):
+            for p in rational_pmfs(n, 4):
+                for m in range(1, 7):
+                    calls.clear()
+                    got = brute_force_mean_statistic(p, m, counted)
+                    want = _loop_brute_force(p, m, statistic)
+                    assert abs(got - want) <= 1e-14 * abs(want)
+                    assert len(calls) == _partition_count(m, int(np.count_nonzero(p.probs)))
+                    assert all(c == sorted(c, reverse=True) for c in calls)
+
     def test_marginal_oracle_agrees(self):
         rng = stream(56, 0)
         for _ in range(5):
@@ -76,6 +112,37 @@ class TestBruteForce:
             assert exact_mean_tv(p, m) == pytest.approx(
                 brute_force_mean_statistic(p, m, tv_statistic), abs=1e-12
             )
+
+
+def _loop_compositions(m, n):
+    """All length-n tuples of nonnegative ints summing to m, by stars and bars."""
+    for bars in itertools.combinations(range(m + n - 1), n - 1):
+        edges = (-1, *bars, m + n - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def _loop_brute_force(p, m, statistic):
+    """The per-composition loop the grouped enumeration replaced: the reference."""
+    total = []
+    for counts in _loop_compositions(m, p.n):
+        weight = 1.0
+        coeff = 1
+        remaining = m
+        for c, prob in zip(counts, p.probs):
+            if c:
+                coeff *= math.comb(remaining, c)
+                remaining -= c
+                weight *= prob**c
+        if weight == 0.0:
+            continue
+        total.append(coeff * weight * statistic(SampleBatch(np.array(counts, dtype=np.int64))))
+    return math.fsum(total)
+
+
+def _partition_count(m, parts):
+    """Partitions of m into at most ``parts`` parts, by enumeration."""
+    return sum(1 for c in itertools.product(range(m + 1), repeat=parts)
+               if sum(c) == m and list(c) == sorted(c, reverse=True))
 
 
 class TestPushforward:
@@ -187,11 +254,51 @@ def _scalar_reduction_check(max_n, max_denominator):
                          max_uniform_error=max_err, min_margin=min_margin)
 
 
+def _all_q_reduction_check(max_n, max_denominator):
+    """The screen over every q row, before it took only the sorted ones."""
+    num_pmfs = num_pairs = 0
+    max_err = 0.0
+    least = math.inf
+    candidates = []
+    for n in range(1, max_n + 1):
+        raw = _rational_rows(n, max_denominator)
+        family = _normalize_rows(raw.copy())
+        num_pmfs += len(family)
+        num_pairs += len(family) * (len(family) - 1)
+        push = _normalize_rows(_pushforwards(family, family))
+        max_err = max(max_err, float(np.max(np.abs(push - 1.0 / (6 * n)))))
+        rows = max(1, exact.SCREEN_BLOCK_BYTES // (8 * family.size))
+        for start in range(0, len(family), rows):
+            margins = _screen_margins(family[start:start + rows], family)
+            least = min(least, float(margins.min()))
+            if math.isfinite(least):
+                candidates.extend((float(margins[b, i]), raw[start + b], raw[i])
+                                  for b, i in zip(*np.nonzero(margins <= least + SCREEN_WINDOW)))
+    min_margin = math.inf
+    for screened, q_row, p_row in candidates:
+        if screened <= least + SCREEN_WINDOW:
+            min_margin = min(min_margin, _margin(Pmf(q_row), Pmf(p_row)))
+    if not math.isfinite(min_margin):
+        min_margin = 0.0
+    return ReductionScan(num_pmfs=num_pmfs, num_pairs=num_pairs,
+                         max_uniform_error=max_err, min_margin=min_margin)
+
+
+def _margin(q, p):
+    return tv_distance(exact_pushforward(q, p), uniform(6 * q.n)) - tv_distance(p, q) / 3.0
+
+
+def _sorted_count(n, max_denominator):
+    """How many pmfs of ``rational_pmfs(n, max_denominator)`` are sorted non-increasing."""
+    return sum(1 for p in rational_pmfs(n, max_denominator)
+               if list(p.probs) == sorted(p.probs, reverse=True))
+
+
 class TestReductionScan:
     # At D = 3 the screened minimum differs from the scalar one in its last
     # bits (0.027777777777777762 against ...776 at (2, 3)): only the
-    # confirmation step makes these equal.  (4, 5) has 103 pmfs on [4], so
-    # its screen runs in three blocks of q rows (39, 39 and 25).
+    # confirmation step makes these equal.  The screen takes only the sorted
+    # q rows: at (4, 5), 12 of the 103 pmfs on [4], so one block.
     @pytest.mark.parametrize("max_n, max_denominator", [
         *((n, d) for n in (1, 2, 3) for d in (1, 2, 3, 5, 8)),
         (4, 3), (4, 5), (5, 3),
@@ -202,20 +309,47 @@ class TestReductionScan:
 
     @pytest.mark.parametrize("block_bytes", [1, 8 * 4 * 51 * 4])
     def test_block_size_changes_nothing(self, block_bytes, monkeypatch):
-        # blocks of 1 row, and of 4 rows on [4] at D = 4 (51 pmfs, so the
-        # last block has 3)
+        # blocks of 1 q row, and of 4 q rows, against the 51 pmfs on [4] at
+        # D = 4; the q rows are the sorted ones, so a short last block
+        # appears when 4 does not divide their count
         monkeypatch.setattr(exact, "SCREEN_BLOCK_BYTES", block_bytes)
         blocks, screen = [], exact._screen_margins
         monkeypatch.setattr(exact, "_screen_margins",
                             lambda qs, family: blocks.append((len(qs), len(family))) or screen(qs, family))
         assert reduction_check(4, 4) == _scalar_reduction_check(4, 4)
         rows_on_4 = [rows for rows, size in blocks if size == 51]
-        assert rows_on_4 == ([1] * 51 if block_bytes == 1 else [4] * 12 + [3])
+        per_block = 1 if block_bytes == 1 else 4
+        whole, rest = divmod(_sorted_count(4, 4), per_block)
+        assert rows_on_4 == [per_block] * whole + ([rest] if rest else [])
 
     def test_pinned_scan(self):
         assert reduction_check(4, 8) == ReductionScan(
             num_pmfs=549, num_pairs=179554, max_uniform_error=1.457167719820518e-16,
             min_margin=0.002380952380952407)
+
+    def test_pinned_scan_on_5(self):
+        # the same value as the screen over every q row
+        pinned = ReductionScan(num_pmfs=1685, num_pairs=1468914,
+                               max_uniform_error=1.457167719820518e-16,
+                               min_margin=0.002380952380952407)
+        assert reduction_check(5, 8) == pinned
+        assert _all_q_reduction_check(5, 8) == pinned
+
+    def test_margins_invariant_under_relabeling(self):
+        # the premise of screening only sorted q: one permutation applied to
+        # q and p leaves the scalar margin and the error of
+        # exact_pushforward(q, q) the same floats
+        raw = _rational_rows(4, 6)
+        rng = stream(58, 0)
+        pairs = rng.integers(0, len(raw), size=(40, 2))
+        for a, b in pairs.tolist():
+            q, p = Pmf(raw[a]), Pmf(raw[b])
+            margin = _margin(q, p)
+            error = np.max(np.abs(exact_pushforward(q, q).probs - 1 / 24))
+            for perm in itertools.permutations(range(4)):
+                q_perm, p_perm = Pmf(raw[a][list(perm)]), Pmf(raw[b][list(perm)])
+                assert _margin(q_perm, p_perm) == margin
+                assert np.max(np.abs(exact_pushforward(q_perm, q_perm).probs - 1 / 24)) == error
 
     def test_uniform_error_matches_per_q_pushforwards(self):
         # the family pass gives exact_pushforward(q, q), and the former
