@@ -49,7 +49,12 @@ they are.  Otherwise the k rows are k ``draw_batch`` calls in order.
 
 ``draw_poissonized_batch`` draws ``N ~ Poisson(m)`` and returns
 ``draw_batch(p, N)``: by Poissonization its coordinates are independent
-Poisson(``m * p_i``).
+Poisson(``m * p_i``).  A symmetric statistic needs only such a batch's
+fingerprint (how many cells hold each count), and ``_poissonized_fingerprint``
+draws it directly, as the barrier study's chi-square batches are: on a pmf
+with at most 3 levels, the histogram of a level's g cells of one rate is
+multinomial(g, that rate's ``PoissonTable`` law), so no n-length vector is
+made.
 """
 
 from __future__ import annotations
@@ -460,6 +465,11 @@ class PoissonTable:
         hits = np.bincount(np.ceil(cdf * q).astype(np.intp), minlength=q + 1)
         self.guide = np.where(hits[1:] > 0, -1, self.lo + np.cumsum(hits[:-1])).astype(np.int32)
 
+    @cached_property
+    def pmf(self) -> np.ndarray:
+        """The table's law: ``pmf[i]`` is the probability of ``lo + i``, the steps of ``cdf``."""
+        return np.diff(self.cdf, prepend=0.0)
+
     def lookup(self, chunks: np.ndarray, fresh) -> np.ndarray:
         """Poisson variates for random 16-bit ``chunks``, one per cell.
 
@@ -482,8 +492,9 @@ class PoissonTable:
 
 
 # Tables are keyed by the cell rate, and a replicability prior makes new rates
-# for every pair; a pmf has at most 3 levels, so 16 tables serve 5 pmfs at once.
-@lru_cache(maxsize=16)
+# for every pair.  A pmf has at most 3 levels, so 16 tables serve 5 tester pmfs
+# at once; 16 more hold the barrier study's 10 chi-square laws (5 m x 2 levels).
+@lru_cache(maxsize=32)
 def _poisson_table(lam: float) -> PoissonTable:
     return PoissonTable(lam)
 
@@ -621,6 +632,13 @@ def draw_samples(p: Pmf, m: int, rng: np.random.Generator) -> np.ndarray:
     return p.alias_table().draw(m, rng).astype(np.int64)
 
 
+def _check_poisson_rate(m: float) -> None:
+    if not (m > 0 and math.isfinite(m)):
+        raise ValueError(f"poisson rate must be finite and > 0, got {m!r}")
+    if m > _POISSON_RATE_MAX:
+        raise ValueError(f"poisson rate m = {m!r} exceeds numpy's limit {_POISSON_RATE_MAX!r}")
+
+
 def draw_poissonized_batch(p: Pmf, m: float, rng: np.random.Generator) -> SampleBatch:
     """Draw each count independently as Poisson(m * p_i).
 
@@ -628,8 +646,39 @@ def draw_poissonized_batch(p: Pmf, m: float, rng: np.random.Generator) -> Sample
     given ``N``, independent Poisson counts are multinomial(N, p), so the law
     is the same, at the cost of one ``draw_batch``.
     """
-    if not (m > 0 and math.isfinite(m)):
-        raise ValueError(f"poisson rate must be finite and > 0, got {m!r}")
-    if m > _POISSON_RATE_MAX:
-        raise ValueError(f"poisson rate m = {m!r} exceeds numpy's limit {_POISSON_RATE_MAX!r}")
+    _check_poisson_rate(m)
     return draw_batch(p, int(rng.poisson(m)), rng)
+
+
+def _poissonized_fingerprint(p: Pmf, m: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The fingerprint of one batch of independent Poisson(m * p_i) counts.
+
+    Returns ``(values, mult)`` as ``np.unique(counts, return_counts=True)``
+    would for such a batch: the distinct counts, ascending, and how many
+    cells hold each.  No n-length vector is made on a pmf with at most 3
+    levels: the g cells of a level share one rate, so their histogram is
+    multinomial(g, law of one cell), drawn over the values of the level's
+    cached ``PoissonTable`` (the law the tester's Poisson counts use, a cdf
+    within 1e-13 of the exact one).  Zero-mass cells count 0.  A level past
+    the table bound draws its g counts from numpy's Poisson sampler, merged
+    with the rest by one ``np.unique``; a pmf with more levels draws all n.
+    """
+    _check_poisson_rate(m)
+    levels = p.level_table()
+    if levels is None:
+        return np.unique(rng.poisson(m * p.probs), return_counts=True)
+    rates = [m * float(p.probs[cells[0]]) for cells in levels.cells]
+    tables = [_poisson_table(lam) if lam <= _POISSON_TABLE_MAX_RATE else None for lam in rates]
+    # the histogram of the tabled levels' counts, and of the zero-mass cells
+    hist = np.zeros(max([t.lo + t.cdf.size for t in tables if t is not None], default=1), dtype=np.int64)
+    hist[0] = p.n - levels.order.size
+    wide = []
+    for cells, lam, table in zip(levels.cells, rates, tables):
+        if table is None:
+            wide.append(rng.poisson(lam, cells.size))
+        else:
+            hist[table.lo:table.lo + table.cdf.size] += rng.multinomial(cells.size, table.pmf)
+    values = np.flatnonzero(hist)
+    if wide:
+        return np.unique(np.concatenate([np.repeat(values, hist[values]), *wide]), return_counts=True)
+    return values, hist[values]

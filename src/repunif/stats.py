@@ -11,9 +11,13 @@ numerators for every caller: one batch, or the m0 rows of a tester run in
 one numpy pass.  At ``m <= n`` a numerator is ``2*m*Z`` with Z the empty
 cells (the identity ``S = Z/n``), and the collision count is
 ``(sum X_i^2 - m) / 2``: one pass each, the same integers.  The
-chi-square statistic sums its float terms as one exact integer over their
-common power-of-two denominator, so it is rounded once.  ``mu(U_n)``, the
-uniform-case mean of TV, is a binomial sum over one window around its mean.
+chi-square statistic depends on a batch only through its fingerprint (the
+cells holding each distinct count), which ``_chi2_from_fingerprint`` sums:
+its float terms times their multiplicities make one exact integer over their
+common power-of-two denominator, so it is rounded once.  ``chi2_statistic``
+takes the fingerprint of a frequency vector; the barrier study passes the
+fingerprints it draws.  ``mu(U_n)``, the uniform-case mean of TV, is a
+binomial sum over one window around its mean.
 """
 
 from __future__ import annotations
@@ -101,14 +105,23 @@ def chi2_statistic(batch: SampleBatch, m_rate: float) -> float:
 
     ``sum_i ((X_i - m_rate/n)^2 - X_i) / (m_rate/n)`` where ``m_rate`` is
     the Poisson sampling rate (which may differ from the realized total).
+    It depends on the batch only through its fingerprint, which
+    ``_chi2_from_fingerprint`` sums.
+    """
+    values, mult = np.unique(batch.counts, return_counts=True)
+    return _chi2_from_fingerprint(values, mult, batch.n, m_rate)
+
+
+def _chi2_from_fingerprint(values: np.ndarray, mult: np.ndarray, n: int, m_rate: float) -> float:
+    """The chi-square statistic of a batch on n cells, ``mult[j]`` of which count ``values[j]``.
+
     Each distinct count's term is a float a/d with d a power of two, so
     the terms times their multiplicities sum to one exact integer over the
     largest d, rounded once: the float ``math.fsum`` of all n terms gives.
     """
     if not (m_rate > 0 and math.isfinite(m_rate)):
         raise ValueError(f"chi2 rate must be finite and > 0, got {m_rate!r}")
-    expected = m_rate / batch.n
-    values, mult = np.unique(batch.counts, return_counts=True)
+    expected = m_rate / n
     c = values.astype(np.float64)
     terms = ((c - expected) ** 2 - c) / expected
     if not np.all(np.isfinite(terms)):

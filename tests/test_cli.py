@@ -188,6 +188,27 @@ class TestExperimentCommand:
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
+    def test_barrier_zero_spread_exit_two(self, capsys, recwarn):
+        # every collision count at m = 8 is 0, so the slope would be nan
+        code, out, err = run(["experiment", "barrier", "--stat", "collision", "--n", "100",
+                              "--m-grid", "4,8,16", "--runs-per-m", "3", "--seed", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: collision statistic has sd 0 over 3 runs at m = 8:")
+        assert len(recwarn) == 0
+
+    def test_barrier_chi2_rate_bounds(self, capsys):
+        # 3e18 is past the Poisson table bound but under numpy's rate limit
+        code, out, _ = run(["experiment", "barrier", "--stat", "chi2", "--n", "100",
+                            "--m-grid", "4,3000000000000000000"], capsys)
+        assert code == 0
+        report = json.loads(out.split(": ", 1)[1])
+        assert all(np.isfinite([r["mean"], r["sd"], r["sd_over_gap"]]).all() for r in report["rows"])
+        code, out, err = run(["experiment", "barrier", "--stat", "chi2", "--n", "100",
+                              "--m-grid", "4,100000000000000000000"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: poisson rate m = 100000000000000000000 exceeds numpy's limit "
+                       "9.223372006484771e+18\n")
+
     @pytest.mark.parametrize("kind, extra", [
         ("correctness", ["--trials", "2"]),
         ("replicability", ["--pairs", "2"]),

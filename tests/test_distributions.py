@@ -567,6 +567,19 @@ class TestPoissonTable:
         assert poisson.cdf(table.lo - 1, lam) <= 1e-15 and poisson.sf(k[-1], lam) <= 1e-15
         assert table.cdf[-1] == 1.0 and np.all(np.diff(table.cdf) >= 0)
 
+    @pytest.mark.parametrize("lam", [*RATES, 0.04, 0.63, 4.0, 64.0])
+    def test_pmf_is_the_law_of_the_cdf(self, lam):
+        # the cdf's steps, so a count drawn from pmf has the law of a lookup:
+        # mean and variance lam up to the cdf's rounding
+        table = PoissonTable(lam)
+        pmf = table.pmf
+        assert np.all(pmf >= 0) and pmf[0] == table.cdf[0]
+        assert np.array_equal(np.cumsum(pmf), table.cdf)
+        k = np.arange(table.lo, table.lo + pmf.size)
+        mean = math.fsum((k * pmf).tolist())
+        var = math.fsum(((k - mean) ** 2 * pmf).tolist())
+        assert abs(mean - lam) <= 1e-13 * max(lam, 1.0) and abs(var - lam) <= 1e-13 * max(lam, 1.0)
+
     @staticmethod
     def _grid_edges(table):
         """Every bucket edge j/Q and every cdf entry, each with its two
@@ -755,6 +768,80 @@ class TestPoissonized:
         p = Pmf(np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match=r"m = 3e\+19 exceeds"):
             draw_poissonized_batch(p, 3e19, stream(1, 1))
+
+
+def _reference_fingerprint(p, m, rng):
+    """One Poisson(m p_i) count per cell, reduced to its fingerprint by ``np.unique``."""
+    return np.unique(rng.poisson(m * p.probs), return_counts=True)
+
+
+def _zero_mass_pmf(n):
+    """Uniform on the even cells, zero on the odd ones."""
+    probs = np.zeros(n)
+    probs[::2] = 2.0 / n
+    return Pmf(probs)
+
+
+class TestPoissonizedFingerprint:
+    TRIALS = 2000
+
+    @staticmethod
+    def _assert_law(fingerprints, p, m):
+        """Each value's mean multiplicity is within 5 SE of sum_i P(Poisson(m p_i) = v).
+
+        Values whose expected multiplicity is below 0.05 are pooled into one
+        bin, so that each bin's mean over the draws is near normal.  The SE
+        is exact: a multiplicity is a sum of independent cell indicators.
+        """
+        from scipy.stats import poisson
+
+        trials = len(fingerprints)
+        rates, cells = np.unique(m * p.probs, return_counts=True)
+        top = max(max(int(v[-1]) for v, _ in fingerprints),
+                  int(rates[-1] + 12 * math.sqrt(rates[-1]) + 30))
+        law = poisson.pmf(np.arange(top + 1)[None, :], rates[:, None])  # (rates, values)
+        observed = np.zeros(top + 1)
+        for values, mult in fingerprints:
+            assert np.all(np.diff(values) > 0) and np.all(mult > 0) and mult.sum() == p.n
+            observed[values] += mult
+        expected = cells @ law
+        single, pooled = np.flatnonzero(expected >= 0.05), np.flatnonzero(expected < 0.05)
+        hits = np.column_stack([law[:, single], law[:, pooled].sum(axis=1)])
+        got = np.append(observed[single], observed[pooled].sum()) / trials
+        mean, var = cells @ hits, cells @ (hits * (1 - hits))
+        assert np.all(np.abs(got - mean) <= 5 * np.sqrt(np.maximum(var, 0.0) / trials) + 1e-9)
+
+    @pytest.mark.parametrize("p, m", [
+        (make_instance(InstanceSpec.heavy(1e4 ** -0.5), 10**4), 400),
+        (make_instance(InstanceSpec.heavy(1e4 ** -0.5), 10**4), 6400),
+        (_mixed_levels(2000), 3000),  # 3 levels and a zero-mass cell
+        (_zero_mass_pmf(1000), 500),
+        (_leveled(1000, 200), 2000),  # more than 3 levels: numpy's Poisson over all n
+        # rates 3840 and 4160 on either side of the table bound: their values overlap
+        (Pmf(np.repeat([0.0048, 0.0052], 100)), 800_000),
+    ], ids=["heavy-400", "heavy-6400", "three-levels", "zero-mass", "many-levels", "table-bound"])
+    def test_law_against_per_cell_poissons(self, p, m):
+        # the sampler and the per-cell reference both match the closed-form
+        # fingerprint law, and both give the chi-square mean m n sum (p_i - 1/n)^2
+        from repunif import stats
+
+        rng, ref_rng = stream(71, 1), stream(71, 2)
+        drawn = [distributions._poissonized_fingerprint(p, m, rng) for _ in range(self.TRIALS)]
+        reference = [_reference_fingerprint(p, m, ref_rng) for _ in range(self.TRIALS)]
+        closed_form = m * p.n * math.fsum(((p.probs - 1.0 / p.n) ** 2).tolist())
+        for fingerprints in (drawn, reference):
+            self._assert_law(fingerprints, p, m)
+            chi2 = np.array([stats._chi2_from_fingerprint(v, c, p.n, m) for v, c in fingerprints])
+            assert abs(chi2.mean() - closed_form) <= 6 * chi2.std(ddof=1) / math.sqrt(self.TRIALS)
+
+    @pytest.mark.parametrize("rate, match", [
+        (0.0, "finite and > 0"), (-1.0, "finite and > 0"), (math.nan, "finite"),
+        (math.inf, "finite"), (3e19, r"m = 3e\+19 exceeds"),
+    ])
+    def test_rejects_bad_rates(self, rate, match):
+        # the checks and messages of draw_poissonized_batch
+        with pytest.raises(ValueError, match=match):
+            distributions._poissonized_fingerprint(Pmf(np.array([0.5, 0.5])), rate, stream(1, 1))
 
 
 def _loop_alias_table(probs):

@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from repunif import harness
+from repunif import distributions, harness, stats
 from repunif.constants import default_constants, load_constants, parse_constants, save_constants
 from repunif.distributions import (
     InstanceSpec,
     SampleBatch,
     draw_batch,
     draw_batches,
-    draw_poissonized_batch,
     make_instance,
 )
 from repunif.harness import (
@@ -36,7 +35,6 @@ from repunif.harness import (
 )
 from repunif.rng import ROLE_INSTANCE, ROLE_INTERNAL, ROLE_SAMPLE, SeedSplit, stream
 from repunif.stats import (
-    chi2_statistic,
     collision_statistic,
     exact_uniform_mean,
     expectation_gap,
@@ -271,6 +269,12 @@ class TestBarrierExperiment:
                                    workers=workers).to_dict() for workers in (1, 2)]
         assert runs[0] == runs[1]
 
+    def test_zero_spread_raises(self, recwarn):
+        # at n = 100 every collision count over 3 runs at m = 8 is 0: no log-log slope
+        with pytest.raises(ValueError, match=r"sd 0 over 3 runs at m = 8\b"):
+            barrier_experiment("collision", 100, [4, 8, 16], 3, master_seed=1)
+        assert len(recwarn) == 0
+
     def test_unknown_kind_and_bad_grid(self):
         with pytest.raises(ValueError):
             barrier_experiment("median", 400, [80, 160], 30, master_seed=1)
@@ -430,7 +434,9 @@ class TestStreamKeyContract:
                 if kind == "collision":
                     values.append(float(collision_statistic(draw_batch(pmf, row.m, rng))))
                 elif kind == "chi2":
-                    values.append(chi2_statistic(draw_poissonized_batch(pmf, row.m, rng), row.m))
+                    # a chi-square batch is drawn as its fingerprint, never as a vector
+                    fingerprint = distributions._poissonized_fingerprint(pmf, row.m, rng)
+                    values.append(stats._chi2_from_fingerprint(*fingerprint, n, row.m))
                 else:
                     values.append(tv_statistic(draw_batch(pmf, row.m, rng)))
             assert (row.mean, row.sd) == (float(np.mean(values)), float(np.std(values, ddof=1)))

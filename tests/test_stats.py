@@ -301,6 +301,17 @@ class TestChi2Statistic:
     def test_matches_fsum_of_every_term_on_wide_counts(self, counts, m_rate):
         assert chi2_statistic(batch(*counts), m_rate) == _chi2_reference(counts, m_rate)
 
+    @given(
+        st.lists(st.one_of(st.integers(0, 8), st.integers(0, 2**40)), min_size=1, max_size=300),
+        st.floats(min_value=1e-3, max_value=1e12),
+    )
+    @settings(max_examples=150)
+    def test_is_the_fingerprint_sum(self, counts, m_rate):
+        # a batch's statistic is the fingerprint helper on np.unique of its counts
+        b = batch(*counts)
+        fingerprint = np.unique(b.counts, return_counts=True)
+        assert stats._chi2_from_fingerprint(*fingerprint, b.n, m_rate) == chi2_statistic(b, m_rate)
+
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=60)
     def test_matches_fsum_of_every_term_on_heavy_tailed_counts(self, seed):
