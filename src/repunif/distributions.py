@@ -52,9 +52,9 @@ they are.  Otherwise the k rows are k ``draw_batch`` calls in order.
 Poisson(``m * p_i``).  A symmetric statistic needs only such a batch's
 fingerprint (how many cells hold each count), and ``_poissonized_fingerprint``
 draws it directly, as the barrier study's chi-square batches are: on a pmf
-with at most 3 levels, the histogram of a level's g cells of one rate is
-multinomial(g, that rate's ``PoissonTable`` law), so no n-length vector is
-made.
+with at most 3 levels and cell rates within the table bound, the histogram
+of a level's g cells of one rate is multinomial(g, that rate's
+``PoissonTable`` law), so no n-length vector is made.
 """
 
 from __future__ import annotations
@@ -492,9 +492,9 @@ class PoissonTable:
 
 
 # Tables are keyed by the cell rate, and a replicability prior makes new rates
-# for every pair.  A pmf has at most 3 levels, so 16 tables serve 5 tester pmfs
-# at once; 16 more hold the barrier study's 10 chi-square laws (5 m x 2 levels).
-@lru_cache(maxsize=32)
+# for every pair; a pmf has at most 3 levels, so 16 tables serve 5 pmfs at once.
+# The barrier study's chi-square laws (5 m x 2 levels) fit in them too.
+@lru_cache(maxsize=16)
 def _poisson_table(lam: float) -> PoissonTable:
     return PoissonTable(lam)
 
@@ -656,29 +656,23 @@ def _poissonized_fingerprint(p: Pmf, m: float, rng: np.random.Generator) -> tupl
     Returns ``(values, mult)`` as ``np.unique(counts, return_counts=True)``
     would for such a batch: the distinct counts, ascending, and how many
     cells hold each.  No n-length vector is made on a pmf with at most 3
-    levels: the g cells of a level share one rate, so their histogram is
-    multinomial(g, law of one cell), drawn over the values of the level's
-    cached ``PoissonTable`` (the law the tester's Poisson counts use, a cdf
-    within 1e-13 of the exact one).  Zero-mass cells count 0.  A level past
-    the table bound draws its g counts from numpy's Poisson sampler, merged
-    with the rest by one ``np.unique``; a pmf with more levels draws all n.
+    levels whose cell rates are within the table bound: the g cells of a
+    level share one rate, so their histogram is multinomial(g, law of one
+    cell), drawn over the values of the level's cached ``PoissonTable`` (the
+    law the tester's Poisson counts use, a cdf within 1e-13 of the exact
+    one).  Zero-mass cells count 0.  Any other pmf draws all n counts from
+    numpy's Poisson sampler.
     """
     _check_poisson_rate(m)
     levels = p.level_table()
-    if levels is None:
+    rates = [] if levels is None else [m * float(p.probs[cells[0]]) for cells in levels.cells]
+    if levels is None or max(rates) > _POISSON_TABLE_MAX_RATE:
         return np.unique(rng.poisson(m * p.probs), return_counts=True)
-    rates = [m * float(p.probs[cells[0]]) for cells in levels.cells]
-    tables = [_poisson_table(lam) if lam <= _POISSON_TABLE_MAX_RATE else None for lam in rates]
-    # the histogram of the tabled levels' counts, and of the zero-mass cells
-    hist = np.zeros(max([t.lo + t.cdf.size for t in tables if t is not None], default=1), dtype=np.int64)
+    tables = [_poisson_table(lam) for lam in rates]
+    # the histogram of the levels' counts, and of the zero-mass cells
+    hist = np.zeros(max(t.lo + t.cdf.size for t in tables), dtype=np.int64)
     hist[0] = p.n - levels.order.size
-    wide = []
-    for cells, lam, table in zip(levels.cells, rates, tables):
-        if table is None:
-            wide.append(rng.poisson(lam, cells.size))
-        else:
-            hist[table.lo:table.lo + table.cdf.size] += rng.multinomial(cells.size, table.pmf)
+    for cells, table in zip(levels.cells, tables):
+        hist[table.lo:table.lo + table.cdf.size] += rng.multinomial(cells.size, table.pmf)
     values = np.flatnonzero(hist)
-    if wide:
-        return np.unique(np.concatenate([np.repeat(values, hist[values]), *wide]), return_counts=True)
     return values, hist[values]

@@ -6,7 +6,9 @@ heavy-element barrier studies, and calibrates the tester constants.  The
 barrier study is the one home of the baseline statistics (collision,
 Poissonized chi-square, TV): which exist, how each is sampled, and its gap.
 A chi-square batch is drawn and scored as its fingerprint (how many cells
-hold each count), never as an n-length vector.
+hold each count).  No n-length vector is made while every cell rate is within
+the Poisson table bound: the single-heavy-element pmf has 2 levels, so for
+m up to 4096 n^1/2.
 
 Determinism contract: every trial's randomness is a pure function of
 ``(master_seed, key)``, reports are assembled in trial order, and the

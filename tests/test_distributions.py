@@ -817,7 +817,7 @@ class TestPoissonizedFingerprint:
         (_mixed_levels(2000), 3000),  # 3 levels and a zero-mass cell
         (_zero_mass_pmf(1000), 500),
         (_leveled(1000, 200), 2000),  # more than 3 levels: numpy's Poisson over all n
-        # rates 3840 and 4160 on either side of the table bound: their values overlap
+        # rates 3840 and 4160 on either side of the table bound: all n from numpy's Poisson
         (Pmf(np.repeat([0.0048, 0.0052], 100)), 800_000),
     ], ids=["heavy-400", "heavy-6400", "three-levels", "zero-mass", "many-levels", "table-bound"])
     def test_law_against_per_cell_poissons(self, p, m):
