@@ -7,8 +7,7 @@ throughout the test suite and experiments:
 * ``paired_bias(xi)``: odd 1-based positions carry mass ``(1+xi)/n`` and
   even positions ``(1-xi)/n`` (TV distance from uniform is exactly
   ``xi/2``),
-* ``heavy(pmass)``: a single heavy element with the rest uniform,
-* ``custom(probs)``: any validated explicit pmf.
+* ``heavy(pmass)``: a single heavy element with the rest uniform.
 
 ``draw_batch`` has three paths, chosen from ``m``, ``n`` and the number L
 of distinct positive masses (the pmf's level sets; every family above has
@@ -199,7 +198,7 @@ def uniform_pmf(n: int) -> Pmf:
 class InstanceSpec:
     """Parametric description of an instance family member.
 
-    ``kind`` is one of ``uniform``, ``paired_bias``, ``heavy``, ``custom``;
+    ``kind`` is one of ``uniform``, ``paired_bias``, ``heavy``;
     only the parameters relevant to the kind are set.  Every statistic is
     symmetric, so a relabeled instance has the same law and needs no kind.
     """
@@ -207,7 +206,6 @@ class InstanceSpec:
     kind: str
     xi: float | None = None
     pmass: float | None = None
-    probs: tuple[float, ...] | None = None
 
     @classmethod
     def uniform(cls) -> "InstanceSpec":
@@ -221,17 +219,11 @@ class InstanceSpec:
     def heavy(cls, pmass: float) -> "InstanceSpec":
         return cls(kind="heavy", pmass=pmass)
 
-    @classmethod
-    def custom(cls, probs) -> "InstanceSpec":
-        return cls(kind="custom", probs=tuple(float(p) for p in probs))
-
     def describe(self) -> str:
         if self.kind == "paired_bias":
             return f"paired_bias(xi={self.xi!r})"
         if self.kind == "heavy":
             return f"heavy(pmass={self.pmass!r})"
-        if self.kind == "custom":
-            return "custom"
         return self.kind
 
 
@@ -260,10 +252,6 @@ def make_instance(spec: InstanceSpec, n: int) -> Pmf:
         if n > 1:
             probs[1:] = (1.0 - pmass) / (n - 1)
         return Pmf(probs)
-    if spec.kind == "custom":
-        if spec.probs is None or len(spec.probs) != n:
-            raise ValueError("custom instance needs probs of length n")
-        return Pmf(np.array(spec.probs, dtype=np.float64))
     raise ValueError(f"unknown instance kind {spec.kind!r}")
 
 

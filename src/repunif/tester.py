@@ -209,9 +209,12 @@ class IdentityReducer:
 
     def map_many(self, samples: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Map 0-based samples of [n], each independently, to 0-based elements of [6n]."""
+        if samples.dtype.kind not in "iu":
+            raise ValueError(f"samples must be integers, got dtype {samples.dtype}")
         m = samples.shape[0]
         if m and (int(samples.min()) < 0 or int(samples.max()) >= self.n):
             raise ValueError(f"samples must lie in [0, {self.n})")
+        samples = samples.astype(np.int64, copy=False)
         keep = rng.random(m) < 0.5
         replacement = rng.integers(0, self.n, size=m)
         mixed = np.where(keep, samples, replacement)
@@ -243,7 +246,7 @@ def run_identity_tester(p_access, q: Pmf, params: TesterParams, seeds: SeedSplit
         return run_tester(reducer.pushforward(p_access), reduced_params, seeds)
 
     def reduced_oracle(m, rng):
-        raw = np.asarray(p_access(m, rng), dtype=np.int64)
+        raw = np.asarray(p_access(m, rng))
         if raw.shape != (m,):
             raise ValueError(f"p_access returned {raw.size} samples, not m = {m}")
         mapped = reducer.map_many(raw, rng)

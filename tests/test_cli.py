@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repunif
 from repunif import cli
 from repunif.cli import main
 from repunif.distributions import Pmf
@@ -18,6 +23,14 @@ def run(argv, capsys):
 
 
 BASE = ["--n", "400", "--eps", "0.3", "--rho", "0.2", "--seed", "7"]
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats adds most of a second to every command's start-up; only mu(U_n) needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(repunif.__file__).parent.parent))
+    code = "import sys, repunif.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestTestCommand:

@@ -85,10 +85,6 @@ class TestMakeInstance:
         p = make_instance(InstanceSpec.heavy(1.0), 4)
         assert p.probs[0] == 1.0 and np.all(p.probs[1:] == 0.0)
 
-    def test_custom_verbatim(self):
-        p = make_instance(InstanceSpec.custom((0.25, 0.75)), 2)
-        assert list(p.probs) == [0.25, 0.75]
-
     def test_rejects_odd_n_for_paired(self):
         with pytest.raises(ValueError):
             make_instance(InstanceSpec.paired_bias(0.2), 5)
@@ -98,10 +94,6 @@ class TestMakeInstance:
             make_instance(InstanceSpec.heavy(0.01), 10)  # below 1/n
         with pytest.raises(ValueError):
             make_instance(InstanceSpec.heavy(1.5), 10)
-
-    def test_rejects_unnormalized_custom(self):
-        with pytest.raises(ValueError):
-            make_instance(InstanceSpec.custom((0.5, 0.6)), 2)
 
     @given(
         xi=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),

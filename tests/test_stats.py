@@ -339,12 +339,10 @@ class TestChi2Statistic:
         assert chi2_statistic(batch(*counts), m_rate) == _chi2_reference(counts, m_rate)
 
 
-def _full_range_mean(n, m):
-    """``mu(U_n)`` as the ``fsum`` of all m + 1 binomial terms."""
-    p = 1.0 / n
-    k = np.arange(m + 1)
-    terms = np.exp(stats.sps.binom.logpmf(k, m, p)) * np.abs(k / m - p)
-    return (n / 2.0) * math.fsum(terms.tolist())
+def _exact_mean(n, m):
+    """``mu(U_n)`` as the exact rational of de Moivre's identity, correctly rounded."""
+    v = m // n + 1
+    return n * v * math.comb(m, v) * (n - 1) ** (m - v + 1) / (m * n ** (m + 1))
 
 
 class TestExactUniformMean:
@@ -368,34 +366,17 @@ class TestExactUniformMean:
         # nearly all buckets stay empty, S -> 1 - m/n
         assert exact_uniform_mean(10**6, 10) == pytest.approx(1 - 10 / 10**6, abs=1e-9)
 
-    def test_one_logpmf_pass_over_the_first_window(self, monkeypatch):
-        # the headline point: one pass over mean +- (40 sd + 200), not a widening loop
-        calls = []
-        logpmf = stats.sps.binom.logpmf
-
-        def recorded(k, *args):
-            calls.append(np.size(k))
-            return logpmf(k, *args)
-
-        monkeypatch.setattr(stats.sps.binom, "logpmf", recorded)
-        n, m = 1000, 7784
-        exact_uniform_mean.__wrapped__(n, m)
-        sd = math.sqrt(m / n * (1 - 1 / n))
-        assert len(calls) == 1
-        assert calls[0] <= 2 * math.ceil(40 * sd + 200) + 1
-
-    def test_small_grid_equals_the_full_range_sum(self):
-        # here the window covers all of [0, m]
+    def test_small_grid_matches_the_exact_rational(self):
         for n in range(2, 13):
             for m in range(1, 61):
-                assert exact_uniform_mean.__wrapped__(n, m) == _full_range_mean(n, m)
+                assert exact_uniform_mean(n, m) == pytest.approx(_exact_mean(n, m), rel=1e-14, abs=0)
 
-    @pytest.mark.parametrize("n, m", [(2, 10**4), (3, 7784), (1000, 7784), (1200, 53587), (10**4, 10**5)])
-    def test_window_equals_the_full_range_sum(self, n, m):
-        # the window leaves out terms here, and each is 0 in float64
-        half_width = 40.0 * math.sqrt(m / n * (1.0 - 1.0 / n)) + 200.0
-        assert math.ceil(m / n + half_width) < m
-        assert exact_uniform_mean.__wrapped__(n, m) == _full_range_mean(n, m)
+    @pytest.mark.parametrize("n, m", [
+        (1000, 7784), (1200, 53587), (10**5, 92043), (1000, 999), (1000, 1000), (1000, 1001),
+        (10**4, 10**5), (2, 10**4), (3, 7784), (2, 10**5),
+    ])
+    def test_matches_the_exact_rational(self, n, m):
+        assert exact_uniform_mean(n, m) == pytest.approx(_exact_mean(n, m), rel=1e-14, abs=0)
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):

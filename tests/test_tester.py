@@ -318,6 +318,19 @@ class TestIdentityReducer:
         with pytest.raises(ValueError):
             red.map_many(np.array([0, 3, bad, 1], dtype=np.int64), stream(84, 0))
 
+    @pytest.mark.parametrize("samples", [np.array([0.0, 3.0, 1.0]), np.array([True, False, True])])
+    def test_map_many_rejects_non_integer_samples(self, samples):
+        red = IdentityReducer(uniform(4))
+        with pytest.raises(ValueError, match="samples must be integers"):
+            red.map_many(samples, stream(84, 0))
+
+    def test_map_many_takes_unsigned_samples(self):
+        # uint64 mixed with int64 promotes to float64, which cannot index the tables
+        red = IdentityReducer(make_instance(InstanceSpec.paired_bias(0.4), 6))
+        raw = draw_samples(uniform(6), 500, stream(85, 0))
+        mapped = red.map_many(raw.astype(np.uint64), stream(85, 1))
+        assert np.array_equal(mapped, red.map_many(raw, stream(85, 1)))
+
 
 class TestIdentityTester:
     def test_runs_on_blown_up_domain(self):
@@ -386,6 +399,13 @@ class TestIdentityTester:
         for total in (m // 2, m + 1):
             with pytest.raises(ValueError, match=f"returned {total} samples, not m = {m}"):
                 run_identity_tester(lambda k, g: draw_samples(q, total, g), q, params, seeds_for(106))
+
+    @pytest.mark.parametrize("cast", [lambda x: x + 0.7, lambda x: x > 0])
+    def test_black_box_oracle_of_non_integer_samples_rejected(self, cast):
+        q = make_instance(InstanceSpec.paired_bias(0.4), 50)
+        params = TesterParams.from_constants(50, 0.15, 0.2, CAL)
+        with pytest.raises(ValueError, match="samples must be integers"):
+            run_identity_tester(lambda m, g: cast(draw_samples(q, m, g)), q, params, seeds_for(106))
 
     def test_black_box_oracle(self):
         n = 50
