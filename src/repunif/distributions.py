@@ -48,12 +48,18 @@ they are.  Otherwise the k rows are k ``draw_batch`` calls in order.
 
 ``draw_poissonized_batch`` draws ``N ~ Poisson(m)`` and returns
 ``draw_batch(p, N)``: by Poissonization its coordinates are independent
-Poisson(``m * p_i``).  A symmetric statistic needs only such a batch's
-fingerprint (how many cells hold each count), and ``_poissonized_fingerprint``
-draws it directly, as the barrier study's chi-square batches are: on a pmf
-with at most 3 levels and cell rates within the table bound, the histogram
-of a level's g cells of one rate is multinomial(g, that rate's
-``PoissonTable`` law), so no n-length vector is made.
+Poisson(``m * p_i``).
+
+A symmetric statistic needs only a batch's fingerprint (how many cells hold
+each count).  ``_multinomial_fingerprints`` and ``_poissonized_fingerprints``
+draw the fingerprints of k batches directly, all at once, the way the
+barrier study draws each grid point's runs.  On a pmf with at most 3
+levels whose cell rates are within the table bound, no n-length vector is
+made: the histogram of a level's g cells of one rate is multinomial(g, that
+rate's ``PoissonTable`` law), and the multinomial rows take
+``draw_batches``' top-up on those histograms (its cells being
+exchangeable, a row's cells can be laid out in order of their Poisson
+counts).  Any other pmf draws its k rows one at a time.
 """
 
 from __future__ import annotations
@@ -83,6 +89,11 @@ _POISSON_SLACK = 3.0
 # cell they cost more than a row's O(n) binomials, and their memory grows with
 # sqrt(m): there the rows are draw_batch calls again.
 _TOPUP_MAX_PER_CELL = 16
+# The fingerprint sampler tops up about this many samples per block of rows.
+# A block's arrays peak near 30 bytes per sample, about 0.5 MB here: at the
+# barrier's m = 6400 (48,000 samples for 200 rows) blocks of 2**14 samples ran
+# as fast as one block and halved the peak.
+_TOPUP_MAX_KEYS = 1 << 14
 # Above this rate a Poisson table and its guide would pass about 256 KB:
 # such a level is drawn by numpy's own Poisson sampler instead.
 _POISSON_TABLE_MAX_RATE = 4096.0
@@ -480,9 +491,11 @@ class PoissonTable:
 
 
 # Tables are keyed by the cell rate, and a replicability prior makes new rates
-# for every pair; a pmf has at most 3 levels, so 16 tables serve 5 pmfs at once.
-# The barrier study's chi-square laws (5 m x 2 levels) fit in them too.
-@lru_cache(maxsize=16)
+# for every pair; a pmf has at most 3 levels, so 32 tables serve 10 pmfs at once.
+# A barrier round uses 20 laws (5 m x 2 levels at the multinomial fingerprints'
+# rate and at the chi-square rate): with 16 the LRU order rebuilt all 20 every
+# round, 2.0-2.4 ms of a 24-36 ms round at n = 10^4.
+@lru_cache(maxsize=32)
 def _poisson_table(lam: float) -> PoissonTable:
     return PoissonTable(lam)
 
@@ -638,29 +651,187 @@ def draw_poissonized_batch(p: Pmf, m: float, rng: np.random.Generator) -> Sample
     return draw_batch(p, int(rng.poisson(m)), rng)
 
 
-def _poissonized_fingerprint(p: Pmf, m: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The fingerprint of one batch of independent Poisson(m * p_i) counts.
+def _fingerprint_tables(p: Pmf, rate: float) -> list[PoissonTable] | None:
+    """The cached ``PoissonTable`` of each level's cell rate ``rate * p_l``.
 
-    Returns ``(values, mult)`` as ``np.unique(counts, return_counts=True)``
-    would for such a batch: the distinct counts, ascending, and how many
-    cells hold each.  No n-length vector is made on a pmf with at most 3
-    levels whose cell rates are within the table bound: the g cells of a
-    level share one rate, so their histogram is multinomial(g, law of one
-    cell), drawn over the values of the level's cached ``PoissonTable`` (the
-    law the tester's Poisson counts use, a cdf within 1e-13 of the exact
-    one).  Zero-mass cells count 0.  Any other pmf draws all n counts from
+    ``None`` when the pmf has more than ``_LEVEL_MAX_COUNT`` levels or a cell
+    rate passes ``_POISSON_TABLE_MAX_RATE``: the fingerprint samplers then
+    draw whole rows.
+    """
+    levels = p.level_table()
+    if levels is None:
+        return None
+    rates = [rate * float(p.probs[cells[0]]) for cells in levels.cells]
+    if max(rates) > _POISSON_TABLE_MAX_RATE:
+        return None
+    return [_poisson_table(lam) for lam in rates]
+
+
+def _by_cell(cells: np.ndarray, table: PoissonTable) -> bool:
+    """Whether ``_level_draws`` draws a level cell by cell: it has fewer cells than its table has values."""
+    return cells.size < table.cdf.size
+
+
+def _level_draws(levels: LevelTable, tables: list[PoissonTable], k: int,
+                 rng: np.random.Generator) -> list[np.ndarray]:
+    """k independent rows of Poisson counts for each level, by its cached table.
+
+    A level of g cells is drawn as its histogram: entry ``[r, j]`` of its
+    ``(k, table width)`` matrix counts the cells that hold ``table.lo + j``
+    in row r.  The g cells share one rate, so that histogram is
+    multinomial(g, the table's law), a binomial per table value.  A level
+    of fewer cells than table values (``_by_cell``) costs less as its
+    ``(k, g)`` cell counts, each a uniform searched in the table's cdf.
+    """
+    return [table.lo + np.searchsorted(table.cdf, rng.random((k, cells.size)), side="right")
+            if _by_cell(cells, table) else rng.multinomial(cells.size, table.pmf, size=k)
+            for cells, table in zip(levels.cells, tables)]
+
+
+def _row_totals(levels: LevelTable, tables: list[PoissonTable], draws: list[np.ndarray]) -> np.ndarray:
+    """Each row's total count over the levels' draws."""
+    return sum(draw.sum(axis=1) if _by_cell(cells, table) else draw @ (table.lo + np.arange(table.cdf.size))
+               for cells, table, draw in zip(levels.cells, tables, draws))
+
+
+def _histogram_matrix(p: Pmf, levels: LevelTable, tables: list[PoissonTable], draws: list[np.ndarray],
+                      moved: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """The count-indexed ``(k, W)`` fingerprint matrix of the levels' draws.
+
+    The zero-mass cells count 0, and each ``(offset, hist)`` of ``moved``
+    adds ``hist[r, j]`` cells of count ``offset + j`` to row r.
+    """
+    k = draws[0].shape[0]
+    blocks, by_cell = list(moved), []
+    for cells, table, draw in zip(levels.cells, tables, draws):
+        if _by_cell(cells, table):
+            by_cell.append(draw)
+        else:
+            blocks.append((table.lo, draw))
+    width = max([1] + [offset + hist.shape[1] for offset, hist in blocks]
+                + [int(draw.max(initial=0)) + 1 for draw in by_cell])
+    out = np.zeros((k, width), dtype=np.int64)
+    out[:, 0] = p.n - levels.order.size
+    for offset, hist in blocks:
+        out[:, offset:offset + hist.shape[1]] += hist
+    for draw in by_cell:
+        draw = draw + np.arange(k)[:, None] * width
+        out += np.bincount(draw.ravel(), minlength=k * width).reshape(k, width)
+    return out
+
+
+def _entries(hist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fingerprints ``(values, mult, starts)`` of a count-indexed ``(k, W)`` matrix."""
+    rows, values = np.nonzero(hist)
+    return values, hist[rows, values], np.searchsorted(rows, np.arange(hist.shape[0]))
+
+
+def _joined(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fingerprints of several ``(values, mult, starts)`` one after another."""
+    empty = np.zeros(0, dtype=np.int64)
+    offsets = np.cumsum([0] + [values.size for values, _, _ in parts])
+    return (np.concatenate([values for values, _, _ in parts] + [empty]),
+            np.concatenate([mult for _, mult, _ in parts] + [empty]),
+            np.concatenate([starts + offset for (_, _, starts), offset in zip(parts, offsets)] + [empty]))
+
+
+def _fingerprints_of_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fingerprints of count vectors drawn one at a time, each reduced as it comes."""
+    return _joined([(*np.unique(row, return_counts=True), np.zeros(1, dtype=np.int64)) for row in rows])
+
+
+def _topped_up_block(p: Pmf, levels: LevelTable, tables: list[PoissonTable], m: int, k: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """k multinomial(m, p) fingerprints as a count-indexed ``(k, W)`` matrix:
+    ``_stacked_draw``'s Poisson rows and top-up, on the levels' draws.
+
+    A level drawn cell by cell takes its top-up as ``_stacked_draw`` does.
+    In a level drawn as a histogram the cells are exchangeable, and the
+    top-up picks its cells uniformly and independently of the Poisson
+    counts, so a row's cells may be laid out in order of their Poisson
+    count, as the histogram gives them.  Top-up key ``row * g + cell`` is
+    then the cell's place in the level's flattened layout.  The sorted
+    keys' runs give the hit cells and how often each is hit, and a search
+    of the running sum of the flattened histogram counts, for each t, the
+    cells hit t times in each (row, count) bin.
+    """
+    draws = _level_draws(levels, tables, k, rng)
+    totals = _row_totals(levels, tables, draws)
+    over = np.flatnonzero(totals > m)
+    while over.size:
+        redrawn = _level_draws(levels, tables, over.size, rng)
+        for draw, new in zip(draws, redrawn):
+            draw[over] = new
+        totals[over] = _row_totals(levels, tables, redrawn)
+        over = over[totals[over] > m]
+    split = rng.multinomial(m - totals, levels.mass)
+    moved = []
+    for l, (cells, table, draw) in enumerate(zip(levels.cells, tables, draws)):
+        g = cells.size
+        # int32 keys where they fit halve the memory the sort moves
+        dtype = np.int32 if k * g < 2**31 else np.int64
+        keys = np.repeat(np.arange(k, dtype=dtype) * g, split[:, l])
+        keys += rng.integers(0, g, keys.size, dtype=dtype)
+        if _by_cell(cells, table):
+            draw += np.bincount(keys, minlength=k * g).reshape(k, g)
+            continue
+        hit, inc = np.unique(keys, return_counts=True)
+        layout = np.cumsum(draw, dtype=dtype)
+        for t in np.flatnonzero(np.bincount(inc)).tolist():
+            # the cells hit t times, per (row, count) bin of the layout, move t counts up
+            hits = np.diff(np.searchsorted(hit[inc == t], layout, side="left"), prepend=0).reshape(draw.shape)
+            draw -= hits
+            moved.append((table.lo + t, hits))
+    return _histogram_matrix(p, levels, tables, draws, moved)
+
+
+def _multinomial_fingerprints(p: Pmf, m: int, k: int,
+                              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fingerprints of k independent multinomial(m, p) batches.
+
+    Returns ``(values, mult, starts)``: row r's cells hold the distinct
+    counts ``values[j]``, ascending, ``mult[j]`` cells each, for j from
+    ``starts[r]`` up to ``starts[r + 1]`` (the end, for the last row).  So
+    a row's ``mult`` sums to n, and its ``mult * values`` to m.  The law is
+    that of k ``draw_batch`` rows, up to the ``PoissonTable`` rounding
+    ``_stacked_draw`` has (a cdf within 1e-13).  No n-length vector is made
+    on a pmf with at most 3 levels whose Poisson cell rates
+    ``(m - 3 sqrt(m)) p_l`` are within the table bound: each row is
+    ``_stacked_draw``'s row reduced to its counts of counts, and the rows
+    are drawn in blocks of about ``_TOPUP_MAX_KEYS`` top-up samples.  Any
+    other pmf draws k ``draw_batch`` rows.
+    """
+    m, k = operator.index(m), operator.index(k)
+    if m < 0 or k < 0:
+        raise ValueError("sample count and batch count must be >= 0")
+    rate = max(m - _POISSON_SLACK * math.sqrt(m), 0.0)
+    tables = _fingerprint_tables(p, rate)
+    if tables is None:
+        return _fingerprints_of_rows(draw_batch(p, m, rng).counts for _ in range(k))
+    levels = p.level_table()
+    block = max(1, _TOPUP_MAX_KEYS // max(1, math.ceil(m - rate)))
+    return _joined([_entries(_topped_up_block(p, levels, tables, m, min(block, k - start), rng))
+                    for start in range(0, k, block)])
+
+
+def _poissonized_fingerprints(p: Pmf, m: float, k: int,
+                              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fingerprints of k batches of independent Poisson(m * p_i) counts.
+
+    Returns ``(values, mult, starts)`` as ``_multinomial_fingerprints``
+    does.  No n-length vector is made on a pmf with at most 3 levels whose
+    cell rates are within the table bound: each level is drawn by
+    ``_level_draws`` from its cached ``PoissonTable`` (the law the tester's
+    Poisson counts use, a cdf within 1e-13 of the exact one), and zero-mass
+    cells count 0.  Any other pmf draws all n counts of each row from
     numpy's Poisson sampler.
     """
     _check_poisson_rate(m)
+    k = operator.index(k)
+    if k < 0:
+        raise ValueError("batch count must be >= 0")
+    tables = _fingerprint_tables(p, m)
+    if tables is None:
+        return _fingerprints_of_rows(rng.poisson(m * p.probs) for _ in range(k))
     levels = p.level_table()
-    rates = [] if levels is None else [m * float(p.probs[cells[0]]) for cells in levels.cells]
-    if levels is None or max(rates) > _POISSON_TABLE_MAX_RATE:
-        return np.unique(rng.poisson(m * p.probs), return_counts=True)
-    tables = [_poisson_table(lam) for lam in rates]
-    # the histogram of the levels' counts, and of the zero-mass cells
-    hist = np.zeros(max(t.lo + t.cdf.size for t in tables), dtype=np.int64)
-    hist[0] = p.n - levels.order.size
-    for cells, table in zip(levels.cells, tables):
-        hist[table.lo:table.lo + table.cdf.size] += rng.multinomial(cells.size, table.pmf)
-    values = np.flatnonzero(hist)
-    return values, hist[values]
+    return _entries(_histogram_matrix(p, levels, tables, _level_draws(levels, tables, k, rng), []))

@@ -15,7 +15,8 @@ rows on the q side, and screens, then confirms: one numpy pass per block of
 q rows bounds the margins of all their pairs at once, and only the pairs
 near the least margin become ``Pmf`` objects, rebuilt with
 ``exact_pushforward`` to give the reported number.  ``pair_joint`` calls
-the ``scipy.special`` Poisson kernels.
+the ``scipy.special`` Poisson kernels.  ``scipy.special`` is imported by
+the functions that use it, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .distributions import NORMALIZATION_TOL, Pmf, SampleBatch, _normalize_rows, tv_distance
 
@@ -86,6 +86,8 @@ def brute_force_mean_statistic(
     if assume_symmetric:
         if math.comb(m + n - 1, n - 1) > ENUMERATION_GUARD:
             raise ValueError("enumeration guard exceeded")
+        from scipy import special
+
         counts = _compositions(m, n)
         log_weights = (special.gammaln(m + 1) - special.gammaln(counts + 1).sum(axis=1)
                        + special.xlogy(counts, p.probs).sum(axis=1))
@@ -333,6 +335,8 @@ class PairJointDist:
 
 
 def _mixture_matrix(lam: float, eps: float, K: int) -> np.ndarray:
+    from scipy import special
+
     a = np.arange(K + 1)
     # scipy.stats.poisson.pmf's own kernel, without its argument handling
     hi, lo = (np.exp(special.xlogy(a, mu) - special.gammaln(a + 1) - mu)
@@ -353,6 +357,8 @@ def pair_joint(lam: float, eps0: float, eps1: float) -> PairJointDist:
         raise ValueError("need 0 <= eps0 <= eps1 < 1")
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"need a finite lam > 0, got lam={lam!r}")
+    from scipy import special
+
     K = max(8, math.ceil(lam * (1.0 + eps1)))
     # a starting K past the cap fails before any cdf or pmf is evaluated
     while K > TRUNCATION_CAP or TAIL_TOL < max(

@@ -5,10 +5,12 @@ sweeps acceptance probability over the paired-bias family, runs the
 heavy-element barrier studies, and calibrates the tester constants.  The
 barrier study is the one home of the baseline statistics (collision,
 Poissonized chi-square, TV): which exist, how each is sampled, and its gap.
-A chi-square batch is drawn and scored as its fingerprint (how many cells
-hold each count).  No n-length vector is made while every cell rate is within
+The runs of a grid point are drawn together as their fingerprints (how
+many cells of each batch hold each count), multinomial for collision and
+TV, Poissonized for chi-square, and each statistic scores all runs at once,
+exactly.  No n-length vector is made while every cell rate is within
 the Poisson table bound: the single-heavy-element pmf has 2 levels, so for
-m up to 4096 n^1/2.
+m up to about 4096 n^1/2.
 
 Determinism contract: every trial's randomness is a pure function of
 ``(master_seed, key)``, reports are assembled in trial order, and the
@@ -25,7 +27,8 @@ g = grid index, r = run):
 * sweep: internal ``(EXP_SWEEP, g, t, ROLE_INTERNAL)``, or
   ``(EXP_SWEEP, ROLE_INTERNAL)`` for every trial with ``fixed_internal``;
   sample ``(EXP_SWEEP, g, t, ROLE_SAMPLE)``;
-* barrier: sample ``(EXP_BARRIER, g, r, ROLE_SAMPLE)``, no internal coin;
+* barrier: sample ``(EXP_BARRIER, g, ROLE_SAMPLE)``, one stream for all runs
+  of grid point g, no internal coin;
 * calibrate, pilot p, side s (0 uniform, 1 far): internal
   ``(EXP_CALIBRATE, p, s, t, ROLE_INTERNAL)``, sample
   ``(EXP_CALIBRATE, p, s, t, ROLE_SAMPLE)``.
@@ -49,14 +52,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import InstanceSpec, _poissonized_fingerprint, draw_batch, make_instance
-# these stay bound here too: perfbench's tests look up stream on this module,
-# and its barrier clock wraps draw_poissonized_batch and chi2_statistic here
-from .distributions import draw_poissonized_batch  # noqa: F401
+from .distributions import InstanceSpec, _multinomial_fingerprints, _poissonized_fingerprints, make_instance
+# these stay bound here too: perfbench's tests look up stream and draw_batch on
+# this module, and its barrier clock wraps the draws and statistics here
+from .distributions import draw_batch, draw_poissonized_batch  # noqa: F401
 from .rng import ROLE_INSTANCE, ROLE_INTERNAL, ROLE_SAMPLE, SeedSplit, keyed, stream_keys
 from .rng import stream  # noqa: F401
-from .stats import _chi2_from_fingerprint, collision_statistic, expectation_gap, tv_statistic
-from .stats import chi2_statistic  # noqa: F401
+from .stats import _chi2_sums, _collision_counts, _tv_from_fingerprints, expectation_gap
+from .stats import chi2_statistic, collision_statistic, tv_statistic  # noqa: F401
 from .tester import R0_LOW, TesterParams, Verdict, _schedule, derive_sizes, run_tester
 
 # Experiment tags keep the derived streams of different experiments disjoint.
@@ -231,20 +234,15 @@ def _trial(args) -> Verdict:
 
 
 def _barrier_point(args) -> list[float]:
-    """All runs for one (statistic, m) grid point; each run owns a stream."""
-    pmf, kind, m, run_keys = args
-    values = []
-    for key in run_keys:
-        rng = keyed(key)
-        if kind == "collision":
-            values.append(float(collision_statistic(draw_batch(pmf, m, rng))))
-        elif kind == "chi2":
-            values.append(_chi2_from_fingerprint(*_poissonized_fingerprint(pmf, m, rng), pmf.n, m))
-        elif kind == "tvstat":
-            values.append(tv_statistic(draw_batch(pmf, m, rng)))
-        else:
-            raise ValueError(f"unknown barrier statistic {kind!r}")
-    return values
+    """All runs of one (statistic, m) grid point, drawn as fingerprints from the point's stream."""
+    pmf, kind, m, runs, key = args
+    rng = keyed(key)
+    if kind == "chi2":
+        return _chi2_sums(*_poissonized_fingerprints(pmf, m, runs, rng), pmf.n, m)
+    fingerprints = _multinomial_fingerprints(pmf, m, runs, rng)
+    if kind == "collision":
+        return [float(c) for c in _collision_counts(*fingerprints, m)]
+    return _tv_from_fingerprints(*fingerprints, m, pmf.n)
 
 
 def _map_jobs(fn, jobs, workers: int):
@@ -480,9 +478,8 @@ def barrier_experiment(
     gaps = [_barrier_gap(kind, m, n, eps) for m in m_grid]  # checks kind before sampling
     heavy_mass = n ** -0.5
     pmf = make_instance(InstanceSpec.heavy(heavy_mass), n)
-    keys = stream_keys(master_seed, EXP_BARRIER, np.arange(len(m_grid))[:, None],
-                       np.arange(runs_per_m), ROLE_SAMPLE)
-    jobs = [(pmf, kind, m, run_keys) for m, run_keys in zip(m_grid, keys)]
+    keys = stream_keys(master_seed, EXP_BARRIER, np.arange(len(m_grid)), ROLE_SAMPLE)
+    jobs = [(pmf, kind, m, runs_per_m, key) for m, key in zip(m_grid, keys)]
     per_point = _map_jobs(_barrier_point, jobs, workers)
     rows = []
     for m, gap, point_values in zip(m_grid, gaps, per_point):

@@ -7,17 +7,21 @@ The TV statistic is accumulated in exact integer arithmetic,
 ``sum_i |n*X_i - m| / (2*m*n)``, so no precision is lost even when the
 sublinear signal scale ``eps^2 m^2 / n^2`` is tiny; the rational value is
 exposed for identity checks.  One kernel, ``_tv_numerators``, takes these
-numerators for every caller: one batch, or the m0 rows of a tester run in
-one numpy pass.  At ``m <= n`` a numerator is ``2*m*Z`` with Z the empty
-cells (the identity ``S = Z/n``), and the collision count is
-``(sum X_i^2 - m) / 2``: one pass each, the same integers.  The
-chi-square statistic depends on a batch only through its fingerprint (the
-cells holding each distinct count), which ``_chi2_from_fingerprint`` sums:
-its float terms times their multiplicities make one exact integer over their
-common power-of-two denominator, so it is rounded once.  ``chi2_statistic``
-takes the fingerprint of a frequency vector; the barrier study passes the
-fingerprints it draws.  ``mu(U_n)``, the uniform-case mean of TV, is one
-binomial pmf term by de Moivre's mean-absolute-deviation identity.
+numerators for every count vector: one batch, or the m0 rows of a tester
+run in one numpy pass.  At ``m <= n`` a numerator is ``2*m*Z`` with Z the
+empty cells (the identity ``S = Z/n``), and the collision count is
+``(sum X_i^2 - m) / 2``: one pass each, the same integers.
+
+Every statistic here depends on a batch only through its fingerprint (the
+cells holding each distinct count), and the barrier study scores the
+fingerprints of all runs of a grid point at once, to the same bits as the
+one-batch functions: collision counts and TV numerators are integer sums
+per row, and ``_chi2_sums`` turns each distinct count's float term into a
+multiple of the terms' common power-of-two denominator, so a row's sum is
+one exact integer, rounded once.  ``chi2_statistic`` is that sum on the
+fingerprint of one frequency vector.  ``mu(U_n)``, the uniform-case mean of
+TV, is one binomial pmf term by de Moivre's mean-absolute-deviation
+identity.
 """
 
 from __future__ import annotations
@@ -99,36 +103,76 @@ def collision_statistic(batch: SampleBatch) -> int:
     return (int(np.dot(counts, counts)) - m) // 2
 
 
+def _collision_counts(values: np.ndarray, mult: np.ndarray, starts: np.ndarray, m: int) -> list[int]:
+    """Exact collision count of each of k batches of m samples, from their fingerprints.
+
+    Row r holds ``mult[j]`` cells of count ``values[j]`` for j from
+    ``starts[r]`` to the next row's start, as the barrier's samplers return
+    them; its collision count is the sum of ``mult[j] * v (v - 1) / 2``.
+    """
+    if m >= 2**31:
+        # wide-integer path, as collision_statistic's: v (v - 1) or the sum could overflow int64
+        pairs = [c * (v * (v - 1) // 2) for v, c in zip(values.tolist(), mult.tolist())]
+        return np.add.reduceat(np.array(pairs, dtype=object), starts).tolist()
+    # each row's sum is at most m (m - 1) / 2 < 2**61
+    return np.add.reduceat(mult * (values * (values - 1) // 2), starts).tolist()
+
+
+def _tv_from_fingerprints(values: np.ndarray, mult: np.ndarray, starts: np.ndarray, m: int, n: int) -> list[float]:
+    """The TV statistic of each of k batches of m samples on n cells, from their fingerprints.
+
+    With the rows of ``_collision_counts``, a row's numerator
+    ``sum_i |n*X_i - m|`` is the sum of ``mult[j] * |n*v - m|``: the
+    integer ``_tv_numerators`` gives for the batch, so each value equals
+    ``tv_statistic`` of the batch bit for bit.
+    """
+    if m < 1:
+        raise ValueError("tv statistic needs at least one sample")
+    if 2 * n * m >= 2**63:
+        # wide-integer path: below this bound no term or sum can wrap int64
+        terms = np.array([c * abs(n * v - m) for v, c in zip(values.tolist(), mult.tolist())], dtype=object)
+    else:
+        terms = mult * np.abs(n * values - m)
+    return [num / (2 * m * n) for num in np.add.reduceat(terms, starts).tolist()]
+
+
 def chi2_statistic(batch: SampleBatch, m_rate: float) -> float:
     """Poissonized chi-square statistic.
 
     ``sum_i ((X_i - m_rate/n)^2 - X_i) / (m_rate/n)`` where ``m_rate`` is
     the Poisson sampling rate (which may differ from the realized total).
     It depends on the batch only through its fingerprint, which
-    ``_chi2_from_fingerprint`` sums.
+    ``_chi2_sums`` sums.
     """
     values, mult = np.unique(batch.counts, return_counts=True)
-    return _chi2_from_fingerprint(values, mult, batch.n, m_rate)
+    return _chi2_sums(values, mult, np.zeros(1, dtype=np.int64), batch.n, m_rate)[0]
 
 
-def _chi2_from_fingerprint(values: np.ndarray, mult: np.ndarray, n: int, m_rate: float) -> float:
-    """The chi-square statistic of a batch on n cells, ``mult[j]`` of which count ``values[j]``.
+def _chi2_sums(values: np.ndarray, mult: np.ndarray, starts: np.ndarray, n: int, m_rate: float) -> list[float]:
+    """The chi-square statistic of each of k batches on n cells, from their fingerprints.
 
-    Each distinct count's term is a float a/d with d a power of two, so
-    the terms times their multiplicities sum to one exact integer over the
-    largest d, rounded once: the float ``math.fsum`` of all n terms gives.
+    The rows are those of ``_collision_counts``.  Each count's term is a
+    float a/d with d a power of two, so a row's terms times their
+    multiplicities sum to one exact integer over the largest d of all rows,
+    rounded once: the float ``math.fsum`` of all n terms gives.  A row with
+    an inf or nan term takes that ``math.fsum`` instead, and keeps its
+    semantics.
     """
     if not (m_rate > 0 and math.isfinite(m_rate)):
         raise ValueError(f"chi2 rate must be finite and > 0, got {m_rate!r}")
     expected = m_rate / n
-    c = values.astype(np.float64)
+    distinct, which = np.unique(values, return_inverse=True)
+    c = distinct.astype(np.float64)
     terms = ((c - expected) ** 2 - c) / expected
-    if not np.all(np.isfinite(terms)):
-        # an inf or nan term: fsum of every term keeps its semantics
-        return math.fsum(np.repeat(terms, mult).tolist())
-    ratios = [t.as_integer_ratio() for t in terms.tolist()]
-    den = max(d for _, d in ratios)
-    return sum(k * a * (den // d) for k, (a, d) in zip(mult.tolist(), ratios)) / den
+    finite = np.isfinite(terms)
+    ratios = [t.as_integer_ratio() if ok else (0, 1) for t, ok in zip(terms.tolist(), finite.tolist())]
+    den = max((d for _, d in ratios), default=1)
+    scaled = np.array([a * (den // d) for a, d in ratios], dtype=object)
+    sums = np.add.reduceat(scaled[which] * mult, starts).tolist()
+    nonfinite = np.logical_or.reduceat(~finite[which], starts).tolist()
+    ends = [*starts[1:].tolist(), values.size]
+    return [math.fsum(np.repeat(terms[which[a:b]], mult[a:b]).tolist()) if bad else s / den
+            for s, bad, a, b in zip(sums, nonfinite, starts.tolist(), ends)]
 
 
 @lru_cache(maxsize=4096)

@@ -26,11 +26,12 @@ BASE = ["--n", "400", "--eps", "0.3", "--rho", "0.2", "--seed", "7"]
 
 
 def test_import_leaves_scipy_stats_out():
-    # scipy.stats adds most of a second to every command's start-up; only mu(U_n) needs it
+    # scipy.stats adds most of a second to every command's start-up; only mu(U_n) needs it.
+    # scipy.special is most of the rest; only the exact oracles need it
     env = dict(os.environ, PYTHONPATH=str(Path(repunif.__file__).parent.parent))
-    code = "import sys, repunif.cli; print('scipy.stats' in sys.modules)"
+    code = "import sys, repunif.cli; print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 class TestTestCommand:
@@ -202,11 +203,11 @@ class TestExperimentCommand:
         assert out == "" and err.startswith("error: ")
 
     def test_barrier_zero_spread_exit_two(self, capsys, recwarn):
-        # every collision count at m = 8 is 0, so the slope would be nan
+        # every collision count at m = 4 is 0, so the slope would be nan
         code, out, err = run(["experiment", "barrier", "--stat", "collision", "--n", "100",
                               "--m-grid", "4,8,16", "--runs-per-m", "3", "--seed", "1"], capsys)
         assert code == 2 and out == ""
-        assert err.startswith("error: collision statistic has sd 0 over 3 runs at m = 8:")
+        assert err.startswith("error: collision statistic has sd 0 over 3 runs at m = 4:")
         assert len(recwarn) == 0
 
     def test_barrier_chi2_rate_bounds(self, capsys):

@@ -774,6 +774,21 @@ def _zero_mass_pmf(n):
     return Pmf(probs)
 
 
+def _rows_of(fingerprints):
+    """A k-row sampler's ``(values, mult, starts)`` as one ``(values, mult)`` per row.
+
+    Each row must be as ``np.unique(counts, return_counts=True)`` gives it:
+    distinct counts, ascending, each held by at least one cell.
+    """
+    values, mult, starts = fingerprints
+    assert values.shape == mult.shape and values.dtype == mult.dtype == np.int64
+    assert np.all(np.diff(starts) > 0) and (starts.size == 0 or (starts[0] == 0 and starts[-1] < values.size))
+    rows = [(values[a:b], mult[a:b]) for a, b in zip(starts.tolist(), [*starts[1:].tolist(), values.size])]
+    for v, c in rows:
+        assert np.all(np.diff(v) > 0) and v[0] >= 0 and np.all(c > 0)
+    return rows
+
+
 class TestPoissonizedFingerprint:
     TRIALS = 2000
 
@@ -813,18 +828,23 @@ class TestPoissonizedFingerprint:
         (Pmf(np.repeat([0.0048, 0.0052], 100)), 800_000),
     ], ids=["heavy-400", "heavy-6400", "three-levels", "zero-mass", "many-levels", "table-bound"])
     def test_law_against_per_cell_poissons(self, p, m):
-        # the sampler and the per-cell reference both match the closed-form
+        # the k-row sampler and the per-cell reference both match the closed-form
         # fingerprint law, and both give the chi-square mean m n sum (p_i - 1/n)^2
         from repunif import stats
 
         rng, ref_rng = stream(71, 1), stream(71, 2)
-        drawn = [distributions._poissonized_fingerprint(p, m, rng) for _ in range(self.TRIALS)]
+        fingerprints = distributions._poissonized_fingerprints(p, m, self.TRIALS, rng)
+        drawn = _rows_of(fingerprints)
+        assert len(drawn) == self.TRIALS
         reference = [_reference_fingerprint(p, m, ref_rng) for _ in range(self.TRIALS)]
         closed_form = m * p.n * math.fsum(((p.probs - 1.0 / p.n) ** 2).tolist())
-        for fingerprints in (drawn, reference):
-            self._assert_law(fingerprints, p, m)
-            chi2 = np.array([stats._chi2_from_fingerprint(v, c, p.n, m) for v, c in fingerprints])
+        for rows in (drawn, reference):
+            self._assert_law(rows, p, m)
+            chi2 = np.array([stats._chi2_sums(v, c, np.zeros(1, dtype=np.int64), p.n, m)[0] for v, c in rows])
             assert abs(chi2.mean() - closed_form) <= 6 * chi2.std(ddof=1) / math.sqrt(self.TRIALS)
+        # the k rows score as the rows one at a time
+        assert stats._chi2_sums(*fingerprints, p.n, m) == [
+            stats._chi2_sums(v, c, np.zeros(1, dtype=np.int64), p.n, m)[0] for v, c in drawn]
 
     @pytest.mark.parametrize("rate, match", [
         (0.0, "finite and > 0"), (-1.0, "finite and > 0"), (math.nan, "finite"),
@@ -833,7 +853,127 @@ class TestPoissonizedFingerprint:
     def test_rejects_bad_rates(self, rate, match):
         # the checks and messages of draw_poissonized_batch
         with pytest.raises(ValueError, match=match):
-            distributions._poissonized_fingerprint(Pmf(np.array([0.5, 0.5])), rate, stream(1, 1))
+            distributions._poissonized_fingerprints(Pmf(np.array([0.5, 0.5])), rate, 3, stream(1, 1))
+
+    def test_rows_and_determinism(self):
+        p = make_instance(InstanceSpec.heavy(0.01), 10**4)
+        a = distributions._poissonized_fingerprints(p, 6400.0, 50, stream(9, 1))
+        b = distributions._poissonized_fingerprints(p, 6400.0, 50, stream(9, 1))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        rows = _rows_of(a)
+        assert all(c.sum() == p.n for _, c in rows)
+        assert len({(v.tobytes(), c.tobytes()) for v, c in rows}) > 40
+        assert [x.size for x in distributions._poissonized_fingerprints(p, 6400.0, 0, stream(9, 1))] == [0, 0, 0]
+        with pytest.raises(ValueError):
+            distributions._poissonized_fingerprints(p, 6400.0, -1, stream(9, 1))
+
+
+def _collisions_and_empties(fingerprints):
+    """Each row's collision count and empty-cell count."""
+    rows = _rows_of(fingerprints)
+    return (np.array([c @ (v * (v - 1) // 2) for v, c in rows]),
+            np.array([c[v == 0].sum() for v, c in rows]))
+
+
+class TestMultinomialFingerprints:
+    TRIALS = 2000
+    CASES = [
+        (make_instance(InstanceSpec.heavy(1e4 ** -0.5), 10**4), 400),
+        (make_instance(InstanceSpec.heavy(1e4 ** -0.5), 10**4), 6400),
+        (make_instance(InstanceSpec.paired_bias(0.5), 1000), 7784),  # the headline batch
+        (_mixed_levels(2000), 3000),  # 3 levels and a zero-mass cell
+        (_mixed_levels(300), 40),  # the heavy cell's table: few cells, drawn one by one
+        (uniform(50), 3),  # rate 0: every sample from the top-up
+        (make_instance(InstanceSpec.heavy(0.3), 20), 9),
+        (_leveled(1000, 200), 2000),  # more than 3 levels: draw_batch rows
+        # cell rate (800000 - 3 sqrt(800000)) * 0.0052 = 4146 past the table bound: draw_batch rows
+        (Pmf(np.repeat([0.0048, 0.0052], 100)), 800_000),
+    ]
+    IDS = ["heavy-400", "heavy-6400", "paired-7784", "three-levels", "few-cells", "uniform-3",
+           "heavy-9", "many-levels", "table-bound"]
+
+    @staticmethod
+    def _assert_rows(fingerprints, p, m, k):
+        rows = _rows_of(fingerprints)
+        assert len(rows) == k
+        assert all(c.sum() == p.n and c @ v == m for v, c in rows)
+
+    @pytest.mark.parametrize("p, m", CASES, ids=IDS)
+    def test_law_against_draw_batch_rows(self, p, m):
+        # two-sample KS of the collision and empty-cell counts against draw_batch
+        # rows, and both means within 5 SE of their closed forms
+        from scipy.stats import ks_2samp
+
+        fingerprints = distributions._multinomial_fingerprints(p, m, self.TRIALS, stream(73, 1))
+        self._assert_rows(fingerprints, p, m, self.TRIALS)
+        rng = stream(73, 2)
+        rows = np.array([draw_batch(p, m, rng).counts for _ in range(self.TRIALS)])
+        drawn = _collisions_and_empties(fingerprints)
+        reference = ((rows * (rows - 1) // 2).sum(axis=1), (rows == 0).sum(axis=1))
+        means = (math.comb(m, 2) * math.fsum((p.probs ** 2).tolist()),
+                 math.fsum(((1.0 - p.probs) ** m).tolist()))
+        for got, ref, mean in zip(drawn, reference, means):
+            if np.ptp(got) or np.ptp(ref):
+                assert ks_2samp(got, ref).pvalue > 1e-3
+            for sample in (got, ref):
+                assert abs(sample.mean() - mean) <= 5 * sample.std(ddof=1) / math.sqrt(self.TRIALS) + 1e-9
+
+    @pytest.mark.parametrize("p, m", [CASES[7], CASES[8]], ids=IDS[7:])
+    def test_fallback_reduces_draw_batch_rows(self, p, m):
+        rng = stream(73, 3)
+        expected = [np.unique(draw_batch(p, m, rng).counts, return_counts=True) for _ in range(5)]
+        got = _rows_of(distributions._multinomial_fingerprints(p, m, 5, stream(73, 3)))
+        assert len(got) == 5
+        assert all(np.array_equal(v, u) and np.array_equal(c, n) for (v, c), (u, n) in zip(got, expected))
+
+    def test_table_path_draws_no_vector(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("draw_batch called")
+
+        monkeypatch.setattr(distributions, "draw_batch", forbidden)
+        for p, m in self.CASES[:7]:
+            self._assert_rows(distributions._multinomial_fingerprints(p, m, 7, stream(73, 4)), p, m, 7)
+
+    def test_several_blocks(self, monkeypatch):
+        # 30 top-up keys a block: a row or two per block at m = 400 (60 per row)
+        monkeypatch.setattr(distributions, "_TOPUP_MAX_KEYS", 30)
+        blocks = []
+        block = distributions._topped_up_block
+        monkeypatch.setattr(distributions, "_topped_up_block",
+                            lambda *args: blocks.append(args[4]) or block(*args))
+        p, m = self.CASES[0]
+        fingerprints = distributions._multinomial_fingerprints(p, m, self.TRIALS, stream(73, 5))
+        assert len(blocks) == self.TRIALS and set(blocks) == {1}
+        self._assert_rows(fingerprints, p, m, self.TRIALS)
+        collisions, empties = _collisions_and_empties(fingerprints)
+        for sample, mean in ((collisions, math.comb(m, 2) * math.fsum((p.probs ** 2).tolist())),
+                             (empties, math.fsum(((1.0 - p.probs) ** m).tolist()))):
+            assert abs(sample.mean() - mean) <= 5 * sample.std(ddof=1) / math.sqrt(self.TRIALS)
+
+    def test_rows_independent_through_redraws(self, monkeypatch):
+        # with no slack about half the Poisson rows overshoot m and are redrawn
+        monkeypatch.setattr(distributions, "_POISSON_SLACK", 0.0)
+        p, m = _mixed_levels(20), 8 * 20
+        fingerprints = distributions._multinomial_fingerprints(p, m, 20_000, stream(73, 6))
+        self._assert_rows(fingerprints, p, m, 20_000)
+        collisions, empties = _collisions_and_empties(fingerprints)
+        mean = math.comb(m, 2) * math.fsum((p.probs ** 2).tolist())
+        assert abs(collisions.mean() - mean) <= 5 * collisions.std(ddof=1) / math.sqrt(20_000)
+        # neighbouring rows are uncorrelated
+        assert abs(np.corrcoef(collisions[:-1], collisions[1:])[0, 1]) <= 5 / math.sqrt(20_000)
+
+    def test_deterministic_given_stream(self):
+        p, m = self.CASES[2]
+        a = distributions._multinomial_fingerprints(p, m, 9, stream(42, 3))
+        b = distributions._multinomial_fingerprints(p, m, 9, stream(42, 3))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert len({(v.tobytes(), c.tobytes()) for v, c in _rows_of(a)}) == 9
+
+    def test_no_rows_and_bad_counts(self):
+        assert [x.size for x in distributions._multinomial_fingerprints(uniform(100), 800, 0, stream(1, 1))] == [0, 0, 0]
+        for m, k in ((-1, 3), (10, -1)):
+            with pytest.raises(ValueError):
+                distributions._multinomial_fingerprints(uniform(10), m, k, stream(1, 1))
 
 
 def _loop_alias_table(probs):

@@ -442,7 +442,13 @@ class TestPairJoint:
     @pytest.mark.parametrize("lam", [10**6, 1e300, 9100.0])
     def test_truncation_cap_checked_before_any_pmf(self, lam, monkeypatch):
         # 9100 * 1.1 = 10010: the starting K alone passes the cap
-        monkeypatch.setattr(exact, "special", None)
+        from scipy import special
+
+        def forbidden(*args):
+            raise AssertionError("a Poisson kernel was evaluated")
+
+        for kernel in ("pdtr", "gammaln", "xlogy"):
+            monkeypatch.setattr(special, kernel, forbidden)
         with pytest.raises(ValueError, match=f"truncation would exceed {TRUNCATION_CAP} at lam="):
             pair_joint(lam, 0.0, 0.1)
 

@@ -11,7 +11,6 @@ from repunif.constants import default_constants, load_constants, parse_constants
 from repunif.distributions import (
     InstanceSpec,
     SampleBatch,
-    draw_batch,
     draw_batches,
     make_instance,
 )
@@ -35,7 +34,6 @@ from repunif.harness import (
 )
 from repunif.rng import ROLE_INSTANCE, ROLE_INTERNAL, ROLE_SAMPLE, SeedSplit, stream
 from repunif.stats import (
-    collision_statistic,
     exact_uniform_mean,
     expectation_gap,
     tv_statistic,
@@ -270,8 +268,8 @@ class TestBarrierExperiment:
         assert runs[0] == runs[1]
 
     def test_zero_spread_raises(self, recwarn):
-        # at n = 100 every collision count over 3 runs at m = 8 is 0: no log-log slope
-        with pytest.raises(ValueError, match=r"sd 0 over 3 runs at m = 8\b"):
+        # at n = 100 every collision count over 3 runs at m = 4 is 0: no log-log slope
+        with pytest.raises(ValueError, match=r"sd 0 over 3 runs at m = 4\b"):
             barrier_experiment("collision", 100, [4, 8, 16], 3, master_seed=1)
         assert len(recwarn) == 0
 
@@ -424,21 +422,20 @@ class TestStreamKeyContract:
 
     @pytest.mark.parametrize("kind", ["collision", "chi2", "tvstat"])
     def test_barrier(self, kind):
+        # a grid point's runs are one fingerprint matrix drawn from the point's stream
         n, runs = 400, 3
         res = barrier_experiment(kind, n, [40, 80], runs, master_seed=61)
         pmf = make_instance(InstanceSpec.heavy(n ** -0.5), n)
         for g, row in enumerate(res.rows):
-            values = []
-            for run in range(runs):
-                rng = stream(61, EXP_BARRIER, g, run, ROLE_SAMPLE)
-                if kind == "collision":
-                    values.append(float(collision_statistic(draw_batch(pmf, row.m, rng))))
-                elif kind == "chi2":
-                    # a chi-square batch is drawn as its fingerprint, never as a vector
-                    fingerprint = distributions._poissonized_fingerprint(pmf, row.m, rng)
-                    values.append(stats._chi2_from_fingerprint(*fingerprint, n, row.m))
-                else:
-                    values.append(tv_statistic(draw_batch(pmf, row.m, rng)))
+            rng = stream(61, EXP_BARRIER, g, ROLE_SAMPLE)
+            if kind == "chi2":
+                fingerprints = distributions._poissonized_fingerprints(pmf, row.m, runs, rng)
+                values = stats._chi2_sums(*fingerprints, n, row.m)
+            else:
+                fingerprints = distributions._multinomial_fingerprints(pmf, row.m, runs, rng)
+                values = (stats._collision_counts(*fingerprints, row.m) if kind == "collision"
+                          else stats._tv_from_fingerprints(*fingerprints, row.m, n))
+            values = [float(v) for v in values]
             assert (row.mean, row.sd) == (float(np.mean(values)), float(np.std(values, ddof=1)))
 
     def test_calibrate_sample_draws(self):

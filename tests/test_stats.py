@@ -232,6 +232,62 @@ class TestBarrierRewrites:
         assert collision_statistic(SampleBatch(np.array(counts, dtype=np.int64))) == expected
 
 
+def _fingerprints(counts):
+    """``(values, mult, starts)`` of count rows, as the barrier's samplers return them."""
+    rows = [np.unique(r, return_counts=True) for r in counts]
+    starts = np.cumsum([0] + [v.size for v, _ in rows[:-1]])
+    return np.concatenate([v for v, _ in rows]), np.concatenate([c for _, c in rows]), starts
+
+
+class TestFingerprintScorers:
+    """The barrier's scorers of k fingerprints against the one-batch statistics."""
+
+    @given(_kernel_rows(), st.floats(min_value=1e-3, max_value=1e12))
+    @settings(max_examples=150)
+    def test_rows_equal_the_batch_statistics(self, draw, m_rate):
+        # m up to 2**62: both sides of the wide-integer guards of collisions and TV
+        rows, m, n = draw
+        counts = _scatter(rows, n, list(range(rows.shape[1])))
+        fingerprints = _fingerprints(counts)
+        batches = [SampleBatch(r) for r in counts]
+        assert stats._collision_counts(*fingerprints, m) == [collision_statistic(b) for b in batches]
+        assert stats._tv_from_fingerprints(*fingerprints, m, n) == [tv_statistic(b) for b in batches]
+        assert stats._chi2_sums(*fingerprints, n, m_rate) == [chi2_statistic(b, m_rate) for b in batches]
+
+    @pytest.mark.parametrize("m", [2**31 - 1, 2**31, 2**59 - 1, 2**59])
+    def test_at_the_wide_guards(self, m):
+        # collisions go wide from m = 2**31, TV from 2 n m = 2**63 (n = 8)
+        counts = np.array([[m, 0, 0, 0, 0, 0, 0, 0], [m - 1, 1, 0, 0, 0, 0, 0, 0],
+                           [m // 2, m - m // 2, 0, 0, 0, 0, 0, 0]], dtype=np.int64)
+        fingerprints = _fingerprints(counts)
+        batches = [SampleBatch(r) for r in counts]
+        assert stats._collision_counts(*fingerprints, m) == [collision_statistic(b) for b in batches]
+        assert stats._tv_from_fingerprints(*fingerprints, m, 8) == [tv_statistic(b) for b in batches]
+
+    @pytest.mark.parametrize("m_rate", [2.0**-875, 1e-300])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    def test_chi2_rows_with_and_without_infinite_terms(self, m_rate):
+        # a count of 2**62 makes a term near 2**1001, or an infinite one at 1e-300:
+        # only the rows that hold it take the fsum of every term, and a count
+        # that no cell of a row holds changes nothing, whatever its term
+        counts = np.array([[2**62, 0, 3, 3], [6, 0, 0, 2**62 - 6], [1, 2, 3, 4], [0, 0, 5, 5]], dtype=np.int64)
+        values, mult, starts = _fingerprints(counts)
+        expected = [_chi2_reference(r, m_rate) for r in counts.tolist()]
+        assert math.isinf(expected[0]) == (m_rate == 1e-300)
+        assert stats._chi2_sums(values, mult, starts, 4, m_rate) == expected
+        assert [chi2_statistic(SampleBatch(r), m_rate) for r in counts] == expected
+        for unused in (2**61, 7):  # one more count of multiplicity 0 at the end of row 2
+            at = starts[3]
+            padded = (np.insert(values, at, unused), np.insert(mult, at, 0), starts + (starts > 2))
+            assert stats._chi2_sums(*padded, 4, m_rate) == expected
+
+    def test_chi2_rejects_bad_rates(self):
+        fingerprints = _fingerprints(np.array([[2, 1]], dtype=np.int64))
+        for m_rate in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="chi2 rate must be finite and > 0"):
+                stats._chi2_sums(*fingerprints, 2, m_rate)
+
+
 class TestEmptyBucketCount:
     def test_examples(self):
         assert empty_bucket_count(batch(2, 1, 0, 0)) == 2
@@ -310,7 +366,7 @@ class TestChi2Statistic:
         # a batch's statistic is the fingerprint helper on np.unique of its counts
         b = batch(*counts)
         fingerprint = np.unique(b.counts, return_counts=True)
-        assert stats._chi2_from_fingerprint(*fingerprint, b.n, m_rate) == chi2_statistic(b, m_rate)
+        assert stats._chi2_sums(*fingerprint, np.zeros(1, dtype=np.int64), b.n, m_rate) == [chi2_statistic(b, m_rate)]
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=60)
