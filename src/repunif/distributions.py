@@ -59,7 +59,9 @@ made: the histogram of a level's g cells of one rate is multinomial(g, that
 rate's ``PoissonTable`` law), and the multinomial rows take
 ``draw_batches``' top-up on those histograms (its cells being
 exchangeable, a row's cells can be laid out in order of their Poisson
-counts).  Any other pmf draws its k rows one at a time.
+counts).  The rows come in blocks of at most ``_FINGERPRINT_BLOCK`` top-up
+samples and count-indexed matrix entries.  Any other pmf draws its k rows
+one at a time.
 """
 
 from __future__ import annotations
@@ -89,11 +91,12 @@ _POISSON_SLACK = 3.0
 # cell they cost more than a row's O(n) binomials, and their memory grows with
 # sqrt(m): there the rows are draw_batch calls again.
 _TOPUP_MAX_PER_CELL = 16
-# The fingerprint sampler tops up about this many samples per block of rows.
-# A block's arrays peak near 30 bytes per sample, about 0.5 MB here: at the
-# barrier's m = 6400 (48,000 samples for 200 rows) blocks of 2**14 samples ran
-# as fast as one block and halved the peak.
-_TOPUP_MAX_KEYS = 1 << 14
+# The fingerprint samplers draw their rows in blocks of at most this many
+# top-up samples and this many fingerprint matrix entries.  At the barrier's
+# m = 6400 (48,000 samples for 200 rows) perfbench barrier runs with blocks of
+# 2**14 had about 1 MB less peak RSS than with one block of 2**20, at the
+# same speed.
+_FINGERPRINT_BLOCK = 1 << 14
 # Above this rate a Poisson table and its guide would pass about 256 KB:
 # such a level is drawn by numpy's own Poisson sampler instead.
 _POISSON_TABLE_MAX_RATE = 4096.0
@@ -667,57 +670,48 @@ def _fingerprint_tables(p: Pmf, rate: float) -> list[PoissonTable] | None:
     return [_poisson_table(lam) for lam in rates]
 
 
-def _by_cell(cells: np.ndarray, table: PoissonTable) -> bool:
-    """Whether ``_level_draws`` draws a level cell by cell: it has fewer cells than its table has values."""
-    return cells.size < table.cdf.size
+def _level_draws(tables: list[PoissonTable], sizes: list[int], k: int,
+                 rng: np.random.Generator) -> list[tuple[int, np.ndarray]]:
+    """k independent rows of each level's Poisson counts, as ``(table.lo, hist)``.
 
-
-def _level_draws(levels: LevelTable, tables: list[PoissonTable], k: int,
-                 rng: np.random.Generator) -> list[np.ndarray]:
-    """k independent rows of Poisson counts for each level, by its cached table.
-
-    A level of g cells is drawn as its histogram: entry ``[r, j]`` of its
-    ``(k, table width)`` matrix counts the cells that hold ``table.lo + j``
-    in row r.  The g cells share one rate, so that histogram is
-    multinomial(g, the table's law), a binomial per table value.  A level
-    of fewer cells than table values (``_by_cell``) costs less as its
-    ``(k, g)`` cell counts, each a uniform searched in the table's cdf.
+    Entry ``[r, j]`` of a level's ``(k, table width)`` histogram counts the
+    cells that hold ``table.lo + j`` in row r.  The level's g cells share
+    one rate, so that histogram is multinomial(g, the table's law).
     """
-    return [table.lo + np.searchsorted(table.cdf, rng.random((k, cells.size)), side="right")
-            if _by_cell(cells, table) else rng.multinomial(cells.size, table.pmf, size=k)
-            for cells, table in zip(levels.cells, tables)]
+    return [(table.lo, rng.multinomial(g, table.pmf, size=k)) for table, g in zip(tables, sizes)]
 
 
-def _row_totals(levels: LevelTable, tables: list[PoissonTable], draws: list[np.ndarray]) -> np.ndarray:
-    """Each row's total count over the levels' draws."""
-    return sum(draw.sum(axis=1) if _by_cell(cells, table) else draw @ (table.lo + np.arange(table.cdf.size))
-               for cells, table, draw in zip(levels.cells, tables, draws))
+def _row_totals(draws: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Each row's total count over ``(offset, hist)`` histograms."""
+    return sum(hist @ (offset + np.arange(hist.shape[1])) for offset, hist in draws)
 
 
-def _histogram_matrix(p: Pmf, levels: LevelTable, tables: list[PoissonTable], draws: list[np.ndarray],
-                      moved: list[tuple[int, np.ndarray]]) -> np.ndarray:
+def _histogram_matrix(p: Pmf, levels: LevelTable, draws: list[tuple[int, np.ndarray]],
+                      spare: int = 0) -> np.ndarray:
     """The count-indexed ``(k, W)`` fingerprint matrix of the levels' draws.
 
-    The zero-mass cells count 0, and each ``(offset, hist)`` of ``moved``
-    adds ``hist[r, j]`` cells of count ``offset + j`` to row r.
+    Each ``(offset, hist)`` of ``draws`` adds ``hist[r, j]`` cells of count
+    ``offset + j`` to row r, the zero-mass cells count 0, and ``spare``
+    columns of zeros are left at the end.
     """
-    k = draws[0].shape[0]
-    blocks, by_cell = list(moved), []
-    for cells, table, draw in zip(levels.cells, tables, draws):
-        if _by_cell(cells, table):
-            by_cell.append(draw)
-        else:
-            blocks.append((table.lo, draw))
-    width = max([1] + [offset + hist.shape[1] for offset, hist in blocks]
-                + [int(draw.max(initial=0)) + 1 for draw in by_cell])
-    out = np.zeros((k, width), dtype=np.int64)
+    k = draws[0][1].shape[0]
+    out = np.zeros((k, max(offset + hist.shape[1] for offset, hist in draws) + spare), dtype=np.int64)
     out[:, 0] = p.n - levels.order.size
-    for offset, hist in blocks:
+    for offset, hist in draws:
         out[:, offset:offset + hist.shape[1]] += hist
-    for draw in by_cell:
-        draw = draw + np.arange(k)[:, None] * width
-        out += np.bincount(draw.ravel(), minlength=k * width).reshape(k, width)
     return out
+
+
+def _block_rows(k: int, tables: list[PoissonTable], keys: int = 0) -> list[int]:
+    """Row counts of consecutive blocks of k rows, at least one row a block.
+
+    A block's top-up keys (``keys`` a row) and the entries of its
+    count-indexed matrix (about the widest ``table.lo + width`` a row) each
+    stay under ``_FINGERPRINT_BLOCK``.
+    """
+    width = max(table.lo + table.cdf.size for table in tables)
+    rows = max(1, _FINGERPRINT_BLOCK // max(keys, width))
+    return [min(rows, k - start) for start in range(0, k, rows)]
 
 
 def _entries(hist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -743,46 +737,48 @@ def _fingerprints_of_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _topped_up_block(p: Pmf, levels: LevelTable, tables: list[PoissonTable], m: int, k: int,
                      rng: np.random.Generator) -> np.ndarray:
     """k multinomial(m, p) fingerprints as a count-indexed ``(k, W)`` matrix:
-    ``_stacked_draw``'s Poisson rows and top-up, on the levels' draws.
+    ``_stacked_draw``'s Poisson rows and top-up, on the levels' histograms.
 
-    A level drawn cell by cell takes its top-up as ``_stacked_draw`` does.
-    In a level drawn as a histogram the cells are exchangeable, and the
-    top-up picks its cells uniformly and independently of the Poisson
-    counts, so a row's cells may be laid out in order of their Poisson
-    count, as the histogram gives them.  Top-up key ``row * g + cell`` is
-    then the cell's place in the level's flattened layout.  The sorted
-    keys' runs give the hit cells and how often each is hit, and a search
-    of the running sum of the flattened histogram counts, for each t, the
-    cells hit t times in each (row, count) bin.
+    In a level the cells are exchangeable, and the top-up picks its cells
+    uniformly and independently of the Poisson counts, so a row's cells may
+    be laid out in order of their Poisson count, as the histogram gives
+    them.  Top-up key ``row * g + cell`` is then the cell's place in the
+    level's flattened layout.  The sorted keys' runs give the hit cells and
+    how often each is hit, and for each t one search of the running sum
+    over the layout's nonempty (row, count) bins counts the cells hit t
+    times in each bin, which move t counts up.
     """
-    draws = _level_draws(levels, tables, k, rng)
-    totals = _row_totals(levels, tables, draws)
+    sizes = [cells.size for cells in levels.cells]
+    draws = _level_draws(tables, sizes, k, rng)
+    totals = _row_totals(draws)
     over = np.flatnonzero(totals > m)
     while over.size:
-        redrawn = _level_draws(levels, tables, over.size, rng)
-        for draw, new in zip(draws, redrawn):
-            draw[over] = new
-        totals[over] = _row_totals(levels, tables, redrawn)
+        redrawn = _level_draws(tables, sizes, over.size, rng)
+        for (_, hist), (_, new) in zip(draws, redrawn):
+            hist[over] = new
+        totals[over] = _row_totals(redrawn)
         over = over[totals[over] > m]
     split = rng.multinomial(m - totals, levels.mass)
-    moved = []
-    for l, (cells, table, draw) in enumerate(zip(levels.cells, tables, draws)):
-        g = cells.size
+    tops = []
+    for l, g in enumerate(sizes):
         # int32 keys where they fit halve the memory the sort moves
         dtype = np.int32 if k * g < 2**31 else np.int64
         keys = np.repeat(np.arange(k, dtype=dtype) * g, split[:, l])
         keys += rng.integers(0, g, keys.size, dtype=dtype)
-        if _by_cell(cells, table):
-            draw += np.bincount(keys, minlength=k * g).reshape(k, g)
-            continue
-        hit, inc = np.unique(keys, return_counts=True)
-        layout = np.cumsum(draw, dtype=dtype)
+        tops.append(np.unique(keys, return_counts=True))
+    out = _histogram_matrix(p, levels, draws, max(int(inc.max(initial=0)) for _, inc in tops))
+    for (lo, hist), (hit, inc) in zip(draws, tops):
+        # the layout's nonempty (row, count) bins and the places where each ends
+        bins = np.flatnonzero(hist)
+        ends = np.cumsum(hist.ravel()[bins])
+        rows, col = np.divmod(bins, hist.shape[1])
+        col += lo
         for t in np.flatnonzero(np.bincount(inc)).tolist():
-            # the cells hit t times, per (row, count) bin of the layout, move t counts up
-            hits = np.diff(np.searchsorted(hit[inc == t], layout, side="left"), prepend=0).reshape(draw.shape)
-            draw -= hits
-            moved.append((table.lo + t, hits))
-    return _histogram_matrix(p, levels, tables, draws, moved)
+            # the cells hit t times in each bin move t counts up
+            moved = np.diff(np.searchsorted(hit[inc == t], ends, side="left"), prepend=0)
+            out[rows, col] -= moved
+            out[rows, col + t] += moved
+    return out
 
 
 def _multinomial_fingerprints(p: Pmf, m: int, k: int,
@@ -798,8 +794,8 @@ def _multinomial_fingerprints(p: Pmf, m: int, k: int,
     on a pmf with at most 3 levels whose Poisson cell rates
     ``(m - 3 sqrt(m)) p_l`` are within the table bound: each row is
     ``_stacked_draw``'s row reduced to its counts of counts, and the rows
-    are drawn in blocks of about ``_TOPUP_MAX_KEYS`` top-up samples.  Any
-    other pmf draws k ``draw_batch`` rows.
+    are drawn in blocks (``_block_rows``).  Any other pmf draws k
+    ``draw_batch`` rows.
     """
     m, k = operator.index(m), operator.index(k)
     if m < 0 or k < 0:
@@ -809,9 +805,8 @@ def _multinomial_fingerprints(p: Pmf, m: int, k: int,
     if tables is None:
         return _fingerprints_of_rows(draw_batch(p, m, rng).counts for _ in range(k))
     levels = p.level_table()
-    block = max(1, _TOPUP_MAX_KEYS // max(1, math.ceil(m - rate)))
-    return _joined([_entries(_topped_up_block(p, levels, tables, m, min(block, k - start), rng))
-                    for start in range(0, k, block)])
+    blocks = _block_rows(k, tables, math.ceil(m - rate))
+    return _joined([_entries(_topped_up_block(p, levels, tables, m, rows, rng)) for rows in blocks])
 
 
 def _poissonized_fingerprints(p: Pmf, m: float, k: int,
@@ -822,8 +817,9 @@ def _poissonized_fingerprints(p: Pmf, m: float, k: int,
     does.  No n-length vector is made on a pmf with at most 3 levels whose
     cell rates are within the table bound: each level is drawn by
     ``_level_draws`` from its cached ``PoissonTable`` (the law the tester's
-    Poisson counts use, a cdf within 1e-13 of the exact one), and zero-mass
-    cells count 0.  Any other pmf draws all n counts of each row from
+    Poisson counts use, a cdf within 1e-13 of the exact one), zero-mass
+    cells count 0, and the rows are drawn in blocks (``_block_rows``).  Any
+    other pmf draws all n counts of each row from
     numpy's Poisson sampler.
     """
     _check_poisson_rate(m)
@@ -834,4 +830,6 @@ def _poissonized_fingerprints(p: Pmf, m: float, k: int,
     if tables is None:
         return _fingerprints_of_rows(rng.poisson(m * p.probs) for _ in range(k))
     levels = p.level_table()
-    return _entries(_histogram_matrix(p, levels, tables, _level_draws(levels, tables, k, rng), []))
+    sizes = [cells.size for cells in levels.cells]
+    return _joined([_entries(_histogram_matrix(p, levels, _level_draws(tables, sizes, rows, rng)))
+                    for rows in _block_rows(k, tables)])

@@ -9,8 +9,7 @@ sublinear signal scale ``eps^2 m^2 / n^2`` is tiny; the rational value is
 exposed for identity checks.  One kernel, ``_tv_numerators``, takes these
 numerators for every count vector: one batch, or the m0 rows of a tester
 run in one numpy pass.  At ``m <= n`` a numerator is ``2*m*Z`` with Z the
-empty cells (the identity ``S = Z/n``), and the collision count is
-``(sum X_i^2 - m) / 2``: one pass each, the same integers.
+empty cells (the identity ``S = Z/n``): one pass, the same integers.
 
 Every statistic here depends on a batch only through its fingerprint (the
 cells holding each distinct count), and the barrier study scores the
@@ -18,8 +17,9 @@ fingerprints of all runs of a grid point at once, to the same bits as the
 one-batch functions: collision counts and TV numerators are integer sums
 per row, and ``_chi2_sums`` turns each distinct count's float term into a
 multiple of the terms' common power-of-two denominator, so a row's sum is
-one exact integer, rounded once.  ``chi2_statistic`` is that sum on the
-fingerprint of one frequency vector.  ``mu(U_n)``, the uniform-case mean of
+one exact integer, rounded once.  ``collision_statistic`` and
+``chi2_statistic`` are those sums on the fingerprint of one frequency
+vector.  ``mu(U_n)``, the uniform-case mean of
 TV, is one binomial pmf term by de Moivre's mean-absolute-deviation
 identity.
 """
@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import SampleBatch
+from .distributions import SampleBatch, _fingerprints_of_rows
 
 __all__ = [
     "tv_statistic",
@@ -45,6 +45,13 @@ __all__ = [
     "GapRegime",
     "expectation_gap",
 ]
+
+
+def _tv_wide(m: int, n: int) -> bool:
+    """Whether TV numerators need Python integers: each term ``|n*X_i - m|``
+    is at most ``n*m`` and a batch's sum at most ``2*n*m``, so below ``2**63``
+    int64 cannot wrap."""
+    return 2 * n * m >= 2**63
 
 
 def _tv_numerators(rows: np.ndarray, m: int, n: int) -> list[int]:
@@ -62,9 +69,7 @@ def _tv_numerators(rows: np.ndarray, m: int, n: int) -> list[int]:
         # terms sum to 0, so the sum of their absolute values is 2*m*Z
         empty = np.count_nonzero(rows == 0, axis=1).tolist()
         return [2 * m * (z + absent) for z in empty]
-    if 2 * n * m >= 2**63:
-        # wide-integer path: each term is at most n*m and the sum at most 2*n*m,
-        # so below this bound int64 cannot wrap
+    if _tv_wide(m, n):
         return [sum(abs(n * c - m) for c in row) + m * absent for row in rows.tolist()]
     terms = rows * n
     terms -= m
@@ -93,14 +98,12 @@ def empty_bucket_count(batch: SampleBatch) -> int:
 
 
 def collision_statistic(batch: SampleBatch) -> int:
-    """Number of colliding sample pairs, ``sum_i X_i (X_i - 1) / 2``, exact."""
-    counts = batch.counts
-    m = batch.m
-    if m >= 2**31:
-        # wide-integer path: the sum of squares could overflow int64
-        return sum(int(c) * (int(c) - 1) for c in counts) // 2
-    # sum X_i (X_i - 1) = sum X_i^2 - m, and sum X_i^2 <= m^2 < 2**62
-    return (int(np.dot(counts, counts)) - m) // 2
+    """Number of colliding sample pairs, ``sum_i X_i (X_i - 1) / 2``, exact.
+
+    It depends on the batch only through its fingerprint, which
+    ``_collision_counts`` sums.
+    """
+    return _collision_counts(*_fingerprints_of_rows([batch.counts]), batch.m)[0]
 
 
 def _collision_counts(values: np.ndarray, mult: np.ndarray, starts: np.ndarray, m: int) -> list[int]:
@@ -111,7 +114,7 @@ def _collision_counts(values: np.ndarray, mult: np.ndarray, starts: np.ndarray, 
     them; its collision count is the sum of ``mult[j] * v (v - 1) / 2``.
     """
     if m >= 2**31:
-        # wide-integer path, as collision_statistic's: v (v - 1) or the sum could overflow int64
+        # wide-integer path: v (v - 1) or the sum could overflow int64
         pairs = [c * (v * (v - 1) // 2) for v, c in zip(values.tolist(), mult.tolist())]
         return np.add.reduceat(np.array(pairs, dtype=object), starts).tolist()
     # each row's sum is at most m (m - 1) / 2 < 2**61
@@ -128,8 +131,7 @@ def _tv_from_fingerprints(values: np.ndarray, mult: np.ndarray, starts: np.ndarr
     """
     if m < 1:
         raise ValueError("tv statistic needs at least one sample")
-    if 2 * n * m >= 2**63:
-        # wide-integer path: below this bound no term or sum can wrap int64
+    if _tv_wide(m, n):
         terms = np.array([c * abs(n * v - m) for v, c in zip(values.tolist(), mult.tolist())], dtype=object)
     else:
         terms = mult * np.abs(n * values - m)
@@ -144,8 +146,7 @@ def chi2_statistic(batch: SampleBatch, m_rate: float) -> float:
     It depends on the batch only through its fingerprint, which
     ``_chi2_sums`` sums.
     """
-    values, mult = np.unique(batch.counts, return_counts=True)
-    return _chi2_sums(values, mult, np.zeros(1, dtype=np.int64), batch.n, m_rate)[0]
+    return _chi2_sums(*_fingerprints_of_rows([batch.counts]), batch.n, m_rate)[0]
 
 
 def _chi2_sums(values: np.ndarray, mult: np.ndarray, starts: np.ndarray, n: int, m_rate: float) -> list[float]:

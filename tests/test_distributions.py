@@ -855,6 +855,19 @@ class TestPoissonizedFingerprint:
         with pytest.raises(ValueError, match=match):
             distributions._poissonized_fingerprints(Pmf(np.array([0.5, 0.5])), rate, 3, stream(1, 1))
 
+    def test_several_blocks(self, monkeypatch):
+        # 300 matrix entries a block: 2 rows of the 150-column matrix at rate 6400
+        monkeypatch.setattr(distributions, "_FINGERPRINT_BLOCK", 300)
+        shapes = []
+        matrix = distributions._histogram_matrix
+        monkeypatch.setattr(distributions, "_histogram_matrix",
+                            lambda *args: shapes.append(matrix(*args).shape) or matrix(*args))
+        p, m = make_instance(InstanceSpec.heavy(1e4 ** -0.5), 10**4), 6400
+        drawn = _rows_of(distributions._poissonized_fingerprints(p, m, self.TRIALS, stream(71, 3)))
+        assert len(drawn) == self.TRIALS and sum(rows for rows, _ in shapes) == self.TRIALS
+        assert all(rows * width <= 300 for rows, width in shapes)
+        self._assert_law(drawn, p, m)
+
     def test_rows_and_determinism(self):
         p = make_instance(InstanceSpec.heavy(0.01), 10**4)
         a = distributions._poissonized_fingerprints(p, 6400.0, 50, stream(9, 1))
@@ -882,7 +895,7 @@ class TestMultinomialFingerprints:
         (make_instance(InstanceSpec.heavy(1e4 ** -0.5), 10**4), 6400),
         (make_instance(InstanceSpec.paired_bias(0.5), 1000), 7784),  # the headline batch
         (_mixed_levels(2000), 3000),  # 3 levels and a zero-mass cell
-        (_mixed_levels(300), 40),  # the heavy cell's table: few cells, drawn one by one
+        (_mixed_levels(300), 40),  # small m: the one-cell level at rate 2.1
         (uniform(50), 3),  # rate 0: every sample from the top-up
         (make_instance(InstanceSpec.heavy(0.3), 20), 9),
         (_leveled(1000, 200), 2000),  # more than 3 levels: draw_batch rows
@@ -935,8 +948,8 @@ class TestMultinomialFingerprints:
             self._assert_rows(distributions._multinomial_fingerprints(p, m, 7, stream(73, 4)), p, m, 7)
 
     def test_several_blocks(self, monkeypatch):
-        # 30 top-up keys a block: a row or two per block at m = 400 (60 per row)
-        monkeypatch.setattr(distributions, "_TOPUP_MAX_KEYS", 30)
+        # 30 items a block: one row per block at m = 400 (60 top-up keys a row)
+        monkeypatch.setattr(distributions, "_FINGERPRINT_BLOCK", 30)
         blocks = []
         block = distributions._topped_up_block
         monkeypatch.setattr(distributions, "_topped_up_block",

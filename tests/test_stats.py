@@ -250,7 +250,9 @@ class TestFingerprintScorers:
         counts = _scatter(rows, n, list(range(rows.shape[1])))
         fingerprints = _fingerprints(counts)
         batches = [SampleBatch(r) for r in counts]
-        assert stats._collision_counts(*fingerprints, m) == [collision_statistic(b) for b in batches]
+        # collision_statistic is _collision_counts on one row: both against Python integers
+        expected = [sum(c * (c - 1) for c in r) // 2 for r in counts.tolist()]
+        assert stats._collision_counts(*fingerprints, m) == [collision_statistic(b) for b in batches] == expected
         assert stats._tv_from_fingerprints(*fingerprints, m, n) == [tv_statistic(b) for b in batches]
         assert stats._chi2_sums(*fingerprints, n, m_rate) == [chi2_statistic(b, m_rate) for b in batches]
 
@@ -261,7 +263,8 @@ class TestFingerprintScorers:
                            [m // 2, m - m // 2, 0, 0, 0, 0, 0, 0]], dtype=np.int64)
         fingerprints = _fingerprints(counts)
         batches = [SampleBatch(r) for r in counts]
-        assert stats._collision_counts(*fingerprints, m) == [collision_statistic(b) for b in batches]
+        expected = [sum(c * (c - 1) for c in r) // 2 for r in counts.tolist()]
+        assert stats._collision_counts(*fingerprints, m) == [collision_statistic(b) for b in batches] == expected
         assert stats._tv_from_fingerprints(*fingerprints, m, 8) == [tv_statistic(b) for b in batches]
 
     @pytest.mark.parametrize("m_rate", [2.0**-875, 1e-300])
