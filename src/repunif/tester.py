@@ -183,7 +183,6 @@ class IdentityReducer:
         big = 6 * n
         qbar = 0.5 * (q.probs + 1.0 / n)
         cells = np.floor(big * qbar).astype(np.int64)  # >= 2 per element
-        self.q = q
         self.n = n
         self.big = big
         self.cells = cells
@@ -197,7 +196,12 @@ class IdentityReducer:
         self.spread = spread
 
     def pushforward(self, p: Pmf) -> Pmf:
-        """The exact law on [6n] of one mapped sample of p."""
+        """The exact law on [6n] of one mapped sample of p.
+
+        Built on every call.  ``run_identity_tester`` caches the result on
+        p, keyed on this reducer, together with its level table: about
+        150·n bytes.
+        """
         if p.n != self.n:
             raise ValueError(f"p is on [{p.n}] but the reducer's q is on [{self.n}]")
         pbar = 0.5 * (p.probs + 1.0 / self.n)
@@ -237,13 +241,28 @@ def run_identity_tester(p_access, q: Pmf, params: TesterParams, seeds: SeedSplit
     ``p_access(m, rng)`` must return exactly m raw 0-based samples, which
     are mapped one by one.  Reduction randomness is drawn from the sample
     stream: it does not need to be shared across paired runs.
+
+    Runs repeat on a fixed (p, q), so the set-up is built once and cached on
+    the immutable ``Pmf``s, as ``Pmf.level_table`` caches its table: the
+    reducer on q (about 24·n bytes), and the pushforward on p, tagged with
+    the reducer that made it (about 150·n bytes with its level table).  A p
+    run against another q builds its pushforward again.  The first run
+    builds exactly what every run used to, so draws, stream use and verdicts
+    are unchanged.
     """
     if params.n != q.n:
         raise ValueError("params.n must match q's domain")
-    reducer = IdentityReducer(q)
+    reducer = q.__dict__.get("_reducer")
+    if reducer is None:
+        reducer = IdentityReducer(q)
+        object.__setattr__(q, "_reducer", reducer)
     reduced_params = replace(params, n=reducer.big, eps=params.eps / 3.0)
     if isinstance(p_access, Pmf):
-        return run_tester(reducer.pushforward(p_access), reduced_params, seeds)
+        made_by, push = p_access.__dict__.get("_pushforward", (None, None))
+        if made_by is not reducer:
+            push = reducer.pushforward(p_access)
+            object.__setattr__(p_access, "_pushforward", (reducer, push))
+        return run_tester(push, reduced_params, seeds)
 
     def reduced_oracle(m, rng):
         raw = np.asarray(p_access(m, rng))

@@ -12,12 +12,13 @@ from repunif.distributions import (
     InstanceSpec,
     Pmf,
     SampleBatch,
+    _normalize_rows,
     draw_batch,
     draw_batches,
     draw_samples,
     make_instance,
 )
-from repunif.exact import exact_pushforward, rational_pmfs
+from repunif.exact import _pushforwards, exact_pushforward, rational_pmfs
 from repunif.rng import ROLE_INTERNAL, ROLE_SAMPLE, SeedSplit, stream
 from repunif import stats
 from repunif.stats import GapRegime, tv_statistic
@@ -296,14 +297,18 @@ class TestIdentityReducer:
         assert np.array_equal(a, b)
 
     def test_pushforward_matches_exact_oracle(self):
+        # each q's oracle for the whole family is one _pushforwards pass,
+        # renormalized as exact_pushforward renormalizes its one row
         for n in range(1, 5):
             family = rational_pmfs(n, 6)
-            for q in family:
+            ps = np.stack([p.probs for p in family])
+            for i, q in enumerate(family):
+                oracle = _normalize_rows(_pushforwards(np.broadcast_to(q.probs, ps.shape), ps))
+                assert np.array_equal(exact_pushforward(q, q).probs, oracle[i])
                 red = IdentityReducer(q)
                 assert np.max(np.abs(red.pushforward(q).probs - 1 / (6 * n))) <= 1e-15
-                for p in family:
-                    push = red.pushforward(p).probs
-                    assert np.max(np.abs(push - exact_pushforward(q, p).probs)) <= 1e-15
+                for p, row in zip(family, oracle):
+                    assert np.max(np.abs(red.pushforward(p).probs - row)) <= 1e-15
 
     def test_pushforward_rejects_other_domain(self):
         red = IdentityReducer(uniform(4))
@@ -364,8 +369,8 @@ class TestIdentityTester:
         assert rejects == 10
 
     def test_reduced_batch_below_reduced_domain(self):
-        # reduced m = 198,826 < 6n = 240,000: each batch takes draw_batch's
-        # alias path over the pushforward, whose table is built on every run
+        # reduced m = 198,826 < 6n = 240,000: each batch is one draw_batch
+        # (level path) over the pushforward that p keeps from its first run
         n, eps = 4 * 10**4, 0.45
         q = make_instance(InstanceSpec.paired_bias(0.4), n)
         shifted = np.array(q.probs)
@@ -389,8 +394,59 @@ class TestIdentityTester:
     def test_p_on_other_domain_rejected(self, p_n):
         q = uniform(200)
         params = TesterParams.from_constants(200, 0.3, 0.2, CAL)
-        with pytest.raises(ValueError):
-            run_identity_tester(uniform(p_n), q, params, seeds_for(104))
+        p = uniform(p_n)
+        # a second call must check the domain again: nothing is cached on failure
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                run_identity_tester(p, q, params, seeds_for(104))
+
+    def test_verdicts_equal_run_tester_on_a_fresh_pushforward(self):
+        # two p's against two q's, interleaved: a pushforward cached on p for
+        # the other q, or a reducer cached for the other q, changes the draws
+        n = 60
+        qs = [make_instance(InstanceSpec.paired_bias(0.4), n), make_instance(InstanceSpec.heavy(0.2), n)]
+        far = np.array(qs[0].probs)
+        far[0::2] -= 0.3 / n
+        far[1::2] += 0.3 / n
+        ps = [Pmf(far), qs[0]]
+        params = TesterParams.from_constants(n, 0.15, 0.2, CAL)
+        reduced = replace(params, n=6 * n, eps=params.eps / 3)
+        for s in range(20):
+            statistics = set()
+            for p, q in [(p, q) for p in ps for q in qs]:
+                v = run_identity_tester(p, q, params, seeds_for(109, s))
+                assert v == run_tester(IdentityReducer(q).pushforward(p), reduced, seeds_for(109, s))
+                statistics.add(v.statistic)
+            # on one stream, a stale pushforward would repeat another pair's statistic
+            assert len(statistics) == 4
+
+    def test_setup_built_once_per_q_and_p(self, monkeypatch):
+        built = {"reducers": 0, "pushforwards": 0}
+        init, pushforward = IdentityReducer.__init__, IdentityReducer.pushforward
+
+        def counting_init(self, q):
+            built["reducers"] += 1
+            init(self, q)
+
+        def counting_pushforward(self, p):
+            built["pushforwards"] += 1
+            return pushforward(self, p)
+
+        monkeypatch.setattr(IdentityReducer, "__init__", counting_init)
+        monkeypatch.setattr(IdentityReducer, "pushforward", counting_pushforward)
+        n = 50
+        q = make_instance(InstanceSpec.paired_bias(0.4), n)
+        p = make_instance(InstanceSpec.paired_bias(0.1), n)
+        params = TesterParams.from_constants(n, 0.15, 0.2, CAL)
+        for s in range(10):
+            run_identity_tester((q, p)[s % 2], q, params, seeds_for(113, s))
+        assert built == {"reducers": 1, "pushforwards": 2}
+        run_identity_tester(lambda m, g: draw_samples(p, m, g), q, params, seeds_for(113, 10))
+        assert built == {"reducers": 1, "pushforwards": 2}
+        # p against another q: a new reducer, and p's pushforward for it
+        other = make_instance(InstanceSpec.heavy(0.2), n)
+        run_identity_tester(p, other, params, seeds_for(113, 11))
+        assert built == {"reducers": 2, "pushforwards": 3}
 
     def test_black_box_oracle_of_another_total_rejected(self):
         q = make_instance(InstanceSpec.paired_bias(0.4), 50)
