@@ -56,12 +56,14 @@ draw the fingerprints of k batches directly, all at once, the way the
 barrier study draws each grid point's runs.  On a pmf with at most 3
 levels whose cell rates are within the table bound, no n-length vector is
 made: the histogram of a level's g cells of one rate is multinomial(g, that
-rate's ``PoissonTable`` law), and the multinomial rows take
-``draw_batches``' top-up on those histograms (its cells being
-exchangeable, a row's cells can be laid out in order of their Poisson
-counts).  The rows come in blocks of at most ``_FINGERPRINT_BLOCK`` top-up
-samples and count-indexed matrix entries.  Any other pmf draws its k rows
-one at a time.
+rate's ``PoissonTable`` law), drawn over the table's values in decreasing-mass
+order so that numpy's multinomial stops soon after the likeliest values.
+The multinomial rows take ``draw_batches``' top-up on those histograms (its
+cells being exchangeable, a row's cells can be laid out in order of their
+Poisson counts), from Poisson rows at the rate ``m - sqrt(m)``: a redrawn
+row costs one small histogram, a top-up sample a sort and a search.  The
+rows come in blocks of at most ``_FINGERPRINT_BLOCK`` top-up samples and
+count-indexed matrix entries.  Any other pmf draws its k rows one at a time.
 """
 
 from __future__ import annotations
@@ -93,10 +95,16 @@ _POISSON_SLACK = 3.0
 _TOPUP_MAX_PER_CELL = 16
 # The fingerprint samplers draw their rows in blocks of at most this many
 # top-up samples and this many fingerprint matrix entries.  At the barrier's
-# m = 6400 (48,000 samples for 200 rows) perfbench barrier runs with blocks of
+# m = 6400 (16,000 samples for 200 rows) perfbench barrier runs with blocks of
 # 2**14 had about 1 MB less peak RSS than with one block of 2**20, at the
 # same speed.
 _FINGERPRINT_BLOCK = 1 << 14
+# The multinomial fingerprints' Poisson rows are at rate m - slack * sqrt(m),
+# so at the barrier's m about 15% of them overshoot m and are redrawn.  A
+# redrawn row costs one small histogram per level, a top-up sample a sort and
+# a search: over the barrier's five points, slacks from 0.5 to 1 drew fastest,
+# about 1.5x faster than _POISSON_SLACK, and 1 redraws the fewest of those.
+_FINGERPRINT_SLACK = 1.0
 # Above this rate a Poisson table and its guide would pass about 256 KB:
 # such a level is drawn by numpy's own Poisson sampler instead.
 _POISSON_TABLE_MAX_RATE = 4096.0
@@ -472,6 +480,12 @@ class PoissonTable:
         """The table's law: ``pmf[i]`` is the probability of ``lo + i``, the steps of ``cdf``."""
         return np.diff(self.cdf, prepend=0.0)
 
+    @cached_property
+    def by_mass(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, mass)``: the indices of ``pmf`` in decreasing-mass order, and their masses."""
+        order = np.argsort(-self.pmf, kind="stable")
+        return order, self.pmf[order]
+
     def lookup(self, chunks: np.ndarray, fresh) -> np.ndarray:
         """Poisson variates for random 16-bit ``chunks``, one per cell.
 
@@ -676,9 +690,19 @@ def _level_draws(tables: list[PoissonTable], sizes: list[int], k: int,
 
     Entry ``[r, j]`` of a level's ``(k, table width)`` histogram counts the
     cells that hold ``table.lo + j`` in row r.  The level's g cells share
-    one rate, so that histogram is multinomial(g, the table's law).
+    one rate, so that histogram is multinomial(g, the table's law).  It is
+    drawn over the values in decreasing-mass order (``table.by_mass``) and
+    its columns are put back in value order.  numpy's multinomial stops once
+    all g cells are placed, so at the barrier's m = 6400 the one-cell heavy
+    level walks about 13 of its table's 142 values a row, not about 57.
     """
-    return [(table.lo, rng.multinomial(g, table.pmf, size=k)) for table, g in zip(tables, sizes)]
+    draws = []
+    for table, g in zip(tables, sizes):
+        order, mass = table.by_mass
+        hist = np.empty((k, order.size), dtype=np.int64)
+        hist[:, order] = rng.multinomial(g, mass, size=k)
+        draws.append((table.lo, hist))
+    return draws
 
 
 def _row_totals(draws: list[tuple[int, np.ndarray]]) -> np.ndarray:
@@ -792,15 +816,16 @@ def _multinomial_fingerprints(p: Pmf, m: int, k: int,
     that of k ``draw_batch`` rows, up to the ``PoissonTable`` rounding
     ``_stacked_draw`` has (a cdf within 1e-13).  No n-length vector is made
     on a pmf with at most 3 levels whose Poisson cell rates
-    ``(m - 3 sqrt(m)) p_l`` are within the table bound: each row is
-    ``_stacked_draw``'s row reduced to its counts of counts, and the rows
-    are drawn in blocks (``_block_rows``).  Any other pmf draws k
+    ``(m - sqrt(m)) p_l`` are within the table bound: each row is
+    ``_stacked_draw``'s row reduced to its counts of counts, with the
+    Poisson rows at that rate (``_FINGERPRINT_SLACK``), and the rows are
+    drawn in blocks (``_block_rows``).  Any other pmf draws k
     ``draw_batch`` rows.
     """
     m, k = operator.index(m), operator.index(k)
     if m < 0 or k < 0:
         raise ValueError("sample count and batch count must be >= 0")
-    rate = max(m - _POISSON_SLACK * math.sqrt(m), 0.0)
+    rate = max(m - _FINGERPRINT_SLACK * math.sqrt(m), 0.0)
     tables = _fingerprint_tables(p, rate)
     if tables is None:
         return _fingerprints_of_rows(draw_batch(p, m, rng).counts for _ in range(k))

@@ -881,6 +881,23 @@ class TestPoissonizedFingerprint:
             distributions._poissonized_fingerprints(p, 6400.0, -1, stream(9, 1))
 
 
+class TestLevelDraws:
+    def test_mass_ordered_histograms_in_value_order(self):
+        # the heavy cell (g = 1, 142 table values) and the 9,999-cell level at
+        # m = 6400: every row places the level's g cells, and each column's mean
+        # is within 5 SE of g times the table's mass of that column's value
+        p, m, rows = make_instance(InstanceSpec.heavy(0.01), 10**4), 6400, 20_000
+        tables = distributions._fingerprint_tables(p, m - math.sqrt(m))
+        sizes = [cells.size for cells in p.level_table().cells]
+        assert sizes == [1, 9999] and tables[0].cdf.size == 142
+        draws = distributions._level_draws(tables, sizes, rows, stream(73, 7))
+        for (lo, hist), table, g in zip(draws, tables, sizes):
+            assert lo == table.lo and hist.shape == (rows, table.cdf.size) and hist.dtype == np.int64
+            assert np.all(hist.sum(axis=1) == g)
+            se = np.sqrt(g * table.pmf * (1.0 - table.pmf) / rows)
+            assert np.all(np.abs(hist.mean(axis=0) - g * table.pmf) <= 5 * se)
+
+
 def _collisions_and_empties(fingerprints):
     """Each row's collision count and empty-cell count."""
     rows = _rows_of(fingerprints)
@@ -895,15 +912,16 @@ class TestMultinomialFingerprints:
         (make_instance(InstanceSpec.heavy(1e4 ** -0.5), 10**4), 6400),
         (make_instance(InstanceSpec.paired_bias(0.5), 1000), 7784),  # the headline batch
         (_mixed_levels(2000), 3000),  # 3 levels and a zero-mass cell
-        (_mixed_levels(300), 40),  # small m: the one-cell level at rate 2.1
-        (uniform(50), 3),  # rate 0: every sample from the top-up
+        (_mixed_levels(300), 40),  # small m: the one-cell level at rate 3.4
+        (uniform(50), 3),  # rate 1.3: most samples from the top-up
         (make_instance(InstanceSpec.heavy(0.3), 20), 9),
+        (make_instance(InstanceSpec.heavy(0.3), 20), 1),  # rate 0: the one sample from the top-up
         (_leveled(1000, 200), 2000),  # more than 3 levels: draw_batch rows
-        # cell rate (800000 - 3 sqrt(800000)) * 0.0052 = 4146 past the table bound: draw_batch rows
+        # cell rate (800000 - sqrt(800000)) * 0.0052 = 4155 past the table bound: draw_batch rows
         (Pmf(np.repeat([0.0048, 0.0052], 100)), 800_000),
     ]
     IDS = ["heavy-400", "heavy-6400", "paired-7784", "three-levels", "few-cells", "uniform-3",
-           "heavy-9", "many-levels", "table-bound"]
+           "heavy-9", "heavy-1", "many-levels", "table-bound"]
 
     @staticmethod
     def _assert_rows(fingerprints, p, m, k):
@@ -913,14 +931,30 @@ class TestMultinomialFingerprints:
 
     @pytest.mark.parametrize("p, m", CASES, ids=IDS)
     def test_law_against_draw_batch_rows(self, p, m):
-        # two-sample KS of the collision and empty-cell counts against draw_batch
-        # rows, and both means within 5 SE of their closed forms
+        self._assert_law(p, m)
+
+    @pytest.mark.parametrize("p, m", CASES[5:7], ids=IDS[5:7])
+    def test_law_at_rate_zero(self, p, m, monkeypatch):
+        # at a slack of 3 the Poisson rate max(m - 3 sqrt(m), 0) is 0 here, so
+        # every one of the m samples comes from the top-up
+        monkeypatch.setattr(distributions, "_FINGERPRINT_SLACK", 3.0)
+        rates = []
+        tables = distributions._fingerprint_tables
+        monkeypatch.setattr(distributions, "_fingerprint_tables",
+                            lambda p, rate: rates.append(rate) or tables(p, rate))
+        self._assert_law(p, m)
+        assert rates == [0.0]
+
+    @classmethod
+    def _assert_law(cls, p, m):
+        """Two-sample KS of the collision and empty-cell counts against draw_batch
+        rows, and both means within 5 SE of their closed forms."""
         from scipy.stats import ks_2samp
 
-        fingerprints = distributions._multinomial_fingerprints(p, m, self.TRIALS, stream(73, 1))
-        self._assert_rows(fingerprints, p, m, self.TRIALS)
+        fingerprints = distributions._multinomial_fingerprints(p, m, cls.TRIALS, stream(73, 1))
+        cls._assert_rows(fingerprints, p, m, cls.TRIALS)
         rng = stream(73, 2)
-        rows = np.array([draw_batch(p, m, rng).counts for _ in range(self.TRIALS)])
+        rows = np.array([draw_batch(p, m, rng).counts for _ in range(cls.TRIALS)])
         drawn = _collisions_and_empties(fingerprints)
         reference = ((rows * (rows - 1) // 2).sum(axis=1), (rows == 0).sum(axis=1))
         means = (math.comb(m, 2) * math.fsum((p.probs ** 2).tolist()),
@@ -929,9 +963,9 @@ class TestMultinomialFingerprints:
             if np.ptp(got) or np.ptp(ref):
                 assert ks_2samp(got, ref).pvalue > 1e-3
             for sample in (got, ref):
-                assert abs(sample.mean() - mean) <= 5 * sample.std(ddof=1) / math.sqrt(self.TRIALS) + 1e-9
+                assert abs(sample.mean() - mean) <= 5 * sample.std(ddof=1) / math.sqrt(cls.TRIALS) + 1e-9
 
-    @pytest.mark.parametrize("p, m", [CASES[7], CASES[8]], ids=IDS[7:])
+    @pytest.mark.parametrize("p, m", CASES[8:], ids=IDS[8:])
     def test_fallback_reduces_draw_batch_rows(self, p, m):
         rng = stream(73, 3)
         expected = [np.unique(draw_batch(p, m, rng).counts, return_counts=True) for _ in range(5)]
@@ -944,11 +978,11 @@ class TestMultinomialFingerprints:
             raise AssertionError("draw_batch called")
 
         monkeypatch.setattr(distributions, "draw_batch", forbidden)
-        for p, m in self.CASES[:7]:
+        for p, m in self.CASES[:8]:
             self._assert_rows(distributions._multinomial_fingerprints(p, m, 7, stream(73, 4)), p, m, 7)
 
     def test_several_blocks(self, monkeypatch):
-        # 30 items a block: one row per block at m = 400 (60 top-up keys a row)
+        # 30 items a block: one row per block at m = 400 (20 top-up keys and 33 matrix columns a row)
         monkeypatch.setattr(distributions, "_FINGERPRINT_BLOCK", 30)
         blocks = []
         block = distributions._topped_up_block
@@ -965,10 +999,17 @@ class TestMultinomialFingerprints:
 
     def test_rows_independent_through_redraws(self, monkeypatch):
         # with no slack about half the Poisson rows overshoot m and are redrawn
-        monkeypatch.setattr(distributions, "_POISSON_SLACK", 0.0)
+        monkeypatch.setattr(distributions, "_FINGERPRINT_SLACK", 0.0)
+        blocks, draws = [], []
+        block, level_draws = distributions._topped_up_block, distributions._level_draws
+        monkeypatch.setattr(distributions, "_topped_up_block", lambda *args: blocks.append(args[4]) or block(*args))
+        monkeypatch.setattr(distributions, "_level_draws", lambda *args: draws.append(args[2]) or level_draws(*args))
         p, m = _mixed_levels(20), 8 * 20
         fingerprints = distributions._multinomial_fingerprints(p, m, 20_000, stream(73, 6))
         self._assert_rows(fingerprints, p, m, 20_000)
+        # past each block's first draw, the redraws hold about 0.92 rows per row (0.16 at slack 1)
+        assert sum(blocks) == 20_000 and len(draws) > 2 * len(blocks)
+        assert sum(draws) - 20_000 > 0.8 * 20_000
         collisions, empties = _collisions_and_empties(fingerprints)
         mean = math.comb(m, 2) * math.fsum((p.probs ** 2).tolist())
         assert abs(collisions.mean() - mean) <= 5 * collisions.std(ddof=1) / math.sqrt(20_000)
