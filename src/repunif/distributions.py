@@ -9,6 +9,11 @@ throughout the test suite and experiments:
   ``xi/2``),
 * ``heavy(pmass)``: a single heavy element with the rest uniform.
 
+``make_instance`` builds each from its levels: the normalization is exact
+integer arithmetic on the level masses, and the pmf's level table is read
+off the family's layout when a sampler first asks for it, with no pass over
+``probs``.  The result equals ``Pmf`` of the same masses bit for bit.
+
 ``draw_batch`` has three paths, chosen from ``m``, ``n`` and the number L
 of distinct positive masses (the pmf's level sets; every family above has
 at most 3):
@@ -46,6 +51,16 @@ are level-major (each level's cells in turn, zero-mass cells left out):
 ``draw_batches`` scatters them to cell order, and the tester scores them as
 they are.  Otherwise the k rows are k ``draw_batch`` calls in order.
 
+What the stacked draw needs of (p, m) alone is a draw plan, built on the
+first draw and cached on the pmf for one m at a time: the cell rates and
+the guides and cdfs of their tables, each level's cell count and first
+column, the level masses, and each level's top-up key of every row's first
+cell.  Tabled levels with
+tables of one guide size are looked up together (``_JointTable``): one
+gather and one call for the fresh words of every ambiguous cell, the words
+one call per level would give them in turn.  A draw is then straight-line
+vector code, and the tester's repeated runs on one pmf pay the set-up once.
+
 ``draw_poissonized_batch`` draws ``N ~ Poisson(m)`` and returns
 ``draw_batch(p, N)``: by Poissonization its coordinates are independent
 Poisson(``m * p_i``).
@@ -68,6 +83,7 @@ count-indexed matrix entries.  Any other pmf draws its k rows one at a time.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -132,12 +148,16 @@ def _normalize_rows(arr: np.ndarray) -> np.ndarray:
     departs from 1 by more than ``NORMALIZATION_TOL``.
     """
     for row in (arr,) if arr.ndim == 1 else arr:
-        total = math.fsum(row.tolist())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"pmf sums to {total!r}, not 1 within {NORMALIZATION_TOL}")
+        total = _checked_total(math.fsum(row.tolist()))
         if total != 1.0:
             row /= total
     return arr
+
+
+def _checked_total(total: float) -> float:
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"pmf sums to {total!r}, not 1 within {NORMALIZATION_TOL}")
+    return total
 
 
 @dataclass(frozen=True)
@@ -179,10 +199,14 @@ class Pmf:
 
         ``None`` when the pmf has more than ``_LEVEL_MAX_COUNT`` distinct
         positive masses; the peeling build stops there, so such a pmf pays
-        at most ``_LEVEL_MAX_COUNT + 1`` vectorized passes, and no sort.
+        at most ``_LEVEL_MAX_COUNT + 1`` vectorized passes, and no sort.  A
+        ``make_instance`` pmf builds the same table from its layout, with no
+        pass over ``probs``.
         """
         if "_levels" not in self.__dict__:
-            object.__setattr__(self, "_levels", LevelTable.build(self.probs))
+            layout = self.__dict__.get("_layout")
+            levels = LevelTable.build(self.probs) if layout is None else LevelTable.of_layout(self.n, layout)
+            object.__setattr__(self, "_levels", levels)
         return self.__dict__["_levels"]
 
     # -- serialization ----------------------------------------------------
@@ -210,10 +234,6 @@ class Pmf:
     def from_text(cls, text: str) -> "Pmf":
         values = [float(tok) for tok in text.split()]
         return cls(np.array(values, dtype=np.float64))
-
-
-def uniform_pmf(n: int) -> Pmf:
-    return Pmf(np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -250,31 +270,60 @@ class InstanceSpec:
 
 
 def make_instance(spec: InstanceSpec, n: int) -> Pmf:
-    """Materialize an instance description as an explicit pmf on ``[n]``."""
+    """Materialize an instance description as an explicit pmf on ``[n]``.
+
+    The pmf is made from its levels (``_family_pmf``): it equals ``Pmf`` of
+    the same masses bit for bit, and its level table needs no peel.
+    """
     if n < 1:
         raise ValueError("domain size must be >= 1")
     if spec.kind == "uniform":
-        return uniform_pmf(n)
+        return _family_pmf(n, [(range(n), 1.0 / n)])
     if spec.kind == "paired_bias":
         xi = spec.xi
         if xi is None or not 0.0 <= xi <= 1.0:
             raise ValueError("paired bias needs a bias xi in [0, 1]")
         if n % 2 != 0:
             raise ValueError("paired bias requires an even domain size")
-        probs = np.empty(n, dtype=np.float64)
-        probs[0::2] = (1.0 + xi) / n  # odd 1-based positions are heavy
-        probs[1::2] = (1.0 - xi) / n
-        return Pmf(probs)
+        # odd 1-based positions are heavy
+        return _family_pmf(n, [(range(0, n, 2), (1.0 + xi) / n), (range(1, n, 2), (1.0 - xi) / n)])
     if spec.kind == "heavy":
         pmass = spec.pmass
         if pmass is None or not (1.0 / n <= pmass <= 1.0):
             raise ValueError("heavy-element mass must lie in [1/n, 1]")
-        probs = np.empty(n, dtype=np.float64)
-        probs[0] = pmass
+        layout = [(range(1), pmass)]
         if n > 1:
-            probs[1:] = (1.0 - pmass) / (n - 1)
-        return Pmf(probs)
+            layout.append((range(1, n), (1.0 - pmass) / (n - 1)))
+        return _family_pmf(n, layout)
     raise ValueError(f"unknown instance kind {spec.kind!r}")
+
+
+def _family_pmf(n: int, layout: list[tuple[range, float]]) -> Pmf:
+    """The pmf on ``[n]`` whose cells ``cells`` carry ``mass``, for each
+    ``(cells, mass)`` of ``layout``: ranges that cover ``[n]``, in order of
+    their first cell.
+
+    It equals ``Pmf`` of those masses bit for bit, without an n-length pass
+    over them: ``math.fsum`` of the cells is their exact total, correctly
+    rounded, which integer arithmetic on the masses gives too, and finite
+    masses >= 0 need no check.  The normalized layout stays on the pmf, and
+    ``level_table`` builds the levels from it (``LevelTable.of_layout``).
+    """
+    layout = [(cells, float(mass)) for cells, mass in layout]
+    # each mass is num / den with den a power of two; an int quotient is correctly rounded
+    ratios = [mass.as_integer_ratio() for _, mass in layout]
+    den = max(d for _, d in ratios)
+    exact = sum(len(cells) * num * (den // d) for (cells, _), (num, d) in zip(layout, ratios))
+    total = _checked_total(exact / den)
+    if total != 1.0:
+        layout = [(cells, mass / total) for cells, mass in layout]
+    probs = np.empty(n, dtype=np.float64)
+    for cells, mass in layout:
+        probs[cells.start:cells.stop:cells.step] = mass
+    probs.flags.writeable = False
+    pmf = object.__new__(Pmf)
+    pmf.__dict__.update(probs=probs, _layout=layout)
+    return pmf
 
 
 def tv_distance(p: Pmf, q: Pmf) -> float:
@@ -387,9 +436,8 @@ class LevelTable:
         self.n = n
         self.cells = cells
         self.mass = mass
-        # the level-major cell order of the stacked draw's rows, and each level's first column
+        # the level-major cell order of the stacked draw's rows
         self.order = np.concatenate(cells)
-        self.offsets = np.cumsum([0] + [c.size for c in cells[:-1]]).tolist()
 
     @classmethod
     def build(cls, probs: np.ndarray) -> "LevelTable | None":
@@ -402,10 +450,24 @@ class LevelTable:
             same = probs[rest] == probs[rest[0]]
             cells.append(rest[same])
             rest = rest[~same]
-        # a level's mass g * p can round one ulp past 1 (uniform on 998 cells
-        # does), which multinomial rejects
-        mass = np.minimum([probs[c[0]] * c.size for c in cells], 1.0)
-        return cls(probs.shape[0], cells, mass)
+        return cls(probs.shape[0], cells, _level_masses([probs[c[0]] for c in cells], cells))
+
+    @classmethod
+    def of_layout(cls, n: int, layout: list[tuple[range, float]]) -> "LevelTable":
+        """The table ``build`` gives for a ``_family_pmf`` layout, read off its ranges.
+
+        Ranges of one mass are merged, and zero-mass ones left out; the
+        layout's ranges come in order of their first cell, so the levels
+        come in order of first appearance.
+        """
+        ranges: dict[float, list[range]] = {}
+        for cells, mass in layout:
+            if mass > 0.0:
+                ranges.setdefault(mass, []).append(cells)
+        cells = [np.arange(rs[0].start, rs[0].stop, rs[0].step) if len(rs) == 1 else
+                 np.sort(np.concatenate([np.arange(r.start, r.stop, r.step) for r in rs]))
+                 for rs in ranges.values()]
+        return cls(n, cells, _level_masses(list(ranges), cells))
 
     def draw(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """Counts of m samples: level totals, then uniform spreading in each level.
@@ -427,6 +489,15 @@ class LevelTable:
         return counts
 
 
+def _level_masses(values: list[float], cells: list[np.ndarray]) -> np.ndarray:
+    """Each level's mass g * p, clamped at 1.
+
+    It can round one ulp past 1 (uniform on 998 cells does), which
+    multinomial rejects.
+    """
+    return np.minimum([value * c.size for value, c in zip(values, cells)], 1.0)
+
+
 class PoissonTable:
     """Inverse-CDF table of Poisson(lam), read through a guide of 16-bit chunks.
 
@@ -441,8 +512,8 @@ class PoissonTable:
     power of two at least 32 times the table (``bits <= 16`` up to the
     rate bound 4096).  ``guide[j]`` is ``lo`` plus the answer shared by
     every u in bucket j, or -1 when a cdf entry falls inside the bucket
-    (about 1% of buckets).  ``lookup`` takes the bucket from the top
-    ``bits`` of a random 16-bit chunk; only a cell whose bucket is
+    (about 1% of buckets).  ``_JointTable.lookup`` takes the bucket from the
+    top ``bits`` of a random 16-bit chunk; only a cell whose bucket is
     ambiguous draws a fresh 64-bit word, whose low ``53 - bits`` bits
     complete u on the 53-bit grid.  So u is uniform on the grid ``random()``
     uses, and the result equals the plain search of that u bit for bit:
@@ -486,66 +557,137 @@ class PoissonTable:
         order = np.argsort(-self.pmf, kind="stable")
         return order, self.pmf[order]
 
-    def lookup(self, chunks: np.ndarray, fresh) -> np.ndarray:
-        """Poisson variates for random 16-bit ``chunks``, one per cell.
+class _JointTable:
+    """``PoissonTable``s of one ``bits`` read as one: consecutive blocks of
+    chunks, block l through table l, in one gather and one ``fresh`` call.
 
-        ``fresh(count)`` returns ``count`` random 64-bit words, called once
-        if any chunk falls in an ambiguous bucket.  The result equals
-        ``lo + searchsorted(cdf, u, "right")`` for the 53-bit u made of a
-        chunk's top ``bits`` and, in an ambiguous bucket, the low
-        ``53 - bits`` bits of that cell's fresh word.
-        """
+    A cell's result is ``lo + searchsorted(cdf, u, "right")`` of its table,
+    for the 53-bit u made of its chunk's top ``bits`` and, in an ambiguous
+    bucket, the low ``53 - bits`` bits of its fresh word.  Table l's buckets
+    are numbered from ``l * 2**bits`` (``guide`` is the tables' guides one
+    after another), so an ambiguous cell's bucket and fresh bits make
+    ``x + l * 2**53``, with u = ``x / 2**53``.  ``cdf[i] <= u`` iff
+    ``ceil(cdf[i] * 2**53) <= x``, so one search of ``thresholds`` (each
+    table's ceilings plus ``l * 2**53``, one after another) finds every
+    block's answer in ``values``.  The fresh words go to the ambiguous cells
+    in cell order: the words one call per block, in turn, would give them.
+    """
+
+    def __init__(self, tables: list[PoissonTable]):
+        self.bits = tables[0].bits
+        self.guide = np.concatenate([table.guide for table in tables])
+        self.thresholds = np.concatenate([np.ceil(table.cdf * 2.0**53).astype(np.int64) + (l << 53)
+                                          for l, table in enumerate(tables)])
+        self.values = np.concatenate([table.lo + np.arange(table.cdf.size, dtype=np.int32) for table in tables])
+
+    def lookup(self, chunks: np.ndarray, ends: list[int], fresh) -> np.ndarray:
+        """Poisson variates for random 16-bit ``chunks``, one per cell, block l
+        ending at ``ends[l]``.  ``fresh(count)`` returns ``count`` random
+        64-bit words, called once if any chunk falls in an ambiguous bucket."""
         bucket = chunks.astype(np.intp)
         bucket >>= 16 - self.bits
+        for l, (start, end) in enumerate(zip(ends, ends[1:]), 1):
+            bucket[start:end] += l << self.bits
         out = self.guide[bucket]
         ambiguous = np.flatnonzero(out < 0)
         if ambiguous.size:
             low = 53 - self.bits
-            top = bucket[ambiguous].astype(np.uint64) << np.uint64(low)
-            grid = top | (fresh(ambiguous.size) & np.uint64((1 << low) - 1))
-            out[ambiguous] = self.lo + np.searchsorted(self.cdf, grid * 2.0**-53, side="right")
+            x = bucket[ambiguous] << low
+            x |= fresh(ambiguous.size).view(np.int64) & ((1 << low) - 1)
+            out[ambiguous] = self.values[np.searchsorted(self.thresholds, x, side="right")]
         return out
 
 
-# Tables are keyed by the cell rate, and a replicability prior makes new rates
-# for every pair; a pmf has at most 3 levels, so 32 tables serve 10 pmfs at once.
-# A barrier round uses 20 laws (5 m x 2 levels at the multinomial fingerprints'
-# rate and at the chi-square rate): with 16 the LRU order rebuilt all 20 every
-# round, 2.0-2.4 ms of a 24-36 ms round at n = 10^4.
+# Tables are keyed by the cell rate.  A pmf's draw plan keeps what it needs of
+# its tables, so the tester asks here once per (pmf, m), and a replicability
+# prior's new rates for every pair miss anyway.  The barrier's fingerprint samplers ask on
+# every call: a barrier round uses 20 laws (5 m x 2 levels at the multinomial
+# fingerprints' rate and at the chi-square rate), and with 16 the LRU order
+# rebuilt all 20 every round, 2.0-2.4 ms of a 24-36 ms round at n = 10^4.
 @lru_cache(maxsize=32)
 def _poisson_table(lam: float) -> PoissonTable:
     return PoissonTable(lam)
 
 
-def _poisson_rows(levels: LevelTable, rates: list[float], rows: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """A ``(rows, G)`` array of independent Poisson counts over the G cells of
-    ``levels.order``, cell rate ``rates[l]`` in level l.
+class _DrawPlan:
+    """What ``_stacked_draw`` needs of one (pmf, m), built once (``_draw_plan``).
 
-    One ``random_raw`` call gives each cell of a tabled level a 16-bit chunk
-    for ``PoissonTable.lookup``, 4 per word, level 0's ``rows x g0`` block
-    first; a level whose rate passes the table bound is drawn by numpy's
-    Poisson sampler.
+    Per level: the Poisson cell rate ``(m - slack sqrt(m)) p_l``, and the
+    cell count and first column of the level-major row (``sizes``,
+    ``offsets``).  ``groups`` splits the levels, in order, into runs of
+    levels whose ``PoissonTable``s have one ``bits``, each read through one
+    ``_JointTable``, and single levels past the table bound (table None).
+    The level masses are ``levels.mass``.
     """
-    counts = np.empty((rows, levels.order.size), dtype=np.int64)
-    tables = [None if lam > _POISSON_TABLE_MAX_RATE else _poisson_table(lam) for lam in rates]
-    tabled = rows * sum(cells.size for cells, table in zip(levels.cells, tables) if table is not None)
-    chunks = rng.bit_generator.random_raw(-(-tabled // 4)).view(np.uint16)
+
+    def __init__(self, p: Pmf, levels: LevelTable, m: int):
+        self.m, self.levels = m, levels
+        rate = max(m - _POISSON_SLACK * math.sqrt(m), 0.0)
+        self.rates = [rate * float(p.probs[cells[0]]) for cells in levels.cells]
+        tables = [None if lam > _POISSON_TABLE_MAX_RATE else _poisson_table(lam) for lam in self.rates]
+        self.sizes = [cells.size for cells in levels.cells]
+        self.offsets = [0, *itertools.accumulate(self.sizes[:-1])]
+        self.width = sum(self.sizes)
+        self.tabled = sum(g for g, table in zip(self.sizes, tables) if table is not None)
+        self.groups: list[tuple[list[int], _JointTable | None]] = []
+        for bits, run in itertools.groupby(range(len(tables)), lambda l: getattr(tables[l], "bits", None)):
+            run = list(run)
+            if bits is None:
+                self.groups += [([l], None) for l in run]
+            else:
+                self.groups.append((run, _JointTable([tables[l] for l in run])))
+        self._starts = (-1, None)
+
+    def starts(self, k: int) -> np.ndarray:
+        """The top-up key ``r * width + offsets[l]`` of each level l's first
+        cell in each row r < k, level-major; kept for the last k."""
+        if self._starts[0] != k:
+            self._starts = (k, np.add.outer(self.offsets, np.arange(k) * self.width).ravel())
+        return self._starts[1]
+
+
+def _draw_plan(p: Pmf, m: int) -> _DrawPlan | None:
+    """``p``'s draw plan at m, cached on the pmf (one m at a time), or None
+    when the pmf has no level table."""
+    plan = p.__dict__.get("_plan")
+    if plan is None or plan.m != m:
+        levels = p.level_table()
+        if levels is None:
+            return None
+        plan = _DrawPlan(p, levels, m)
+        object.__setattr__(p, "_plan", plan)
+    return plan
+
+
+def _poisson_rows(plan: _DrawPlan, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """A ``(rows, width)`` array of independent Poisson counts over the cells
+    of ``plan.levels.order``, cell rate ``plan.rates[l]`` in level l.
+
+    One ``random_raw`` call gives each cell of a tabled level a 16-bit chunk,
+    4 per word, level 0's ``rows x g0`` block first.  Each group of tabled
+    levels reads its chunks in one ``_JointTable.lookup``; a level whose
+    rate passes the table bound is drawn by numpy's Poisson sampler.
+    """
+    counts = np.empty((rows, plan.width), dtype=np.int64)
+    chunks = rng.bit_generator.random_raw(-(-rows * plan.tabled // 4)).view(np.uint16)
     start = 0
-    for cells, lam, table, off in zip(levels.cells, rates, tables, levels.offsets):
-        g = cells.size
-        if table is None:
-            counts[:, off:off + g] = rng.poisson(lam, (rows, g))
-        else:
-            block = chunks[start:start + rows * g]
-            counts[:, off:off + g] = table.lookup(block, rng.bit_generator.random_raw).reshape(rows, g)
-            start += rows * g
+    for group, joint in plan.groups:
+        if joint is None:
+            (l,) = group
+            off, g = plan.offsets[l], plan.sizes[l]
+            counts[:, off:off + g] = rng.poisson(plan.rates[l], (rows, g))
+            continue
+        ends = list(itertools.accumulate(rows * plan.sizes[l] for l in group))
+        out = joint.lookup(chunks[start:start + ends[-1]], ends, rng.bit_generator.random_raw)
+        for l, lo, hi in zip(group, [0, *ends], ends):
+            off, g = plan.offsets[l], plan.sizes[l]
+            counts[:, off:off + g] = out[lo:hi].reshape(rows, g)
+        start += ends[-1]
     return counts
 
 
-def _stacked_draw(p: Pmf, levels: LevelTable, m: int, k: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """k multinomial(m, p) rows, level-major (columns ``levels.order``):
+def _stacked_draw(plan: _DrawPlan, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k multinomial(m, p) rows, level-major (columns ``plan.levels.order``):
     Poisson rows at total rate below m, then a top-up.
 
     Each cell gets a Poisson(r p_i) count, ``r = m - slack * sqrt(m)``.  A
@@ -553,23 +695,22 @@ def _stacked_draw(p: Pmf, levels: LevelTable, m: int, k: int,
     ``m - N`` more samples, split over the levels by one multinomial and
     spread uniformly in each level.  Given N a Poisson row is
     multinomial(N, p) and acceptance depends on N only, so each row is
-    multinomial(N, p) plus an independent multinomial(m - N, p).
+    multinomial(N, p) plus an independent multinomial(m - N, p).  Everything
+    that depends on (p, m) alone comes from ``plan``.
     """
-    width = levels.order.size
-    rate = max(m - _POISSON_SLACK * math.sqrt(m), 0.0)
-    rates = [rate * float(p.probs[cells[0]]) for cells in levels.cells]
-    counts = _poisson_rows(levels, rates, k, rng)
+    m = plan.m
+    counts = _poisson_rows(plan, k, rng)
     totals = counts.sum(axis=1)
     over = np.flatnonzero(totals > m)
     while over.size:
-        counts[over] = _poisson_rows(levels, rates, over.size, rng)
+        counts[over] = _poisson_rows(plan, over.size, rng)
         totals[over] = counts[over].sum(axis=1)
         over = over[totals[over] > m]
-    split = rng.multinomial(m - totals, levels.mass)
-    starts = np.arange(k) * width
-    flat = [np.repeat(starts + off, split[:, l]) + rng.integers(0, cells.size, int(split[:, l].sum()))
-            for l, (cells, off) in enumerate(zip(levels.cells, levels.offsets))]
-    counts += np.bincount(np.concatenate(flat), minlength=k * width).reshape(k, width)
+    split = rng.multinomial(m - totals, plan.levels.mass).T
+    keys = np.repeat(plan.starts(k), split.ravel())
+    per_level = split.sum(axis=1).tolist()
+    keys += np.concatenate([rng.integers(0, g, total) for g, total in zip(plan.sizes, per_level)])
+    counts += np.bincount(keys, minlength=k * plan.width).reshape(k, plan.width)
     return counts
 
 
@@ -584,9 +725,9 @@ def _draw_rows(p: Pmf, m: int, k: int, rng: np.random.Generator) -> tuple[np.nda
     if m < 0 or k < 0:
         raise ValueError("sample count and batch count must be >= 0")
     stacked = p.n <= m and _POISSON_SLACK * math.sqrt(m) <= _TOPUP_MAX_PER_CELL * p.n
-    levels = p.level_table() if stacked else None
-    if levels is not None:
-        return _stacked_draw(p, levels, m, k, rng), levels.order
+    plan = _draw_plan(p, m) if stacked else None
+    if plan is not None:
+        return _stacked_draw(plan, k, rng), plan.levels.order
     counts = np.empty((k, p.n), dtype=np.int64)
     for row in counts:
         row[:] = draw_batch(p, m, rng).counts
@@ -601,7 +742,8 @@ def draw_batches(p: Pmf, m: int, k: int, rng: np.random.Generator) -> np.ndarray
     from one stacked Poisson draw plus an exact top-up (``_stacked_draw``):
     a fixed number of vectorized calls over ``k * n`` cells and ``k``
     top-ups of about ``3 sqrt(m)`` samples, each Poisson count read from a
-    16-bit chunk through ``PoissonTable``.  That draw makes its rows
+    16-bit chunk through ``PoissonTable``s.  Its set-up for (p, m) is the
+    pmf's cached draw plan (``_draw_plan``).  That draw makes its rows
     level-major, and they are scattered to cell order once, here.
     Otherwise each row is one ``draw_batch``, in order.
     """

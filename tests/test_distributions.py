@@ -106,6 +106,90 @@ class TestMakeInstance:
         assert abs(math.fsum(p.probs.tolist()) - 1.0) <= 1e-12
 
 
+def _family_raw(spec, n):
+    """The family's masses as ``make_instance`` wrote them into an n-length vector, unnormalized."""
+    probs = np.empty(n, dtype=np.float64)
+    if spec.kind == "uniform":
+        probs[:] = 1.0 / n
+    elif spec.kind == "paired_bias":
+        probs[0::2] = (1.0 + spec.xi) / n
+        probs[1::2] = (1.0 - spec.xi) / n
+    else:
+        probs[0] = spec.pmass
+        probs[1:] = (1.0 - spec.pmass) / (n - 1) if n > 1 else 0.0
+    return probs
+
+
+def _family_cases():
+    rng = stream(53, 1)
+    cases = [(InstanceSpec.uniform(), n) for n in (1, 2, 998, 10**4)]
+    cases += [(InstanceSpec.paired_bias(xi), n) for xi in (0.0, 1.0, 5e-17, 1e-16) for n in (2, 998, 1000)]
+    cases += [(InstanceSpec.paired_bias(float(xi)), 2 * int(half))
+              for xi, half in zip(rng.random(200), rng.integers(1, 5000, 200))]
+    for n in (1, 2, 7, 998, 1000, 10**4):
+        cases += [(InstanceSpec.heavy(pmass), n) for pmass in (1.0 / n, 1.0)]
+    cases += [(InstanceSpec.heavy(float(1.0 / n + (1.0 - 1.0 / n) * u)), int(n))
+              for u, n in zip(rng.random(100), rng.integers(2, 5000, 100))]
+    return cases
+
+
+class TestFamilyInstances:
+    """``make_instance`` builds each family from its levels: the same pmf and
+    level table as ``Pmf`` of its masses and ``LevelTable.build``, bit for bit."""
+
+    @pytest.mark.parametrize("spec, n", _family_cases())
+    def test_matches_the_general_path(self, spec, n):
+        p, general = make_instance(spec, n), Pmf(_family_raw(spec, n))
+        assert p.probs.dtype == np.float64 and not p.probs.flags.writeable
+        assert p.probs.tobytes() == general.probs.tobytes()
+        table, expected = p.level_table(), LevelTable.build(general.probs)
+        assert len(table.cells) == len(expected.cells)
+        for cells, want in zip(table.cells, expected.cells):
+            assert cells.dtype == want.dtype and np.array_equal(cells, want)
+        assert table.mass.dtype == expected.mass.dtype and table.mass.tobytes() == expected.mass.tobytes()
+        assert np.array_equal(table.order, expected.order)
+
+    def test_cases_reach_every_layout(self):
+        # merged levels (xi = 0, and xi so small that both masses round to 1/n),
+        # zero-mass cells (xi = 1, pmass = 1) and the renormalized uniform of 998
+        tables = {(spec.describe(), n): make_instance(spec, n).level_table() for spec, n in _family_cases()}
+        assert len(tables[("paired_bias(xi=5e-17)", 1000)].cells) == 1
+        assert len(tables[("paired_bias(xi=0.0)", 998)].cells) == 1
+        assert [c.size for c in tables[("paired_bias(xi=1.0)", 1000)].cells] == [500]
+        assert [c.size for c in tables[("heavy(pmass=1.0)", 7)].cells] == [1]
+        assert make_instance(InstanceSpec.uniform(), 998).probs[0] != 1.0 / 998
+
+    @pytest.mark.parametrize("spec, n, message", [
+        (InstanceSpec.paired_bias(0.2), 5, "paired bias requires an even domain size"),
+        (InstanceSpec.paired_bias(1.5), 4, r"paired bias needs a bias xi in \[0, 1\]"),
+        (InstanceSpec.paired_bias(math.nan), 4, r"paired bias needs a bias xi in \[0, 1\]"),
+        (InstanceSpec.heavy(0.01), 10, r"heavy-element mass must lie in \[1/n, 1\]"),
+        (InstanceSpec.heavy(math.nan), 10, r"heavy-element mass must lie in \[1/n, 1\]"),
+        (InstanceSpec.uniform(), 0, "domain size must be >= 1"),
+        (InstanceSpec("zipf"), 4, "unknown instance kind 'zipf'"),
+    ])
+    def test_rejects_as_before(self, spec, n, message):
+        with pytest.raises(ValueError, match=message):
+            make_instance(spec, n)
+
+    @pytest.mark.parametrize("spec", [InstanceSpec.uniform(), InstanceSpec.paired_bias(0.3),
+                                      InstanceSpec.heavy(0.01)])
+    def test_no_cells_without_a_level_path(self, spec, monkeypatch):
+        # the alias path below min(n, 1024) samples and the multinomial path
+        # from 16n build no level table, so no cell array
+        def forbidden(*args):
+            raise AssertionError("level table built")
+
+        monkeypatch.setattr(LevelTable, "build", forbidden)
+        monkeypatch.setattr(LevelTable, "of_layout", forbidden)
+        p = make_instance(spec, 2000)
+        for m in (500, 16 * 2000):
+            assert draw_batch(p, m, stream(9, m)).m == m
+        assert draw_batches(p, 500, 2, stream(9, 1)).shape == (2, 2000)
+        draw_samples(p, 100, stream(9, 2))
+        assert "_levels" not in vars(p)
+
+
 class TestTvDistance:
     def test_identical_is_zero(self):
         assert tv_distance(uniform(7), uniform(7)) == 0.0
@@ -478,7 +562,7 @@ class TestDrawBatches:
         draws_made = []
         poisson_rows = distributions._poisson_rows
         monkeypatch.setattr(distributions, "_poisson_rows",
-                            lambda *args: draws_made.append(args[2]) or poisson_rows(*args))
+                            lambda plan, rows, rng: draws_made.append(rows) or poisson_rows(plan, rows, rng))
         p = _mixed_levels(20)
         m, k, calls = 8 * 20, 6, 5000
         rng = stream(43, 1)
@@ -545,6 +629,137 @@ class TestDrawBatches:
             assert np.all(counts.sum(axis=1) == m)
 
 
+def _table_lookup(table, chunks, fresh):
+    """Poisson variates of one table for random 16-bit chunks."""
+    return distributions._JointTable([table]).lookup(chunks, [chunks.size], fresh)
+
+
+def _reference_rows(p, m, k, rng):
+    """The stacked draw's level-major rows, one table lookup per level and
+    nothing kept between calls: the loop that ``_DrawPlan`` and
+    ``_JointTable`` replace."""
+    levels = p.level_table()
+    sizes = [cells.size for cells in levels.cells]
+    offsets = np.cumsum([0] + sizes[:-1]).tolist()
+    width = sum(sizes)
+    rate = max(m - distributions._POISSON_SLACK * math.sqrt(m), 0.0)
+    rates = [rate * float(p.probs[cells[0]]) for cells in levels.cells]
+    tables = [None if lam > distributions._POISSON_TABLE_MAX_RATE else PoissonTable(lam) for lam in rates]
+
+    def poisson_rows(rows):
+        counts = np.empty((rows, width), dtype=np.int64)
+        tabled = rows * sum(g for g, table in zip(sizes, tables) if table is not None)
+        chunks = rng.bit_generator.random_raw(-(-tabled // 4)).view(np.uint16)
+        start = 0
+        for g, lam, table, off in zip(sizes, rates, tables, offsets):
+            if table is None:
+                counts[:, off:off + g] = rng.poisson(lam, (rows, g))
+            else:
+                block = chunks[start:start + rows * g]
+                looked_up = _table_lookup(table, block, rng.bit_generator.random_raw)
+                counts[:, off:off + g] = looked_up.reshape(rows, g)
+                start += rows * g
+        return counts
+
+    counts = poisson_rows(k)
+    totals = counts.sum(axis=1)
+    over = np.flatnonzero(totals > m)
+    while over.size:
+        counts[over] = poisson_rows(over.size)
+        totals[over] = counts[over].sum(axis=1)
+        over = over[totals[over] > m]
+    split = rng.multinomial(m - totals, levels.mass)
+    starts = np.arange(k) * width
+    flat = [np.repeat(starts + off, split[:, l]) + rng.integers(0, g, int(split[:, l].sum()))
+            for l, (g, off) in enumerate(zip(sizes, offsets))]
+    counts += np.bincount(np.concatenate(flat), minlength=k * width).reshape(k, width)
+    return counts
+
+
+def _untabled_middle_level(n):
+    """Three levels whose middle one (a single cell of mass 0.3) passes the table bound at m = 20,000."""
+    probs = np.full(n, 0.69 / (n - 2))
+    probs[:2] = [0.01, 0.3]
+    return Pmf(probs)
+
+
+class TestDrawPlan:
+    """The stacked draw from its cached plan: the same rows and stream use
+    as the loop it replaced, whatever the pmf's levels and the draws before."""
+
+    @pytest.mark.parametrize("p, m, k", [
+        (make_instance(InstanceSpec.paired_bias(0.5), 1000), 7784, 9),  # headline: 2 levels of one bits
+        (make_instance(InstanceSpec.paired_bias(0.137), 1000), 7784, 9),
+        (uniform(1000), 7784, 9),
+        (_identity_pushforward(), 53587, 9),  # 2 levels of one bits
+        (_mixed_levels(300), 8 * 300, 40),  # 3 levels and a zero-mass cell
+        (_untabled_middle_level(50), 20_000, 30),  # tabled, untabled, tabled
+        (make_instance(InstanceSpec.heavy(1.0), 50), 10**4, 5),  # one untabled level
+        (Pmf(np.array([0.5, 0.5])), 8, 50),  # rate 0: the top-up draws every sample
+    ], ids=["headline", "headline-0.137", "uniform", "identity", "mixed", "untabled-middle",
+            "point-mass", "rate-0"])
+    def test_rows_equal_the_per_level_loop(self, p, m, k):
+        rng, ref = stream(67, m), stream(67, m)
+        for _ in range(3):
+            rows, order = distributions._draw_rows(p, m, k, rng)
+            assert np.array_equal(rows, _reference_rows(p, m, k, ref))
+            assert _stream_state(rng) == _stream_state(ref)
+        assert np.array_equal(order, np.concatenate(p.level_table().cells))
+
+    def test_far_identity_levels_split_by_bits(self):
+        # the identity benchmark's far p: 3 levels whose tables have 12, 13
+        # and 13 bits, read as two joint tables
+        q = make_instance(InstanceSpec.paired_bias(0.4), 200)
+        far = np.array(q.probs)
+        far[0::2] -= 0.003
+        far[1::2] += 0.003
+        p = IdentityReducer(q).pushforward(Pmf(far))
+        plan = distributions._draw_plan(p, 53587)
+        assert [(group, joint.bits) for group, joint in plan.groups] == [([0], 12), ([1, 2], 13)]
+        rng, ref = stream(68, 1), stream(68, 1)
+        assert np.array_equal(distributions._draw_rows(p, 53587, 9, rng)[0], _reference_rows(p, 53587, 9, ref))
+        assert _stream_state(rng) == _stream_state(ref)
+
+    def test_plan_cannot_go_stale(self):
+        # one pmf drawn at m1, m2, m1 with k = 9 and 3 gives the rows of a
+        # fresh pmf on the same streams
+        def fresh():
+            return make_instance(InstanceSpec.paired_bias(0.3), 1000)
+
+        p = fresh()
+        calls = [(7784, 9), (3639, 9), (7784, 3), (7784, 9), (3639, 3), (7784, 3)]
+        for t, (m, k) in enumerate(calls):
+            rows, _ = distributions._draw_rows(p, m, k, stream(69, t))
+            assert p.__dict__["_plan"].m == m
+            assert np.array_equal(rows, distributions._draw_rows(fresh(), m, k, stream(69, t))[0]), (m, k)
+
+    def test_pickled_pmf_draws_the_same_rows(self):
+        import pickle
+
+        for p in (make_instance(InstanceSpec.paired_bias(0.3), 1000), _mixed_levels(300)):
+            m = 7784 if p.n == 1000 else 2400
+            before = pickle.loads(pickle.dumps(p))  # no plan yet
+            first = distributions._draw_rows(p, m, 9, stream(70, 0))[0]
+            after = pickle.loads(pickle.dumps(p))  # the plan travels with it
+            for q in (before, after):
+                assert np.array_equal(distributions._draw_rows(q, m, 9, stream(70, 0))[0], first)
+                assert np.array_equal(draw_batches(q, m, 4, stream(70, 1)), draw_batches(p, m, 4, stream(70, 1)))
+
+    @pytest.mark.parametrize("rates", [(7.5, 7.9), (7.5, 7.9, 6.8), (44.0771116817598, 44.077111681759796)])
+    def test_joint_table_equals_one_lookup_per_table(self, rates):
+        tables = [PoissonTable(lam) for lam in rates]
+        assert len({table.bits for table in tables}) == 1
+        sizes = [900, 1300, 7][:len(tables)]
+        chunks = stream(71, len(rates)).bit_generator.random_raw(sum(sizes)).astype(np.uint16)
+        ends = np.cumsum(sizes).tolist()
+        rng, ref = stream(72, 0), stream(72, 0)
+        out = distributions._JointTable(tables).lookup(chunks, ends, rng.bit_generator.random_raw)
+        expected = [_table_lookup(table, block, ref.bit_generator.random_raw)
+                    for table, block in zip(tables, np.split(chunks, ends[:-1]))]
+        assert np.array_equal(out, np.concatenate(expected))
+        assert _stream_state(rng) == _stream_state(ref)
+
+
 class TestPoissonTable:
     RATES = [1e-3, 0.5, 7.5, 44.7, distributions._POISSON_TABLE_MAX_RATE]
 
@@ -584,7 +799,7 @@ class TestPoissonTable:
 
     @staticmethod
     def _lookup_grid(table, x, junk):
-        """``table.lookup`` of the 53-bit grid points x: each chunk carries x's
+        """``_table_lookup`` of the 53-bit grid points x: each chunk carries x's
         bucket in its top ``bits`` and junk below, and each fresh word carries
         x's low ``53 - bits`` bits and junk above, so a lookup that used any
         other bit would miss u."""
@@ -600,7 +815,7 @@ class TestPoissonTable:
             calls.append(count)
             return words[ambiguous]
 
-        out = table.lookup(chunks.astype(np.uint16), fresh)
+        out = _table_lookup(table, chunks.astype(np.uint16), fresh)
         # fresh words are drawn once, one per cell in an ambiguous bucket, in order
         assert calls == ([int(ambiguous.sum())] if ambiguous.any() else [])
         return out
@@ -635,7 +850,7 @@ class TestPoissonTable:
         def fresh(count):
             raise AssertionError("fresh word drawn")
 
-        assert np.array_equal(table.lookup(chunks, fresh), table.guide[clear])
+        assert np.array_equal(_table_lookup(table, chunks, fresh), table.guide[clear])
 
     def test_guide_size(self):
         # Q = 2**bits, at least 32 times the table, so about 1% of chunks are

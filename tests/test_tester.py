@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repunif import distributions
+from repunif.constants import default_constants
 from repunif.distributions import (
     InstanceSpec,
     Pmf,
@@ -250,6 +251,45 @@ class TestScoredStackedDraw:
         assert [num / (2 * m * p.n) for num in stats._tv_numerators(rows, m, p.n)] == expected
         verdict = run_tester(p, params, SeedSplit(stream(61, 1), stream(61, 0)))
         assert verdict.statistic == sorted(expected)[m0 // 2]
+
+
+class TestPinnedVerdicts:
+    """Verdicts at the headline point (n = 1000, eps = 0.25, rho = 0.2) and at
+    the identity benchmark's set-up, under the packaged constants: the
+    statistics and thresholds, as ``float.hex``, that the per-level stacked
+    draw gave before its draw plan.  A sampler change that moves the stream
+    use or the law moves them."""
+
+    HEADLINE = [
+        (InstanceSpec.uniform(), 3, "0x1.267f5239a6bbfp-3", "0x1.3eab73e025516p-3", "accept"),
+        (InstanceSpec.uniform(), 4, "0x1.28ea71c645de2p-3", "0x1.5840ee2594c8fp-3", "accept"),
+        (InstanceSpec.paired_bias(0.5), 3, "0x1.0ea71c645de24p-2", "0x1.3eab73e025516p-3", "reject"),
+        (InstanceSpec.paired_bias(0.5), 4, "0x1.0e6c1bb98e379p-2", "0x1.5840ee2594c8fp-3", "reject"),
+        (InstanceSpec.paired_bias(0.137), 3, "0x1.3dae113f3a1ccp-3", "0x1.3eab73e025516p-3", "accept"),
+        (InstanceSpec.paired_bias(0.137), 4, "0x1.3d516331c07b0p-3", "0x1.5840ee2594c8fp-3", "accept"),
+    ]
+    IDENTITY = [
+        ("q", 5, "0x1.ebebd166cb30bp-5", "0x1.0430bbf69b9a4p-4", "accept"),
+        ("far", 6, "0x1.309edcca1367fp-3", "0x1.0d65c83e6a425p-4", "reject"),
+    ]
+
+    @pytest.mark.parametrize("spec, seed, statistic, threshold, decision", HEADLINE)
+    def test_headline(self, spec, seed, statistic, threshold, decision):
+        params = TesterParams.from_constants(1000, 0.25, 0.2, default_constants())
+        v = run_tester(make_instance(spec, 1000), params, seeds_for(seed))
+        assert (v.statistic.hex(), v.threshold.hex(), v.decision) == (statistic, threshold, decision)
+
+    @pytest.mark.parametrize("side, seed, statistic, threshold, decision", IDENTITY)
+    def test_identity(self, side, seed, statistic, threshold, decision):
+        # q = paired-bias(0.4) on 200, and a p at TV 0.3 from it
+        params = TesterParams.from_constants(200, 0.3, 0.2, default_constants())
+        q = make_instance(InstanceSpec.paired_bias(0.4), 200)
+        far = np.array(q.probs)
+        far[0::2] -= 2 * 0.3 / 200
+        far[1::2] += 2 * 0.3 / 200
+        p = q if side == "q" else Pmf(far)
+        v = run_identity_tester(p, q, params, seeds_for(seed))
+        assert (v.statistic.hex(), v.threshold.hex(), v.decision) == (statistic, threshold, decision)
 
 
 class TestIdentityReducer:
