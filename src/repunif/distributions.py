@@ -70,15 +70,20 @@ each count).  ``_multinomial_fingerprints`` and ``_poissonized_fingerprints``
 draw the fingerprints of k batches directly, all at once, the way the
 barrier study draws each grid point's runs.  On a pmf with at most 3
 levels whose cell rates are within the table bound, no n-length vector is
-made: the histogram of a level's g cells of one rate is multinomial(g, that
-rate's ``PoissonTable`` law), drawn over the table's values in decreasing-mass
-order so that numpy's multinomial stops soon after the likeliest values.
-The multinomial rows take ``draw_batches``' top-up on those histograms (its
-cells being exchangeable, a row's cells can be laid out in order of their
-Poisson counts), from Poisson rows at the rate ``m - sqrt(m)``: a redrawn
-row costs one small histogram, a top-up sample a sort and a search.  The
-rows come in blocks of at most ``_FINGERPRINT_BLOCK`` top-up samples and
-count-indexed matrix entries.  Any other pmf draws its k rows one at a time.
+made.  A level of one cell is one count a row: a column of one multinomial
+over the level masses for the multinomial rows, ``rng.poisson(m p)`` for
+the Poissonized ones.  The histogram of a level's g > 1 cells of one rate
+is multinomial(g, that rate's ``PoissonTable`` law), drawn over the
+table's values in decreasing-mass order so that numpy's multinomial stops
+soon after the likeliest values.  The multinomial rows take
+``draw_batches``' top-up on those histograms (its cells being
+exchangeable, a row's cells can be laid out in order of their Poisson
+counts), to the rest R of m that the one-cell levels leave, from Poisson
+rows at the rate ``E[R] - sqrt(E[R])``: a redrawn row costs one small
+histogram, a top-up sample a sort and a search.  A pmf with no one-cell
+level has R = m.  The rows come in blocks of at most ``_FINGERPRINT_BLOCK``
+top-up samples and count-indexed matrix entries.  Any other pmf draws its
+k rows one at a time.
 """
 
 from __future__ import annotations
@@ -115,11 +120,12 @@ _TOPUP_MAX_PER_CELL = 16
 # 2**14 had about 1 MB less peak RSS than with one block of 2**20, at the
 # same speed.
 _FINGERPRINT_BLOCK = 1 << 14
-# The multinomial fingerprints' Poisson rows are at rate m - slack * sqrt(m),
-# so at the barrier's m about 15% of them overshoot m and are redrawn.  A
-# redrawn row costs one small histogram per level, a top-up sample a sort and
-# a search: over the barrier's five points, slacks from 0.5 to 1 drew fastest,
-# about 1.5x faster than _POISSON_SLACK, and 1 redraws the fewest of those.
+# The multinomial fingerprints' Poisson rows are at rate E[R] - slack * sqrt(E[R]),
+# R the samples left to the levels of more than one cell, so at the barrier's
+# m about 16% of them overshoot their R and are redrawn.  A redrawn row costs
+# one small histogram per level, a top-up sample a sort and a search: over the
+# barrier's five points, slacks from 0.5 to 1 drew fastest (within 3% of each
+# other, and about 1.5x faster than _POISSON_SLACK), and 1 redraws the fewest.
 _FINGERPRINT_SLACK = 1.0
 # Above this rate a Poisson table and its guide would pass about 256 KB:
 # such a level is drawn by numpy's own Poisson sampler instead.
@@ -439,6 +445,20 @@ class LevelTable:
         # the level-major cell order of the stacked draw's rows
         self.order = np.concatenate(cells)
 
+    @cached_property
+    def split(self) -> tuple[list[int], list[int], float, np.ndarray]:
+        """``(one, spread, rest, mass)``: the indices of the levels of one
+        cell, which the fingerprint samplers draw as one count a row, and of
+        the others, the others' total mass, and their masses over it.  With
+        no level of one cell, ``rest`` is 1 and ``mass`` is ``self.mass``.
+        """
+        one = [l for l, cells in enumerate(self.cells) if cells.size == 1]
+        spread = [l for l, cells in enumerate(self.cells) if cells.size > 1]
+        if not one:
+            return one, spread, 1.0, self.mass
+        rest = math.fsum(self.mass[spread].tolist())
+        return one, spread, rest, self.mass[spread] / rest
+
     @classmethod
     def build(cls, probs: np.ndarray) -> "LevelTable | None":
         """Peel off one level per pass; ``None`` past ``_LEVEL_MAX_COUNT`` levels."""
@@ -540,11 +560,14 @@ class PoissonTable:
         self.lo = lo + first
         self.cdf = cdf
         self.bits = (32 * cdf.size - 1).bit_length()
-        q = 1 << self.bits
-        # cdf * q is exact, so cdf[i] <= j/q iff ceil(cdf[i] * q) <= j: the
-        # running count of those ceilings is searchsorted(cdf, j/q, "right")
-        hits = np.bincount(np.ceil(cdf * q).astype(np.intp), minlength=q + 1)
-        self.guide = np.where(hits[1:] > 0, -1, self.lo + np.cumsum(hits[:-1])).astype(np.int32)
+        # cdf * q is exact, so cdf[i] <= j/q iff ceil(cdf[i] * q) <= j: bucket j
+        # answers lo + i for the i with ceil(cdf[i - 1] * q) <= j < ceil(cdf[i] * q),
+        # and the bucket ceil(cdf[i] * q) - 1 that holds cdf[i] is ambiguous
+        ceil = np.ceil(cdf * (1 << self.bits)).astype(np.intp)
+        steps = ceil.copy()
+        steps[1:] -= ceil[:-1]
+        self.guide = np.repeat(np.arange(self.lo, self.lo + cdf.size, dtype=np.int32), steps)
+        self.guide[ceil - 1] = -1
 
     @cached_property
     def pmf(self) -> np.ndarray:
@@ -600,10 +623,11 @@ class _JointTable:
 
 # Tables are keyed by the cell rate.  A pmf's draw plan keeps what it needs of
 # its tables, so the tester asks here once per (pmf, m), and a replicability
-# prior's new rates for every pair miss anyway.  The barrier's fingerprint samplers ask on
-# every call: a barrier round uses 20 laws (5 m x 2 levels at the multinomial
-# fingerprints' rate and at the chi-square rate), and with 16 the LRU order
-# rebuilt all 20 every round, 2.0-2.4 ms of a 24-36 ms round at n = 10^4.
+# prior's new rates for every pair miss anyway.  The barrier's fingerprint
+# samplers ask on every call: a barrier round uses 10 laws, the light level's
+# at 5 m and at two rates (the multinomial fingerprints' Poisson rows and the
+# chi-square's m p); its heavy cell is one count a row and needs no table.
+# An LRU cache smaller than a round's laws would rebuild them all every round.
 @lru_cache(maxsize=32)
 def _poisson_table(lam: float) -> PoissonTable:
     return PoissonTable(lam)
@@ -810,20 +834,17 @@ def draw_poissonized_batch(p: Pmf, m: float, rng: np.random.Generator) -> Sample
     return draw_batch(p, int(rng.poisson(m)), rng)
 
 
-def _fingerprint_tables(p: Pmf, rate: float) -> list[PoissonTable] | None:
-    """The cached ``PoissonTable`` of each level's cell rate ``rate * p_l``.
+def _fingerprint_tables(levels: LevelTable, rates: list[float]) -> list[PoissonTable] | None:
+    """The cached ``PoissonTable`` of the cell rate ``rates[l]`` of each level
+    l of more than one cell (``levels.split``), in order.
 
-    ``None`` when the pmf has more than ``_LEVEL_MAX_COUNT`` levels or a cell
-    rate passes ``_POISSON_TABLE_MAX_RATE``: the fingerprint samplers then
-    draw whole rows.
+    ``None`` when a rate, a one-cell level's included, passes
+    ``_POISSON_TABLE_MAX_RATE``: the fingerprint samplers then draw whole
+    rows, so no count-indexed matrix grows much past the bound.
     """
-    levels = p.level_table()
-    if levels is None:
-        return None
-    rates = [rate * float(p.probs[cells[0]]) for cells in levels.cells]
     if max(rates) > _POISSON_TABLE_MAX_RATE:
         return None
-    return [_poisson_table(lam) for lam in rates]
+    return [_poisson_table(rates[l]) for l in levels.split[1]]
 
 
 def _level_draws(tables: list[PoissonTable], sizes: list[int], k: int,
@@ -835,8 +856,8 @@ def _level_draws(tables: list[PoissonTable], sizes: list[int], k: int,
     one rate, so that histogram is multinomial(g, the table's law).  It is
     drawn over the values in decreasing-mass order (``table.by_mass``) and
     its columns are put back in value order.  numpy's multinomial stops once
-    all g cells are placed, so at the barrier's m = 6400 the one-cell heavy
-    level walks about 13 of its table's 142 values a row, not about 57.
+    all g cells are placed, so a level walks the few values that hold most
+    of its cells, not the table's tails.
     """
     draws = []
     for table, g in zip(tables, sizes):
@@ -852,32 +873,37 @@ def _row_totals(draws: list[tuple[int, np.ndarray]]) -> np.ndarray:
     return sum(hist @ (offset + np.arange(hist.shape[1])) for offset, hist in draws)
 
 
-def _histogram_matrix(p: Pmf, levels: LevelTable, draws: list[tuple[int, np.ndarray]],
-                      spare: int = 0) -> np.ndarray:
+def _histogram_matrix(zeros: int, k: int, draws: list[tuple[int, np.ndarray]],
+                      ones: list[np.ndarray], spare: int = 0) -> np.ndarray:
     """The count-indexed ``(k, W)`` fingerprint matrix of the levels' draws.
 
     Each ``(offset, hist)`` of ``draws`` adds ``hist[r, j]`` cells of count
-    ``offset + j`` to row r, the zero-mass cells count 0, and ``spare``
-    columns of zeros are left at the end.
+    ``offset + j`` to row r, each one-cell level's counts ``ones[l]`` one
+    cell of count ``ones[l][r]``, and the ``zeros`` zero-mass cells count 0.
+    ``spare`` columns of zeros are left past the draws' widest value.
     """
-    k = draws[0][1].shape[0]
-    out = np.zeros((k, max(offset + hist.shape[1] for offset, hist in draws) + spare), dtype=np.int64)
-    out[:, 0] = p.n - levels.order.size
+    width = max([offset + hist.shape[1] + spare for offset, hist in draws] + [int(c.max()) + 1 for c in ones])
+    out = np.zeros((k, width), dtype=np.int64)
+    out[:, 0] = zeros
     for offset, hist in draws:
         out[:, offset:offset + hist.shape[1]] += hist
+    for counts in ones:
+        out[np.arange(k), counts] += 1
     return out
 
 
-def _block_rows(k: int, tables: list[PoissonTable], keys: int = 0) -> list[int]:
-    """Row counts of consecutive blocks of k rows, at least one row a block.
+def _block_rows(k: int, tables: list[PoissonTable], ones: list[np.ndarray],
+                keys: int = 0) -> list[tuple[int, int]]:
+    """``(start, stop)`` of consecutive blocks of k rows, at least one row a block.
 
     A block's top-up keys (``keys`` a row) and the entries of its
-    count-indexed matrix (about the widest ``table.lo + width`` a row) each
-    stay under ``_FINGERPRINT_BLOCK``.
+    count-indexed matrix (about the widest ``table.lo + width``, or the
+    largest one-cell count in ``ones``, a row) each stay under
+    ``_FINGERPRINT_BLOCK``.
     """
-    width = max(table.lo + table.cdf.size for table in tables)
+    width = max([table.lo + table.cdf.size for table in tables] + [int(c.max(initial=0)) + 1 for c in ones])
     rows = max(1, _FINGERPRINT_BLOCK // max(keys, width))
-    return [min(rows, k - start) for start in range(0, k, rows)]
+    return [(start, min(start + rows, k)) for start in range(0, k, rows)]
 
 
 def _entries(hist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -900,31 +926,39 @@ def _fingerprints_of_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _joined([(*np.unique(row, return_counts=True), np.zeros(1, dtype=np.int64)) for row in rows])
 
 
-def _topped_up_block(p: Pmf, levels: LevelTable, tables: list[PoissonTable], m: int, k: int,
-                     rng: np.random.Generator) -> np.ndarray:
+def _topped_up_block(zeros: int, tables: list[PoissonTable], sizes: list[int], m: int, k: int,
+                     ones: list[np.ndarray], mass: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """k multinomial(m, p) fingerprints as a count-indexed ``(k, W)`` matrix:
-    ``_stacked_draw``'s Poisson rows and top-up, on the levels' histograms.
+    the k counts ``ones[l]`` of each one-cell level, ``zeros`` cells of mass
+    0, and ``_stacked_draw``'s Poisson rows and top-up on the histograms of
+    the other levels (``tables``, ``sizes`` cells each, ``mass`` their
+    masses over their total).
 
-    In a level the cells are exchangeable, and the top-up picks its cells
-    uniformly and independently of the Poisson counts, so a row's cells may
-    be laid out in order of their Poisson count, as the histogram gives
-    them.  Top-up key ``row * g + cell`` is then the cell's place in the
-    level's flattened layout.  The sorted keys' runs give the hit cells and
-    how often each is hit, and for each t one search of the running sum
-    over the layout's nonempty (row, count) bins counts the cells hit t
-    times in each bin, which move t counts up.
+    The other levels hold the rest R of a row's m, and given R they are
+    multinomial(R, ``mass``): a row is redrawn while its Poisson total
+    passes its R, and is then topped up to R.  In a level the cells are
+    exchangeable, and the top-up picks its cells uniformly and independently
+    of the Poisson counts, so a row's cells may be laid out in order of their
+    Poisson count, as the histogram gives them.  Top-up key
+    ``row * g + cell`` is then the cell's place in the level's flattened
+    layout.  The sorted keys' runs give the hit cells and how often each is
+    hit, and for each t one search of the running sum over the layout's
+    nonempty (row, count) bins counts the cells hit t times in each bin,
+    which move t counts up.
     """
-    sizes = [cells.size for cells in levels.cells]
+    if not tables:
+        return _histogram_matrix(zeros, k, [], ones)
+    remaining = m - sum(ones)
     draws = _level_draws(tables, sizes, k, rng)
     totals = _row_totals(draws)
-    over = np.flatnonzero(totals > m)
+    over = (totals > remaining).nonzero()[0]
     while over.size:
         redrawn = _level_draws(tables, sizes, over.size, rng)
         for (_, hist), (_, new) in zip(draws, redrawn):
             hist[over] = new
         totals[over] = _row_totals(redrawn)
-        over = over[totals[over] > m]
-    split = rng.multinomial(m - totals, levels.mass)
+        over = (totals > remaining).nonzero()[0]
+    split = rng.multinomial(remaining - totals, mass)
     tops = []
     for l, g in enumerate(sizes):
         # int32 keys where they fit halve the memory the sort moves
@@ -932,7 +966,7 @@ def _topped_up_block(p: Pmf, levels: LevelTable, tables: list[PoissonTable], m: 
         keys = np.repeat(np.arange(k, dtype=dtype) * g, split[:, l])
         keys += rng.integers(0, g, keys.size, dtype=dtype)
         tops.append(np.unique(keys, return_counts=True))
-    out = _histogram_matrix(p, levels, draws, max(int(inc.max(initial=0)) for _, inc in tops))
+    out = _histogram_matrix(zeros, k, draws, ones, max(int(inc.max(initial=0)) for _, inc in tops))
     for (lo, hist), (hit, inc) in zip(draws, tops):
         # the layout's nonempty (row, count) bins and the places where each ends
         bins = np.flatnonzero(hist)
@@ -956,24 +990,38 @@ def _multinomial_fingerprints(p: Pmf, m: int, k: int,
     ``starts[r]`` up to ``starts[r + 1]`` (the end, for the last row).  So
     a row's ``mult`` sums to n, and its ``mult * values`` to m.  The law is
     that of k ``draw_batch`` rows, up to the ``PoissonTable`` rounding
-    ``_stacked_draw`` has (a cdf within 1e-13).  No n-length vector is made
-    on a pmf with at most 3 levels whose Poisson cell rates
-    ``(m - sqrt(m)) p_l`` are within the table bound: each row is
-    ``_stacked_draw``'s row reduced to its counts of counts, with the
-    Poisson rows at that rate (``_FINGERPRINT_SLACK``), and the rows are
-    drawn in blocks (``_block_rows``).  Any other pmf draws k
-    ``draw_batch`` rows.
+    ``_stacked_draw`` has (a cdf within 1e-13).
+
+    No n-length vector is made on a pmf with at most 3 levels whose cell
+    rates are within the table bound.  With a level of one cell, one
+    multinomial over the level masses gives each row's level totals: a
+    one-cell level's total is its cell's count, and the rest R of the row's
+    m falls to the other levels, of total mass ``rest``.  Given R, their
+    counts are multinomial(R, their masses / rest): ``_stacked_draw``'s
+    Poisson rows and top-up to R on their histograms (``_topped_up_block``),
+    the Poisson rows at total rate ``E[R] - sqrt(E[R])``, ``E[R] = m * rest``
+    (``_FINGERPRINT_SLACK``).  A pmf with no one-cell level draws no such
+    multinomial: R is m and rest is 1.  The rows are drawn in blocks
+    (``_block_rows``).  Any other pmf, or a cell rate past the bound (a
+    one-cell level's is ``m * p``), draws k ``draw_batch`` rows.
     """
     m, k = operator.index(m), operator.index(k)
     if m < 0 or k < 0:
         raise ValueError("sample count and batch count must be >= 0")
-    rate = max(m - _FINGERPRINT_SLACK * math.sqrt(m), 0.0)
-    tables = _fingerprint_tables(p, rate)
+    levels = p.level_table()
+    tables = None
+    if levels is not None:
+        one, spread, rest, mass = levels.split
+        mean = m * rest
+        rate = max(mean - _FINGERPRINT_SLACK * math.sqrt(mean), 0.0)
+        tables = _fingerprint_tables(levels, [(rate / rest if cells.size > 1 else m) * float(p.probs[cells[0]])
+                                              for cells in levels.cells])
     if tables is None:
         return _fingerprints_of_rows(draw_batch(p, m, rng).counts for _ in range(k))
-    levels = p.level_table()
-    blocks = _block_rows(k, tables, math.ceil(m - rate))
-    return _joined([_entries(_topped_up_block(p, levels, tables, m, rows, rng)) for rows in blocks])
+    ones = list(rng.multinomial(m, levels.mass, size=k)[:, one].T) if one else []
+    sizes, zeros = [levels.cells[l].size for l in spread], p.n - levels.order.size
+    return _joined([_entries(_topped_up_block(zeros, tables, sizes, m, b - a, [c[a:b] for c in ones], mass, rng))
+                    for a, b in _block_rows(k, tables, ones, math.ceil(mean - rate))])
 
 
 def _poissonized_fingerprints(p: Pmf, m: float, k: int,
@@ -982,21 +1030,28 @@ def _poissonized_fingerprints(p: Pmf, m: float, k: int,
 
     Returns ``(values, mult, starts)`` as ``_multinomial_fingerprints``
     does.  No n-length vector is made on a pmf with at most 3 levels whose
-    cell rates are within the table bound: each level is drawn by
-    ``_level_draws`` from its cached ``PoissonTable`` (the law the tester's
-    Poisson counts use, a cdf within 1e-13 of the exact one), zero-mass
-    cells count 0, and the rows are drawn in blocks (``_block_rows``).  Any
-    other pmf draws all n counts of each row from
+    cell rates are within the table bound: a one-cell level's count is
+    ``rng.poisson(m * p)`` for every row at once, each other level is
+    drawn by ``_level_draws`` from its cached ``PoissonTable`` (the law the
+    tester's Poisson counts use, a cdf within 1e-13 of the exact one),
+    zero-mass cells count 0, and the rows are drawn in blocks
+    (``_block_rows``).  Any other pmf draws all n counts of each row from
     numpy's Poisson sampler.
     """
     _check_poisson_rate(m)
     k = operator.index(k)
     if k < 0:
         raise ValueError("batch count must be >= 0")
-    tables = _fingerprint_tables(p, m)
+    levels = p.level_table()
+    tables = None
+    if levels is not None:
+        rates = [m * float(p.probs[cells[0]]) for cells in levels.cells]
+        tables = _fingerprint_tables(levels, rates)
     if tables is None:
         return _fingerprints_of_rows(rng.poisson(m * p.probs) for _ in range(k))
-    levels = p.level_table()
-    sizes = [cells.size for cells in levels.cells]
-    return _joined([_entries(_histogram_matrix(p, levels, _level_draws(tables, sizes, rows, rng)))
-                    for rows in _block_rows(k, tables)])
+    one, spread, _, _ = levels.split
+    ones = list(rng.poisson([rates[l] for l in one], (k, len(one))).T) if one else []
+    sizes, zeros = [levels.cells[l].size for l in spread], p.n - levels.order.size
+    return _joined([_entries(_histogram_matrix(zeros, b - a, _level_draws(tables, sizes, b - a, rng),
+                                               [c[a:b] for c in ones]))
+                    for a, b in _block_rows(k, tables, ones)])

@@ -1,8 +1,11 @@
-"""Layer bench of the barrier study's fingerprint samplers (pytest-benchmark).
+"""Layer bench of the fingerprint samplers (pytest-benchmark).
 
-Each case draws the 200 runs of one barrier grid point (heavy(n^-1/2) at
-n = 10^4) with one sampler.  The file name keeps it out of the test suite;
-run it on its own:
+The barrier cases draw the 200 runs of one barrier grid point
+(heavy(n^-1/2) at n = 10^4) with one sampler.  The paired-bias cases draw
+k = 9 multinomial fingerprint rows of paired-bias(0.25) at the tester's
+sample size for eps = 0.25, rho = 0.2 and n = 10^5 or 10^6: rows with no
+one-cell level, as the tester below m = n would draw them.  The file name
+keeps it out of the test suite; run it on its own:
 
     python -m pytest tests/bench_fingerprints.py --benchmark-columns=median,iqr,rounds
 """
@@ -16,6 +19,7 @@ from repunif.rng import stream
 N, RUNS = 10**4, 200
 GRID = (400, 800, 1600, 3200, 6400)
 HEAVY = make_instance(InstanceSpec.heavy(N ** -0.5), N)
+PAIRED = ((10**5, 92_043), (10**6, 314_597))
 
 
 @pytest.mark.parametrize("m", GRID)
@@ -28,3 +32,10 @@ def test_multinomial_fingerprints(benchmark, m):
 def test_poissonized_fingerprints(benchmark, m):
     rng = stream(2, m)
     benchmark(distributions._poissonized_fingerprints, HEAVY, float(m), RUNS, rng)
+
+
+@pytest.mark.parametrize("n, m", PAIRED)
+def test_multinomial_fingerprints_paired_bias(benchmark, n, m):
+    p = make_instance(InstanceSpec.paired_bias(0.25), n)
+    rng = stream(3, m)
+    benchmark(distributions._multinomial_fingerprints, p, m, 9, rng)

@@ -1,5 +1,6 @@
 """Instance construction, TV distance, and sampler tests."""
 
+import hashlib
 import json
 import math
 
@@ -842,6 +843,18 @@ class TestPoissonTable:
         junk = stream(5, data.draw(st.integers(0, 2**32)))
         assert np.array_equal(self._lookup_grid(table, x, junk), self._search(table, x))
 
+    @given(lam=st.one_of(st.floats(min_value=0.0, max_value=distributions._POISSON_TABLE_MAX_RATE),
+                         st.sampled_from([0.0, 5e-324, 1e-300])))
+    @settings(max_examples=60, deadline=None)
+    def test_guide_is_the_bucket_search(self, lam):
+        # bucket j holds lo + searchsorted(cdf, j/Q, "right"), or -1 when a cdf
+        # entry lies in (j/Q, (j+1)/Q]: searched here bucket by bucket
+        table = PoissonTable(lam)
+        edges = np.arange((1 << table.bits) + 1) * 2.0 ** -table.bits
+        found = np.searchsorted(table.cdf, edges, side="right")
+        expected = np.where(found[1:] > found[:-1], -1, table.lo + found[:-1])
+        assert table.guide.dtype == np.int32 and np.array_equal(table.guide, expected)
+
     def test_lookup_without_ambiguous_cells_draws_no_word(self):
         table = PoissonTable(7.5)
         clear = np.flatnonzero(table.guide >= 0)
@@ -1071,7 +1084,8 @@ class TestPoissonizedFingerprint:
             distributions._poissonized_fingerprints(Pmf(np.array([0.5, 0.5])), rate, 3, stream(1, 1))
 
     def test_several_blocks(self, monkeypatch):
-        # 300 matrix entries a block: 2 rows of the 150-column matrix at rate 6400
+        # 300 matrix entries a block at rate 6400: 3 rows of a matrix as wide as
+        # the heavy cell's largest count, about 95 (the light table has 18 values)
         monkeypatch.setattr(distributions, "_FINGERPRINT_BLOCK", 300)
         shapes = []
         matrix = distributions._histogram_matrix
@@ -1102,7 +1116,8 @@ class TestLevelDraws:
         # m = 6400: every row places the level's g cells, and each column's mean
         # is within 5 SE of g times the table's mass of that column's value
         p, m, rows = make_instance(InstanceSpec.heavy(0.01), 10**4), 6400, 20_000
-        tables = distributions._fingerprint_tables(p, m - math.sqrt(m))
+        tables = [distributions._poisson_table((m - math.sqrt(m)) * float(p.probs[cells[0]]))
+                  for cells in p.level_table().cells]
         sizes = [cells.size for cells in p.level_table().cells]
         assert sizes == [1, 9999] and tables[0].cdf.size == 142
         draws = distributions._level_draws(tables, sizes, rows, stream(73, 7))
@@ -1150,15 +1165,15 @@ class TestMultinomialFingerprints:
 
     @pytest.mark.parametrize("p, m", CASES[5:7], ids=IDS[5:7])
     def test_law_at_rate_zero(self, p, m, monkeypatch):
-        # at a slack of 3 the Poisson rate max(m - 3 sqrt(m), 0) is 0 here, so
-        # every one of the m samples comes from the top-up
+        # at a slack of 3 the Poisson rate max(E[R] - 3 sqrt(E[R]), 0) is 0 here,
+        # so every sample of the levels of more than one cell comes from the top-up
         monkeypatch.setattr(distributions, "_FINGERPRINT_SLACK", 3.0)
         rates = []
         tables = distributions._fingerprint_tables
-        monkeypatch.setattr(distributions, "_fingerprint_tables",
-                            lambda p, rate: rates.append(rate) or tables(p, rate))
+        monkeypatch.setattr(distributions, "_fingerprint_tables", lambda levels, lams: rates.append(
+            [lam for lam, cells in zip(lams, levels.cells) if cells.size > 1]) or tables(levels, lams))
         self._assert_law(p, m)
-        assert rates == [0.0]
+        assert rates == [[0.0]]
 
     @classmethod
     def _assert_law(cls, p, m):
@@ -1197,7 +1212,8 @@ class TestMultinomialFingerprints:
             self._assert_rows(distributions._multinomial_fingerprints(p, m, 7, stream(73, 4)), p, m, 7)
 
     def test_several_blocks(self, monkeypatch):
-        # 30 items a block: one row per block at m = 400 (20 top-up keys and 33 matrix columns a row)
+        # 30 items a block: one row per block at m = 400 (20 top-up keys a row, and
+        # the light table's 9 matrix columns or the heavy cell's largest count)
         monkeypatch.setattr(distributions, "_FINGERPRINT_BLOCK", 30)
         blocks = []
         block = distributions._topped_up_block
@@ -1222,7 +1238,7 @@ class TestMultinomialFingerprints:
         p, m = _mixed_levels(20), 8 * 20
         fingerprints = distributions._multinomial_fingerprints(p, m, 20_000, stream(73, 6))
         self._assert_rows(fingerprints, p, m, 20_000)
-        # past each block's first draw, the redraws hold about 0.92 rows per row (0.16 at slack 1)
+        # past each block's first draw, the redraws hold about 1.04 rows per row (0.18 at slack 1)
         assert sum(blocks) == 20_000 and len(draws) > 2 * len(blocks)
         assert sum(draws) - 20_000 > 0.8 * 20_000
         collisions, empties = _collisions_and_empties(fingerprints)
@@ -1243,6 +1259,113 @@ class TestMultinomialFingerprints:
         for m, k in ((-1, 3), (10, -1)):
             with pytest.raises(ValueError):
                 distributions._multinomial_fingerprints(uniform(10), m, k, stream(1, 1))
+
+
+def _digest(fingerprints):
+    """The first 16 hex digits of the sha256 of a sampler's ``(values, mult, starts)``."""
+    h = hashlib.sha256()
+    for a in fingerprints:
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _assert_counts_follow(counts, law):
+    """A chi-square goodness-of-fit of ``counts`` against the scipy law ``law``,
+    tails pooled so that every bin expects at least 5, and the mean within 5 SE."""
+    from scipy.stats import chisquare
+
+    top = max(int(counts.max()), int(law.mean() + 12 * law.std() + 30))
+    expected = law.pmf(np.arange(top + 1)) * counts.size
+    observed = np.bincount(counts, minlength=top + 1).astype(np.float64)
+    # the law is unimodal, so the bins expecting at least 5 are one run
+    a, b = np.flatnonzero(expected >= 5)[[0, -1]]
+
+    def pooled(x):
+        return np.concatenate([[x[:a + 1].sum()], x[a + 1:b], [x[b:].sum()]])
+
+    expected, observed = pooled(expected), pooled(observed)
+    assert chisquare(observed, expected * observed.sum() / expected.sum()).pvalue > 1e-3
+    assert abs(counts.mean() - law.mean()) <= 5 * law.std() / math.sqrt(counts.size)
+
+
+class TestOneCellLevels:
+    """A level of one cell is one count a row: Binomial(m, p) in the multinomial
+    fingerprints, Poisson(m p) in the Poissonized ones."""
+
+    ROWS = 20_000
+    CASES = [
+        (make_instance(InstanceSpec.heavy(0.01), 10**4), 400),
+        (make_instance(InstanceSpec.heavy(0.01), 10**4), 6400),
+        (make_instance(InstanceSpec.heavy(2 ** -0.5), 2), 400),  # one-cell levels only
+        (_mixed_levels(2000), 3000),  # one cell, two levels of 999 and a zero-mass cell
+    ]
+    IDS = ["heavy-400", "heavy-6400", "one-cell-only", "three-levels"]
+
+    @classmethod
+    def _one_cell_counts(cls, sampler, p, m, key, monkeypatch):
+        """The sampler's rows, and the ``(rows, s)`` counts of the s one-cell
+        levels that it laid into their count-indexed matrices."""
+        blocks = []
+        matrix = distributions._histogram_matrix
+        monkeypatch.setattr(distributions, "_histogram_matrix",
+                            lambda *args: blocks.append(np.column_stack(args[3])) or matrix(*args))
+        rows = _rows_of(sampler(p, m, cls.ROWS, stream(74, key)))
+        ones = np.concatenate(blocks)
+        assert len(rows) == cls.ROWS and ones.shape[0] == cls.ROWS
+        assert all(c.sum() == p.n for _, c in rows)
+        # each row holds each of its one-cell counts
+        assert all(np.isin(counts, v).all() for counts, (v, _) in zip(ones, rows))
+        masses = [float(p.probs[cells[0]]) for cells in p.level_table().cells if cells.size == 1]
+        assert ones.shape[1] == len(masses) >= 1
+        return rows, ones, masses
+
+    @pytest.mark.parametrize("p, m", CASES, ids=IDS)
+    def test_multinomial_count_is_binomial(self, p, m, monkeypatch):
+        from scipy.stats import binom
+
+        rows, ones, masses = self._one_cell_counts(distributions._multinomial_fingerprints, p, m, 1, monkeypatch)
+        assert all(c @ v == m for v, c in rows)
+        for column, q in zip(ones.T, masses):
+            _assert_counts_follow(column, binom(m, q))
+        if p.n == len(masses):
+            # no other level: the one-cell counts are the whole row
+            assert np.all(ones.sum(axis=1) == m)
+
+    @pytest.mark.parametrize("p, m", CASES, ids=IDS)
+    def test_poissonized_count_is_poisson(self, p, m, monkeypatch):
+        from scipy.stats import poisson
+
+        _, ones, masses = self._one_cell_counts(distributions._poissonized_fingerprints, p, float(m), 2, monkeypatch)
+        for column, q in zip(ones.T, masses):
+            _assert_counts_follow(column, poisson(m * q))
+
+    def test_one_cell_rate_past_the_bound_draws_rows(self, monkeypatch):
+        # the heavy cell's rate 10,000 * 0.5 passes the table bound, the light
+        # cells' 51 do not: both samplers draw whole rows, as their fallbacks do
+        p, m = make_instance(InstanceSpec.heavy(0.5), 100), 10_000
+
+        def forbidden(*args):
+            raise AssertionError("count-indexed matrix built")
+
+        monkeypatch.setattr(distributions, "_histogram_matrix", forbidden)
+        rng = stream(74, 3)
+        expected = [np.unique(draw_batch(p, m, rng).counts, return_counts=True) for _ in range(5)]
+        got = _rows_of(distributions._multinomial_fingerprints(p, m, 5, stream(74, 3)))
+        assert all(np.array_equal(v, u) and np.array_equal(c, n) for (v, c), (u, n) in zip(got, expected))
+        rng = stream(74, 4)
+        expected = [_reference_fingerprint(p, m, rng) for _ in range(5)]
+        got = _rows_of(distributions._poissonized_fingerprints(p, float(m), 5, stream(74, 4)))
+        assert all(np.array_equal(v, u) and np.array_equal(c, n) for (v, c), (u, n) in zip(got, expected))
+
+    @pytest.mark.parametrize("p, m, k, multinomial, poissonized", [
+        (make_instance(InstanceSpec.paired_bias(0.25), 10**5), 92_043, 9, "41d07f10b4fffd46", "4440f9e0e60c6373"),
+        (uniform(50), 3, 50, "c0a159d89e8f3450", "162bc963dccb0c72"),
+    ], ids=["paired-bias", "uniform-50"])
+    def test_no_one_cell_level_draws_as_before(self, p, m, k, multinomial, poissonized):
+        # pmfs with no one-cell level take the same rates and stream: these are
+        # the fingerprints both samplers drew before one-cell levels were split off
+        assert _digest(distributions._multinomial_fingerprints(p, m, k, stream(26, 1))) == multinomial
+        assert _digest(distributions._poissonized_fingerprints(p, float(m), k, stream(26, 2))) == poissonized
 
 
 def _loop_alias_table(probs):
