@@ -51,11 +51,12 @@ are level-major (each level's cells in turn, zero-mass cells left out):
 ``draw_batches`` scatters them to cell order, and the tester scores them as
 they are.  Otherwise the k rows are k ``draw_batch`` calls in order.
 
+The stacked draw and the fingerprint samplers below read a pmf only
+through its ``LevelTable`` (only their whole-row fallbacks read ``probs``).
 What the stacked draw needs of (p, m) alone is a draw plan, built on the
-first draw and cached on the pmf for one m at a time: the cell rates and
-the guides and cdfs of their tables, each level's cell count and first
-column, the level masses, and each level's top-up key of every row's first
-cell.  Tabled levels with
+first draw and cached on the level table for one m at a time: the cell
+rates and the guides and cdfs of their tables, each level's first column,
+and each level's top-up key of every row's first cell.  Tabled levels with
 tables of one guide size are looked up together (``_JointTable``): one
 gather and one call for the fresh words of every ambiguous cell, the words
 one call per level would give them in turn.  A draw is then straight-line
@@ -100,10 +101,11 @@ import numpy as np
 NORMALIZATION_TOL = 1e-12
 # numpy's Poisson sampler rejects a rate above this (its POISSON_LAM_MAX)
 _POISSON_RATE_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
-# Level-path limits, from the sampler timing tables in ROADMAP.md: below this m/n
-# the level path's per-sample integer draws cost less than the multinomial's
-# per-cell binomials, and each level adds about 6 us of calls.  Below m = n it
-# saves the alias path's coin per sample, which pays from this many samples on.
+# Level-path limits.  At n <= m < 16 n the level path beat numpy's multinomial
+# everywhere measured, by 1.8-7.1x on 2 shared cores (n = 10^4 uniform: 73 vs
+# 485 us at m = n, 689 vs 1,390 us at m = 15 n); only direct draw_batch calls
+# reach it there, draw_batches taking the stacked draw.  Below m = n it saves
+# the alias path's coin per sample, which pays from this many samples on.
 _LEVEL_MAX_RATIO = 16
 _LEVEL_MIN_SAMPLES = 1024
 _LEVEL_MAX_COUNT = 3
@@ -144,6 +146,7 @@ __all__ = [
     "draw_batch",
     "draw_batches",
     "draw_poissonized_batch",
+    "draw_samples",
 ]
 
 
@@ -201,7 +204,8 @@ class Pmf:
         return table
 
     def level_table(self) -> "LevelTable | None":
-        """Level sets of this pmf, built once and cached.
+        """Level sets of this pmf, built once and cached: all that the
+        stacked draw and the fingerprint samplers read of it besides ``n``.
 
         ``None`` when the pmf has more than ``_LEVEL_MAX_COUNT`` distinct
         positive masses; the peeling build stops there, so such a pmf pays
@@ -434,16 +438,28 @@ class LevelTable:
     """The level sets of a pmf: its distinct positive masses and their cells.
 
     ``cells[l]`` holds the cells (ascending) of the l-th distinct mass, in
-    order of first appearance, and ``mass[l]`` is that level's total mass.
-    Zero-mass cells belong to no level, so they are never drawn.
+    order of first appearance, ``sizes[l]`` their count and ``cell_mass[l]``
+    the mass of each.  ``mass[l]`` is the level's mass, clamped at 1 (uniform
+    on 998 cells rounds one ulp past it, which multinomial rejects).
+    Zero-mass cells, ``zeros`` of them, belong to no level and are never drawn.
     """
 
-    def __init__(self, n: int, cells: list[np.ndarray], mass: np.ndarray):
+    def __init__(self, n: int, cells: list[np.ndarray], cell_mass: list[float]):
         self.n = n
         self.cells = cells
-        self.mass = mass
+        self.sizes = [c.size for c in cells]
+        self.cell_mass = cell_mass
+        self.mass = np.minimum([value * g for value, g in zip(cell_mass, self.sizes)], 1.0)
         # the level-major cell order of the stacked draw's rows
         self.order = np.concatenate(cells)
+        self.zeros = n - self.order.size
+        self._plan = None
+
+    def plan(self, m: int) -> "_DrawPlan":
+        """The stacked draw's plan at m, built on first use and cached for one m at a time."""
+        if self._plan is None or self._plan.m != m:
+            self._plan = _DrawPlan(self, m)
+        return self._plan
 
     @cached_property
     def split(self) -> tuple[list[int], list[int], float, np.ndarray]:
@@ -452,8 +468,8 @@ class LevelTable:
         the others, the others' total mass, and their masses over it.  With
         no level of one cell, ``rest`` is 1 and ``mass`` is ``self.mass``.
         """
-        one = [l for l, cells in enumerate(self.cells) if cells.size == 1]
-        spread = [l for l, cells in enumerate(self.cells) if cells.size > 1]
+        one = [l for l, g in enumerate(self.sizes) if g == 1]
+        spread = [l for l, g in enumerate(self.sizes) if g > 1]
         if not one:
             return one, spread, 1.0, self.mass
         rest = math.fsum(self.mass[spread].tolist())
@@ -470,7 +486,7 @@ class LevelTable:
             same = probs[rest] == probs[rest[0]]
             cells.append(rest[same])
             rest = rest[~same]
-        return cls(probs.shape[0], cells, _level_masses([probs[c[0]] for c in cells], cells))
+        return cls(probs.shape[0], cells, [float(probs[c[0]]) for c in cells])
 
     @classmethod
     def of_layout(cls, n: int, layout: list[tuple[range, float]]) -> "LevelTable":
@@ -487,7 +503,7 @@ class LevelTable:
         cells = [np.arange(rs[0].start, rs[0].stop, rs[0].step) if len(rs) == 1 else
                  np.sort(np.concatenate([np.arange(r.start, r.stop, r.step) for r in rs]))
                  for rs in ranges.values()]
-        return cls(n, cells, _level_masses(list(ranges), cells))
+        return cls(n, cells, list(ranges))
 
     def draw(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """Counts of m samples: level totals, then uniform spreading in each level.
@@ -507,15 +523,6 @@ class LevelTable:
             g = cells.shape[0]
             counts[cells] = np.bincount(rng.integers(0, g, k), minlength=g)
         return counts
-
-
-def _level_masses(values: list[float], cells: list[np.ndarray]) -> np.ndarray:
-    """Each level's mass g * p, clamped at 1.
-
-    It can round one ulp past 1 (uniform on 998 cells does), which
-    multinomial rejects.
-    """
-    return np.minimum([value * c.size for value, c in zip(values, cells)], 1.0)
 
 
 class PoissonTable:
@@ -634,25 +641,24 @@ def _poisson_table(lam: float) -> PoissonTable:
 
 
 class _DrawPlan:
-    """What ``_stacked_draw`` needs of one (pmf, m), built once (``_draw_plan``).
+    """What ``_stacked_draw`` needs of a level table at one m beyond the
+    table itself, built once (``LevelTable.plan``).
 
-    Per level: the Poisson cell rate ``(m - slack sqrt(m)) p_l``, and the
-    cell count and first column of the level-major row (``sizes``,
-    ``offsets``).  ``groups`` splits the levels, in order, into runs of
-    levels whose ``PoissonTable``s have one ``bits``, each read through one
-    ``_JointTable``, and single levels past the table bound (table None).
-    The level masses are ``levels.mass``.
+    Per level: the Poisson cell rate ``(m - slack sqrt(m)) p_l`` and the
+    first column of the level-major row (``offsets``).  ``groups`` splits
+    the levels, in order, into runs of levels whose ``PoissonTable``s have
+    one ``bits``, each read through one ``_JointTable``, and single levels
+    past the table bound (table None).  It keeps no reference to the table
+    that holds it: that cycle would outlive the pmf until a full collection.
     """
 
-    def __init__(self, p: Pmf, levels: LevelTable, m: int):
-        self.m, self.levels = m, levels
+    def __init__(self, levels: LevelTable, m: int):
+        self.m = m
         rate = max(m - _POISSON_SLACK * math.sqrt(m), 0.0)
-        self.rates = [rate * float(p.probs[cells[0]]) for cells in levels.cells]
+        self.rates = [rate * value for value in levels.cell_mass]
         tables = [None if lam > _POISSON_TABLE_MAX_RATE else _poisson_table(lam) for lam in self.rates]
-        self.sizes = [cells.size for cells in levels.cells]
-        self.offsets = [0, *itertools.accumulate(self.sizes[:-1])]
-        self.width = sum(self.sizes)
-        self.tabled = sum(g for g, table in zip(self.sizes, tables) if table is not None)
+        self.offsets = [0, *itertools.accumulate(levels.sizes[:-1])]
+        self.tabled = sum(g for g, table in zip(levels.sizes, tables) if table is not None)
         self.groups: list[tuple[list[int], _JointTable | None]] = []
         for bits, run in itertools.groupby(range(len(tables)), lambda l: getattr(tables[l], "bits", None)):
             run = list(run)
@@ -662,57 +668,46 @@ class _DrawPlan:
                 self.groups.append((run, _JointTable([tables[l] for l in run])))
         self._starts = (-1, None)
 
-    def starts(self, k: int) -> np.ndarray:
+    def starts(self, k: int, width: int) -> np.ndarray:
         """The top-up key ``r * width + offsets[l]`` of each level l's first
-        cell in each row r < k, level-major; kept for the last k."""
+        cell in each row r < k of ``width`` cells, level-major; kept for the
+        last k."""
         if self._starts[0] != k:
-            self._starts = (k, np.add.outer(self.offsets, np.arange(k) * self.width).ravel())
+            self._starts = (k, np.add.outer(self.offsets, np.arange(k) * width).ravel())
         return self._starts[1]
 
 
-def _draw_plan(p: Pmf, m: int) -> _DrawPlan | None:
-    """``p``'s draw plan at m, cached on the pmf (one m at a time), or None
-    when the pmf has no level table."""
-    plan = p.__dict__.get("_plan")
-    if plan is None or plan.m != m:
-        levels = p.level_table()
-        if levels is None:
-            return None
-        plan = _DrawPlan(p, levels, m)
-        object.__setattr__(p, "_plan", plan)
-    return plan
-
-
-def _poisson_rows(plan: _DrawPlan, rows: int, rng: np.random.Generator) -> np.ndarray:
+def _poisson_rows(levels: LevelTable, plan: _DrawPlan, rows: int, rng: np.random.Generator) -> np.ndarray:
     """A ``(rows, width)`` array of independent Poisson counts over the cells
-    of ``plan.levels.order``, cell rate ``plan.rates[l]`` in level l.
+    of ``levels.order``, cell rate ``plan.rates[l]`` in level l.
 
     One ``random_raw`` call gives each cell of a tabled level a 16-bit chunk,
     4 per word, level 0's ``rows x g0`` block first.  Each group of tabled
     levels reads its chunks in one ``_JointTable.lookup``; a level whose
     rate passes the table bound is drawn by numpy's Poisson sampler.
     """
-    counts = np.empty((rows, plan.width), dtype=np.int64)
+    counts = np.empty((rows, levels.order.size), dtype=np.int64)
     chunks = rng.bit_generator.random_raw(-(-rows * plan.tabled // 4)).view(np.uint16)
     start = 0
     for group, joint in plan.groups:
         if joint is None:
             (l,) = group
-            off, g = plan.offsets[l], plan.sizes[l]
+            off, g = plan.offsets[l], levels.sizes[l]
             counts[:, off:off + g] = rng.poisson(plan.rates[l], (rows, g))
             continue
-        ends = list(itertools.accumulate(rows * plan.sizes[l] for l in group))
+        ends = list(itertools.accumulate(rows * levels.sizes[l] for l in group))
         out = joint.lookup(chunks[start:start + ends[-1]], ends, rng.bit_generator.random_raw)
         for l, lo, hi in zip(group, [0, *ends], ends):
-            off, g = plan.offsets[l], plan.sizes[l]
+            off, g = plan.offsets[l], levels.sizes[l]
             counts[:, off:off + g] = out[lo:hi].reshape(rows, g)
         start += ends[-1]
     return counts
 
 
-def _stacked_draw(plan: _DrawPlan, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k multinomial(m, p) rows, level-major (columns ``plan.levels.order``):
-    Poisson rows at total rate below m, then a top-up.
+def _stacked_draw(levels: LevelTable, m: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k multinomial(m, p) rows of the pmf of ``levels``, level-major
+    (columns ``levels.order``): Poisson rows at total rate below m, then a
+    top-up.
 
     Each cell gets a Poisson(r p_i) count, ``r = m - slack * sqrt(m)``.  A
     row whose total N passes m is redrawn; the rest are topped up with
@@ -720,21 +715,21 @@ def _stacked_draw(plan: _DrawPlan, k: int, rng: np.random.Generator) -> np.ndarr
     spread uniformly in each level.  Given N a Poisson row is
     multinomial(N, p) and acceptance depends on N only, so each row is
     multinomial(N, p) plus an independent multinomial(m - N, p).  Everything
-    that depends on (p, m) alone comes from ``plan``.
+    that depends on (p, m) alone comes from the table's plan.
     """
-    m = plan.m
-    counts = _poisson_rows(plan, k, rng)
+    plan = levels.plan(m)
+    counts = _poisson_rows(levels, plan, k, rng)
     totals = counts.sum(axis=1)
     over = np.flatnonzero(totals > m)
     while over.size:
-        counts[over] = _poisson_rows(plan, over.size, rng)
+        counts[over] = _poisson_rows(levels, plan, over.size, rng)
         totals[over] = counts[over].sum(axis=1)
         over = over[totals[over] > m]
-    split = rng.multinomial(m - totals, plan.levels.mass).T
-    keys = np.repeat(plan.starts(k), split.ravel())
+    split = rng.multinomial(m - totals, levels.mass).T
+    keys = np.repeat(plan.starts(k, counts.shape[1]), split.ravel())
     per_level = split.sum(axis=1).tolist()
-    keys += np.concatenate([rng.integers(0, g, total) for g, total in zip(plan.sizes, per_level)])
-    counts += np.bincount(keys, minlength=k * plan.width).reshape(k, plan.width)
+    keys += np.concatenate([rng.integers(0, g, total) for g, total in zip(levels.sizes, per_level)])
+    counts += np.bincount(keys, minlength=counts.size).reshape(counts.shape)
     return counts
 
 
@@ -749,9 +744,9 @@ def _draw_rows(p: Pmf, m: int, k: int, rng: np.random.Generator) -> tuple[np.nda
     if m < 0 or k < 0:
         raise ValueError("sample count and batch count must be >= 0")
     stacked = p.n <= m and _POISSON_SLACK * math.sqrt(m) <= _TOPUP_MAX_PER_CELL * p.n
-    plan = _draw_plan(p, m) if stacked else None
-    if plan is not None:
-        return _stacked_draw(plan, k, rng), plan.levels.order
+    levels = p.level_table() if stacked else None
+    if levels is not None:
+        return _stacked_draw(levels, m, k, rng), levels.order
     counts = np.empty((k, p.n), dtype=np.int64)
     for row in counts:
         row[:] = draw_batch(p, m, rng).counts
@@ -767,9 +762,9 @@ def draw_batches(p: Pmf, m: int, k: int, rng: np.random.Generator) -> np.ndarray
     a fixed number of vectorized calls over ``k * n`` cells and ``k``
     top-ups of about ``3 sqrt(m)`` samples, each Poisson count read from a
     16-bit chunk through ``PoissonTable``s.  Its set-up for (p, m) is the
-    pmf's cached draw plan (``_draw_plan``).  That draw makes its rows
-    level-major, and they are scattered to cell order once, here.
-    Otherwise each row is one ``draw_batch``, in order.
+    draw plan cached on the pmf's level table (``LevelTable.plan``).  That
+    draw makes its rows level-major, and they are scattered to cell order
+    once, here.  Otherwise each row is one ``draw_batch``, in order.
     """
     rows, order = _draw_rows(p, m, k, rng)
     if order is None:
@@ -1014,12 +1009,12 @@ def _multinomial_fingerprints(p: Pmf, m: int, k: int,
         one, spread, rest, mass = levels.split
         mean = m * rest
         rate = max(mean - _FINGERPRINT_SLACK * math.sqrt(mean), 0.0)
-        tables = _fingerprint_tables(levels, [(rate / rest if cells.size > 1 else m) * float(p.probs[cells[0]])
-                                              for cells in levels.cells])
+        tables = _fingerprint_tables(levels, [(rate / rest if g > 1 else m) * value
+                                              for g, value in zip(levels.sizes, levels.cell_mass)])
     if tables is None:
         return _fingerprints_of_rows(draw_batch(p, m, rng).counts for _ in range(k))
     ones = list(rng.multinomial(m, levels.mass, size=k)[:, one].T) if one else []
-    sizes, zeros = [levels.cells[l].size for l in spread], p.n - levels.order.size
+    sizes, zeros = [levels.sizes[l] for l in spread], levels.zeros
     return _joined([_entries(_topped_up_block(zeros, tables, sizes, m, b - a, [c[a:b] for c in ones], mass, rng))
                     for a, b in _block_rows(k, tables, ones, math.ceil(mean - rate))])
 
@@ -1045,13 +1040,13 @@ def _poissonized_fingerprints(p: Pmf, m: float, k: int,
     levels = p.level_table()
     tables = None
     if levels is not None:
-        rates = [m * float(p.probs[cells[0]]) for cells in levels.cells]
+        rates = [m * value for value in levels.cell_mass]
         tables = _fingerprint_tables(levels, rates)
     if tables is None:
         return _fingerprints_of_rows(rng.poisson(m * p.probs) for _ in range(k))
     one, spread, _, _ = levels.split
     ones = list(rng.poisson([rates[l] for l in one], (k, len(one))).T) if one else []
-    sizes, zeros = [levels.cells[l].size for l in spread], p.n - levels.order.size
+    sizes, zeros = [levels.sizes[l] for l in spread], levels.zeros
     return _joined([_entries(_histogram_matrix(zeros, b - a, _level_draws(tables, sizes, b - a, rng),
                                                [c[a:b] for c in ones]))
                     for a, b in _block_rows(k, tables, ones)])

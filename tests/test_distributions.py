@@ -25,7 +25,7 @@ from repunif.distributions import (
     tv_distance,
 )
 from repunif.rng import SeedSplit, stream
-from repunif.tester import IdentityReducer, TesterParams, derive_sizes, run_identity_tester
+from repunif.tester import IdentityReducer, TesterParams, derive_sizes, run_identity_tester, run_tester
 
 
 def uniform(n):
@@ -149,6 +149,9 @@ class TestFamilyInstances:
             assert cells.dtype == want.dtype and np.array_equal(cells, want)
         assert table.mass.dtype == expected.mass.dtype and table.mass.tobytes() == expected.mass.tobytes()
         assert np.array_equal(table.order, expected.order)
+        assert table.sizes == expected.sizes and table.zeros == expected.zeros
+        assert all(type(value) is float for value in table.cell_mass + expected.cell_mass)
+        assert np.array(table.cell_mass).tobytes() == np.array(expected.cell_mass).tobytes()
 
     def test_cases_reach_every_layout(self):
         # merged levels (xi = 0, and xi so small that both masses round to 1/n),
@@ -562,8 +565,8 @@ class TestDrawBatches:
         monkeypatch.setattr(distributions, "_POISSON_SLACK", 0.0)
         draws_made = []
         poisson_rows = distributions._poisson_rows
-        monkeypatch.setattr(distributions, "_poisson_rows",
-                            lambda plan, rows, rng: draws_made.append(rows) or poisson_rows(plan, rows, rng))
+        monkeypatch.setattr(distributions, "_poisson_rows", lambda levels, plan, rows, rng:
+                            draws_made.append(rows) or poisson_rows(levels, plan, rows, rng))
         p = _mixed_levels(20)
         m, k, calls = 8 * 20, 6, 5000
         rng = stream(43, 1)
@@ -715,7 +718,7 @@ class TestDrawPlan:
         far[0::2] -= 0.003
         far[1::2] += 0.003
         p = IdentityReducer(q).pushforward(Pmf(far))
-        plan = distributions._draw_plan(p, 53587)
+        plan = p.level_table().plan(53587)
         assert [(group, joint.bits) for group, joint in plan.groups] == [([0], 12), ([1, 2], 13)]
         rng, ref = stream(68, 1), stream(68, 1)
         assert np.array_equal(distributions._draw_rows(p, 53587, 9, rng)[0], _reference_rows(p, 53587, 9, ref))
@@ -731,7 +734,7 @@ class TestDrawPlan:
         calls = [(7784, 9), (3639, 9), (7784, 3), (7784, 9), (3639, 3), (7784, 3)]
         for t, (m, k) in enumerate(calls):
             rows, _ = distributions._draw_rows(p, m, k, stream(69, t))
-            assert p.__dict__["_plan"].m == m
+            assert p.level_table()._plan.m == m
             assert np.array_equal(rows, distributions._draw_rows(fresh(), m, k, stream(69, t))[0]), (m, k)
 
     def test_pickled_pmf_draws_the_same_rows(self):
@@ -745,6 +748,23 @@ class TestDrawPlan:
             for q in (before, after):
                 assert np.array_equal(distributions._draw_rows(q, m, 9, stream(70, 0))[0], first)
                 assert np.array_equal(draw_batches(q, m, 4, stream(70, 1)), draw_batches(p, m, 4, stream(70, 1)))
+
+    def test_table_and_plan_go_with_their_pmf(self):
+        # with no reference cycle through the cached plan, dropping the pmf frees
+        # its level table and plan at once, not at the next full collection: the
+        # replicability prior draws a fresh pmf for every pair
+        import gc
+        import weakref
+
+        p = make_instance(InstanceSpec.paired_bias(0.3), 1000)
+        distributions._draw_rows(p, 7784, 9, stream(70, 2))
+        table, plan = weakref.ref(p.level_table()), weakref.ref(p.level_table().plan(7784))
+        gc.disable()
+        try:
+            del p
+            assert table() is None and plan() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("rates", [(7.5, 7.9), (7.5, 7.9, 6.8), (44.0771116817598, 44.077111681759796)])
     def test_joint_table_equals_one_lookup_per_table(self, rates):
@@ -1366,6 +1386,68 @@ class TestOneCellLevels:
         # the fingerprints both samplers drew before one-cell levels were split off
         assert _digest(distributions._multinomial_fingerprints(p, m, k, stream(26, 1))) == multinomial
         assert _digest(distributions._poissonized_fingerprints(p, float(m), k, stream(26, 2))) == poissonized
+
+
+class _ShapeOnly:
+    """Stands in for a pmf's ``probs``: it has a shape, and any other read raises."""
+
+    def __init__(self, n):
+        self.shape = (n,)
+
+    def __getattr__(self, name):
+        raise AssertionError(f"probs.{name} read")
+
+    def __getitem__(self, key):
+        raise AssertionError("probs indexed")
+
+    def __iter__(self):
+        raise AssertionError("probs iterated")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("probs read as an array")
+
+
+def _without_probs(spec, n):
+    """``make_instance(spec, n)`` whose ``probs`` cannot be read past its shape."""
+    p = make_instance(spec, n)
+    object.__setattr__(p, "probs", _ShapeOnly(n))
+    return p
+
+
+class TestLevelTableOnly:
+    """The stacked draw and both fingerprint samplers read a family pmf only
+    through its level table: with ``probs`` unreadable they give the plain
+    pmf's rows, verdicts and fingerprints, bit for bit, on the same streams."""
+
+    @pytest.mark.parametrize("spec", [InstanceSpec.paired_bias(0.5), InstanceSpec.uniform()],
+                             ids=["paired-bias", "uniform"])
+    def test_stacked_draw_and_tester(self, spec):
+        p, plain = _without_probs(spec, 1000), make_instance(spec, 1000)
+        rng, ref = stream(75, 1), stream(75, 1)
+        for _ in range(2):  # the second call reads the cached plan
+            rows, order = distributions._draw_rows(p, 7784, 9, rng)
+            want, want_order = distributions._draw_rows(plain, 7784, 9, ref)
+            assert np.array_equal(rows, want) and np.array_equal(order, want_order)
+            assert _stream_state(rng) == _stream_state(ref)
+        params = TesterParams.from_constants(1000, 0.25, 0.2, default_constants())
+        assert derive_sizes(params) == (7784, 9)
+        for salt in range(3):
+            seeds = [SeedSplit(internal=stream(76, salt, 0), sample=stream(76, salt, 1)) for _ in range(2)]
+            assert run_tester(p, params, seeds[0]) == run_tester(plain, params, seeds[1])
+            assert _stream_state(seeds[0].sample) == _stream_state(seeds[1].sample)
+
+    @pytest.mark.parametrize("m", [400, 6400])
+    @pytest.mark.parametrize("sampler", ["_multinomial_fingerprints", "_poissonized_fingerprints"])
+    def test_fingerprint_samplers(self, sampler, m):
+        spec, n = InstanceSpec.heavy(0.01), 10**4
+        p, plain = _without_probs(spec, n), make_instance(spec, n)
+        draw = getattr(distributions, sampler)
+        m = m if sampler == "_multinomial_fingerprints" else float(m)
+        rng, ref = stream(77, 1), stream(77, 1)
+        for _ in range(2):
+            got, want = draw(p, m, 200, rng), draw(plain, m, 200, ref)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+            assert _stream_state(rng) == _stream_state(ref)
 
 
 def _loop_alias_table(probs):
