@@ -2,7 +2,9 @@
 
 Exit-code contract: 0 = accept / success, 1 = reject / failed assertion /
 infeasible calibration, 2 = usage or configuration error, or a run too large
-to allocate.  Identical command line + seed + constants file produces
+to allocate or with a sample size past the samplers' 2**63 limit.  Each
+subcommand has its own handler, bound to it by ``set_defaults(func=...)``.
+Identical command line + seed + constants file produces
 byte-identical outputs, and every output file embeds its full resolved
 configuration.
 """
@@ -10,6 +12,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -20,6 +23,7 @@ from . import exact
 from .constants import CONSTANTS_ENV_VAR, resolve_constants, save_constants
 from .distributions import InstanceSpec, Pmf, make_instance
 from .harness import (
+    BARRIER_STATISTICS,
     CalibrationError,
     acceptance_sweep,
     barrier_experiment,
@@ -102,44 +106,46 @@ def _emit(report, args, label) -> None:
     print(f"{label}: {json.dumps(brief, sort_keys=True)}")
 
 
-def cmd_experiment(args) -> int:
-    status = 0
-    assert_rate = getattr(args, "assert_rate", None)
-    if assert_rate is not None and not 0.0 <= assert_rate <= 1.0:
-        raise ValueError(f"--assert-rate must lie in [0, 1], got {assert_rate!r}")
-    if args.subkind == "correctness":
-        params = _params(args)
-        spec = _parse_instance(args.instance)
-        rep = correctness_experiment(spec, params, args.trials, args.seed,
-                                     expect=args.expect, workers=args.workers)
-        _emit(rep, args, "correctness")
-        if args.assert_rate is not None and rep.rate < args.assert_rate:
-            status = 1
-    elif args.subkind == "replicability":
-        params = _params(args)
-        rep = replicability_experiment(None, params, args.pairs, args.seed,
-                                       workers=args.workers)
-        _emit(rep, args, "replicability")
-        if args.assert_rate is not None and rep.rate < args.assert_rate:
-            status = 1
-    elif args.subkind == "sweep":
-        params = _params(args)
-        curve = acceptance_sweep(params, _parse_grid(args.grid), args.trials,
-                                 args.seed, fixed_internal=args.fixed_internal,
-                                 workers=args.workers)
-        _emit(curve, args, "sweep")
-    elif args.subkind == "barrier":
-        if args.m_grid:
-            m_grid = [int(x) for x in args.m_grid.split(",")]
-        else:
-            base = 4 * math.sqrt(args.n)
-            m_grid = [int(round(base * 2**k)) for k in range(5)]
-        result = barrier_experiment(args.stat, args.n, m_grid, args.runs_per_m,
-                                    args.seed, eps=args.eps, workers=args.workers)
-        _emit(result, args, f"barrier-{args.stat} slope={result.slope:.4f}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown experiment {args.subkind!r}")
-    return status
+def _asserted_rate(args) -> float | None:
+    """``--assert-rate``, checked before any trial runs."""
+    rate = args.assert_rate
+    if rate is not None and not 0.0 <= rate <= 1.0:
+        raise ValueError(f"--assert-rate must lie in [0, 1], got {rate!r}")
+    return rate
+
+
+def cmd_correctness(args) -> int:
+    rate = _asserted_rate(args)
+    params = _params(args)
+    spec = _parse_instance(args.instance)
+    rep = correctness_experiment(spec, params, args.trials, args.seed,
+                                 expect=args.expect, workers=args.workers)
+    _emit(rep, args, "correctness")
+    return 1 if rate is not None and rep.rate < rate else 0
+
+
+def cmd_replicability(args) -> int:
+    rate = _asserted_rate(args)
+    rep = replicability_experiment(None, _params(args), args.pairs, args.seed, workers=args.workers)
+    _emit(rep, args, "replicability")
+    return 1 if rate is not None and rep.rate < rate else 0
+
+
+def cmd_sweep(args) -> int:
+    grid = args.grid if args.grid is not None else f"0:{2 * args.eps}:11"
+    curve = acceptance_sweep(_params(args), _parse_grid(grid), args.trials, args.seed,
+                             fixed_internal=args.fixed_internal, workers=args.workers)
+    _emit(curve, args, "sweep")
+    return 0
+
+
+def cmd_barrier(args) -> int:
+    m_grid = ([int(x) for x in args.m_grid.split(",")] if args.m_grid
+              else [int(round(4 * math.sqrt(args.n) * 2**k)) for k in range(5)])
+    result = barrier_experiment(args.stat, args.n, m_grid, args.runs_per_m,
+                                args.seed, eps=args.eps, workers=args.workers)
+    _emit(result, args, f"barrier-{args.stat} slope={result.slope:.4f}")
+    return 0
 
 
 def cmd_calibrate(args) -> int:
@@ -163,40 +169,38 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    if args.oracle_kind == "reduction-check":
-        scan = exact.reduction_check(args.max_n, args.max_denominator)
-        print(json.dumps({
-            "num_pmfs": scan.num_pmfs, "num_pairs": scan.num_pairs,
-            "max_uniform_error": scan.max_uniform_error,
-            "min_margin": scan.min_margin, "passed": scan.passed,
-        }, sort_keys=True))
-        return 0 if scan.passed else 1
-    if args.oracle_kind == "mi-grid":
-        lambdas = [float(x) for x in args.lambdas.split(",")]
-        epss = [float(x) for x in args.epss.split(",")]
-        deltas = [float(x) for x in args.deltas.split(",")]
-        rows = []
-        for lam in lambdas:
-            for eps in epss:
-                for delta in deltas:
-                    d = exact.pair_joint(lam, eps - delta, eps)
-                    mi = exact.mutual_info_pair(d)
-                    rows.append({
-                        "lambda": repr(lam), "eps0": repr(eps - delta),
-                        "eps1": repr(eps), "K": d.truncation,
-                        "tail_mass": repr(d.tail_mass),
-                        "mi_nats": repr(mi.value),
-                        "error_budget": repr(mi.error_budget),
-                    })
-        columns = ["lambda", "eps0", "eps1", "K", "tail_mass", "mi_nats", "error_budget"]
-        config = {"experiment": "mi-grid", "lambdas": lambdas, "epss": epss, "deltas": deltas}
-        if args.out:
-            write_rows_csv(args.out, columns, rows, config)
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
-        return 0
-    raise ValueError(f"unknown oracle {args.oracle_kind!r}")  # pragma: no cover
+def cmd_reduction_check(args) -> int:
+    scan = exact.reduction_check(args.max_n, args.max_denominator)
+    print(json.dumps({
+        "num_pmfs": scan.num_pmfs, "num_pairs": scan.num_pairs,
+        "max_uniform_error": scan.max_uniform_error,
+        "min_margin": scan.min_margin, "passed": scan.passed,
+    }, sort_keys=True))
+    return 0 if scan.passed else 1
+
+
+def cmd_mi_grid(args) -> int:
+    lambdas = [float(x) for x in args.lambdas.split(",")]
+    epss = [float(x) for x in args.epss.split(",")]
+    deltas = [float(x) for x in args.deltas.split(",")]
+    rows = []
+    for lam, eps, delta in itertools.product(lambdas, epss, deltas):
+        d = exact.pair_joint(lam, eps - delta, eps)
+        mi = exact.mutual_info_pair(d)
+        rows.append({
+            "lambda": repr(lam), "eps0": repr(eps - delta),
+            "eps1": repr(eps), "K": d.truncation,
+            "tail_mass": repr(d.tail_mass),
+            "mi_nats": repr(mi.value),
+            "error_budget": repr(mi.error_budget),
+        })
+    columns = ["lambda", "eps0", "eps1", "K", "tail_mass", "mi_nats", "error_budget"]
+    config = {"experiment": "mi-grid", "lambdas": lambdas, "epss": epss, "deltas": deltas}
+    if args.out:
+        write_rows_csv(args.out, columns, rows, config)
+    for row in rows:
+        print(json.dumps(row, sort_keys=True))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,6 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--constants", default=None,
                        help=f"constants file (default: ${CONSTANTS_ENV_VAR} or packaged)")
 
+    def add_run(p, out="--out-prefix", assert_rate=False):
+        p.add_argument("--workers", type=int, default=1)
+        if assert_rate:
+            p.add_argument("--assert-rate", type=float, default=None)
+        p.add_argument(out, default=None)
+
     p_test = sub.add_parser("test", help="run the tester once")
     add_common(p_test)
     p_test.add_argument("--instance", default="uniform")
@@ -223,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.set_defaults(func=cmd_test)
 
     p_exp = sub.add_parser("experiment", help="Monte Carlo experiments")
+    # no handler reads a subparser's dest: it names a missing subcommand in argparse's error
     exp_sub = p_exp.add_subparsers(dest="subkind", required=True)
 
     p_corr = exp_sub.add_parser("correctness")
@@ -230,38 +241,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_corr.add_argument("--instance", default="uniform")
     p_corr.add_argument("--expect", choices=["accept", "reject"], default="accept")
     p_corr.add_argument("--trials", type=int, default=400)
-    p_corr.add_argument("--workers", type=int, default=1)
-    p_corr.add_argument("--assert-rate", type=float, default=None)
-    p_corr.add_argument("--out-prefix", default=None)
-    p_corr.set_defaults(func=cmd_experiment)
+    add_run(p_corr, assert_rate=True)
+    p_corr.set_defaults(func=cmd_correctness)
 
     p_rep = exp_sub.add_parser("replicability")
     add_common(p_rep)
     p_rep.add_argument("--pairs", type=int, default=1000)
-    p_rep.add_argument("--workers", type=int, default=1)
-    p_rep.add_argument("--assert-rate", type=float, default=None)
-    p_rep.add_argument("--out-prefix", default=None)
-    p_rep.set_defaults(func=cmd_experiment)
+    add_run(p_rep, assert_rate=True)
+    p_rep.set_defaults(func=cmd_replicability)
 
     p_sweep = exp_sub.add_parser("sweep")
     add_common(p_sweep)
     p_sweep.add_argument("--grid", default=None, help="lo:hi:count (default 0:2*eps:11)")
     p_sweep.add_argument("--trials", type=int, default=200, dest="trials")
     p_sweep.add_argument("--fixed-internal", action="store_true")
-    p_sweep.add_argument("--workers", type=int, default=1)
-    p_sweep.add_argument("--out-prefix", default=None)
-    p_sweep.set_defaults(func=cmd_experiment)
+    add_run(p_sweep)
+    p_sweep.set_defaults(func=cmd_sweep)
 
     p_bar = exp_sub.add_parser("barrier")
-    p_bar.add_argument("--stat", choices=["collision", "chi2", "tvstat"], required=True)
+    p_bar.add_argument("--stat", choices=list(BARRIER_STATISTICS), required=True)
     p_bar.add_argument("--n", type=int, required=True)
     p_bar.add_argument("--eps", type=float, default=0.5)
     p_bar.add_argument("--m-grid", default=None, help="comma-separated (default 4*sqrt(n)*2^k, k<5)")
     p_bar.add_argument("--runs-per-m", type=int, default=2000)
     p_bar.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_bar.add_argument("--workers", type=int, default=1)
-    p_bar.add_argument("--out-prefix", default=None)
-    p_bar.set_defaults(func=cmd_experiment)
+    add_run(p_bar)
+    p_bar.set_defaults(func=cmd_barrier)
 
     p_cal = sub.add_parser("calibrate", help="derive constants from pilot runs")
     p_cal.add_argument("--default-grid", action="store_true")
@@ -272,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--c-m2", type=float, default=1.0)
     p_cal.add_argument("--c-m0", type=float, default=3.0)
     p_cal.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_cal.add_argument("--workers", type=int, default=1)
-    p_cal.add_argument("--out", default=None)
+    add_run(p_cal, out="--out")
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_orc = sub.add_parser("oracle", help="exact small-instance oracles")
@@ -281,13 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_red = orc_sub.add_parser("reduction-check")
     p_red.add_argument("--max-n", type=int, default=4)
     p_red.add_argument("--max-denominator", type=int, default=8)
-    p_red.set_defaults(func=cmd_oracle)
+    p_red.set_defaults(func=cmd_reduction_check)
     p_mi = orc_sub.add_parser("mi-grid")
     p_mi.add_argument("--lambdas", default="0.1,0.5,1")
     p_mi.add_argument("--epss", default="0.1,0.2")
     p_mi.add_argument("--deltas", default="0.01,0.02")
     p_mi.add_argument("--out", default=None)
-    p_mi.set_defaults(func=cmd_oracle)
+    p_mi.set_defaults(func=cmd_mi_grid)
 
     return parser
 
@@ -295,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "subkind", None) == "sweep" and args.grid is None:
-        args.grid = f"0:{2 * args.eps}:11"
     try:
         return args.func(args)
     except CalibrationError as err:

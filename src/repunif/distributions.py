@@ -163,6 +163,14 @@ def _normalize_rows(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _checked_count(value, what: str = "sample count") -> int:
+    """``value`` as an int in ``[0, 2**63)``: numpy's samplers count in int64."""
+    value = operator.index(value)
+    if not 0 <= value < 2**63:
+        raise ValueError(f"{what} must lie in [0, 2**63), got {value}")
+    return value
+
+
 def _checked_total(total: float) -> float:
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"pmf sums to {total!r}, not 1 within {NORMALIZATION_TOL}")
@@ -740,9 +748,7 @@ def _draw_rows(p: Pmf, m: int, k: int, rng: np.random.Generator) -> tuple[np.nda
     column j counting cell ``order[j]``, and the zero-mass cells are left out;
     otherwise ``order`` is None and the rows are in cell order.
     """
-    m, k = operator.index(m), operator.index(k)
-    if m < 0 or k < 0:
-        raise ValueError("sample count and batch count must be >= 0")
+    m, k = _checked_count(m), _checked_count(k, "batch count")
     stacked = p.n <= m and _POISSON_SLACK * math.sqrt(m) <= _TOPUP_MAX_PER_CELL * p.n
     levels = p.level_table() if stacked else None
     if levels is not None:
@@ -790,9 +796,7 @@ def draw_batch(p: Pmf, m: int, rng: np.random.Generator) -> SampleBatch:
     ``[min(n, 1024), 16 n)`` never builds its level table.  Several batches
     of one pmf and m are cheaper through ``draw_batches``.
     """
-    m = operator.index(m)
-    if m < 0:
-        raise ValueError("sample count must be >= 0")
+    m = _checked_count(m)
     n = p.n
     levels = p.level_table() if min(n, _LEVEL_MIN_SAMPLES) <= m < _LEVEL_MAX_RATIO * n else None
     if levels is not None:
@@ -806,8 +810,7 @@ def draw_batch(p: Pmf, m: int, rng: np.random.Generator) -> SampleBatch:
 
 def draw_samples(p: Pmf, m: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an ordered sequence of ``m`` i.i.d. samples (0-based indices)."""
-    if m < 0:
-        raise ValueError("sample count must be >= 0")
+    m = _checked_count(m)
     return p.alias_table().draw(m, rng).astype(np.int64)
 
 
@@ -1000,9 +1003,7 @@ def _multinomial_fingerprints(p: Pmf, m: int, k: int,
     (``_block_rows``).  Any other pmf, or a cell rate past the bound (a
     one-cell level's is ``m * p``), draws k ``draw_batch`` rows.
     """
-    m, k = operator.index(m), operator.index(k)
-    if m < 0 or k < 0:
-        raise ValueError("sample count and batch count must be >= 0")
+    m, k = _checked_count(m), _checked_count(k, "batch count")
     levels = p.level_table()
     tables = None
     if levels is not None:
@@ -1034,9 +1035,7 @@ def _poissonized_fingerprints(p: Pmf, m: float, k: int,
     numpy's Poisson sampler.
     """
     _check_poisson_rate(m)
-    k = operator.index(k)
-    if k < 0:
-        raise ValueError("batch count must be >= 0")
+    k = _checked_count(k, "batch count")
     levels = p.level_table()
     tables = None
     if levels is not None:

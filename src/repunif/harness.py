@@ -3,14 +3,15 @@
 Estimates the probabilities in the correctness and replicability protocols,
 sweeps acceptance probability over the paired-bias family, runs the
 heavy-element barrier studies, and calibrates the tester constants.  The
-barrier study is the one home of the baseline statistics (collision,
-Poissonized chi-square, TV): which exist, how each is sampled, and its gap.
-The runs of a grid point are drawn together as their fingerprints (how
-many cells of each batch hold each count), multinomial for collision and
-TV, Poissonized for chi-square, and each statistic scores all runs at once,
-exactly.  No n-length vector is made while every cell rate is within
-the Poisson table bound: the single-heavy-element pmf has 2 levels, so for
-m up to about 4096 n^1/2.
+barrier study is the one home of the baseline statistics: one table,
+``BARRIER_STATISTICS``, gives each (collision, Poissonized chi-square, TV)
+its fingerprint sampler, exact fingerprint scorer and gap, and its keys are
+the CLI's ``--stat`` choices.  The runs of a grid point are drawn together
+as their fingerprints (how many cells of each batch hold each count),
+multinomial for collision and TV, Poissonized for chi-square, and each
+statistic scores all runs at once, exactly.  No n-length vector is made
+while every cell rate is within the Poisson table bound: the
+single-heavy-element pmf has 2 levels, so for m up to about 4096 n^1/2.
 
 Determinism contract: every trial's randomness is a pure function of
 ``(master_seed, key)``, reports are assembled in trial order, and the
@@ -49,6 +50,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,6 +81,8 @@ __all__ = [
     "SweepCurve",
     "BarrierRow",
     "BarrierResult",
+    "BarrierStatistic",
+    "BARRIER_STATISTICS",
     "CalibrationError",
     "wilson_interval",
     "PairedBiasPrior",
@@ -233,16 +237,30 @@ def _trial(args) -> Verdict:
     return run_tester(pmf, params, SeedSplit(internal=keyed(internal_key), sample=keyed(sample_key)))
 
 
+class BarrierStatistic(NamedTuple):
+    """How the barrier study samples, scores and scales one statistic."""
+
+    sample: Callable  # (pmf, m, runs, rng) -> the runs' fingerprints
+    score: Callable   # (fingerprints, n, m) -> each run's exact value
+    gap: Callable     # (n, m, eps) -> the uniform-vs-far expectation gap scale
+
+
+BARRIER_STATISTICS = {
+    "collision": BarrierStatistic(_multinomial_fingerprints,
+                                  lambda f, n, m: [float(c) for c in _collision_counts(*f, m)],
+                                  lambda n, m, eps: m * m * eps * eps / n),
+    "chi2": BarrierStatistic(_poissonized_fingerprints, lambda f, n, m: _chi2_sums(*f, n, m),
+                             lambda n, m, eps: m * eps * eps),
+    "tvstat": BarrierStatistic(_multinomial_fingerprints, lambda f, n, m: _tv_from_fingerprints(*f, m, n),
+                               lambda n, m, eps: expectation_gap(n, m, eps, 1.0)[1]),
+}
+
+
 def _barrier_point(args) -> list[float]:
     """All runs of one (statistic, m) grid point, drawn as fingerprints from the point's stream."""
     pmf, kind, m, runs, key = args
-    rng = keyed(key)
-    if kind == "chi2":
-        return _chi2_sums(*_poissonized_fingerprints(pmf, m, runs, rng), pmf.n, m)
-    fingerprints = _multinomial_fingerprints(pmf, m, runs, rng)
-    if kind == "collision":
-        return [float(c) for c in _collision_counts(*fingerprints, m)]
-    return _tv_from_fingerprints(*fingerprints, m, pmf.n)
+    stat = BARRIER_STATISTICS[kind]
+    return stat.score(stat.sample(pmf, m, runs, keyed(key)), pmf.n, m)
 
 
 def _map_jobs(fn, jobs, workers: int):
@@ -435,16 +453,6 @@ class BarrierResult:
         return [{"experiment_id": f"barrier-{self.kind}", **r.to_dict()} for r in self.rows]
 
 
-def _barrier_gap(kind: str, m: int, n: int, eps: float) -> float:
-    if kind == "collision":
-        return m * m * eps * eps / n
-    if kind == "chi2":
-        return m * eps * eps
-    if kind == "tvstat":
-        return expectation_gap(n, m, eps, 1.0)[1]
-    raise ValueError(f"unknown barrier statistic {kind!r}")
-
-
 def barrier_experiment(
     kind: str,
     n: int,
@@ -475,7 +483,9 @@ def barrier_experiment(
         raise ValueError("domain size must be >= 2")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    gaps = [_barrier_gap(kind, m, n, eps) for m in m_grid]  # checks kind before sampling
+    if kind not in BARRIER_STATISTICS:
+        raise ValueError(f"unknown barrier statistic {kind!r}")
+    gaps = [BARRIER_STATISTICS[kind].gap(n, m, eps) for m in m_grid]
     heavy_mass = n ** -0.5
     pmf = make_instance(InstanceSpec.heavy(heavy_mass), n)
     keys = stream_keys(master_seed, EXP_BARRIER, np.arange(len(m_grid)), ROLE_SAMPLE)

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import SampleBatch, _fingerprints_of_rows
+from .distributions import SampleBatch, _checked_count, _fingerprints_of_rows
 
 __all__ = [
     "tv_statistic",
@@ -192,6 +192,7 @@ def exact_uniform_mean(n: int, m: int) -> float:
         raise ValueError("domain size must be >= 2")
     if m < 1:
         raise ValueError("sample count must be >= 1")
+    _checked_count(m)  # scipy's binomial takes m as a C long
     from scipy import stats as sps
 
     v = m // n + 1

@@ -20,7 +20,7 @@ from typing import Callable, Union
 import numpy as np
 
 # draw_batch stays bound here too: perfbench's tests look it up on this module
-from .distributions import Pmf, SampleBatch, _draw_rows, draw_batch  # noqa: F401
+from .distributions import Pmf, SampleBatch, _checked_count, _draw_rows, draw_batch  # noqa: F401
 from .rng import SeedSplit
 from .stats import GapRegime, _tv_numerators, exact_uniform_mean, expectation_gap
 
@@ -76,13 +76,16 @@ class TesterParams:
 
 
 def derive_sizes(params: TesterParams) -> tuple[int, int]:
-    """Batch size m and repetition count m0 (odd) from the size formulas."""
+    """Batch size m and repetition count m0 (odd) from the size formulas; m must be below 2**63."""
     n, eps, rho = params.n, params.eps, params.rho
-    raw = (
-        params.c_m1 * (math.sqrt(n) / (rho * eps * eps)) * math.sqrt(math.log(n / rho))
-        + params.c_m2 / (rho * rho * eps * eps)
-    )
-    m = max(6, math.ceil(raw))
+    try:
+        m = max(6, math.ceil(
+            params.c_m1 * (math.sqrt(n) / (rho * eps * eps)) * math.sqrt(math.log(n / rho))
+            + params.c_m2 / (rho * rho * eps * eps)
+        ))
+    except (ZeroDivisionError, OverflowError):  # rho eps^2 underflows, or m overflows
+        raise ValueError(f"batch size m passes every float at eps={eps!r}, rho={rho!r}") from None
+    _checked_count(m, "batch size m")
     k = max(1, math.ceil(params.c_m0 * math.log(4.0 / rho)))
     m0 = k if k % 2 == 1 else k + 1
     return m, m0

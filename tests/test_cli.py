@@ -1,5 +1,6 @@
 """CLI contract: exit codes, output files, and byte-level reproducibility."""
 
+import argparse
 import csv
 import json
 import os
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 import repunif
-from repunif import cli
+from repunif import cli, harness
 from repunif.cli import main
+from repunif.harness import BARRIER_STATISTICS
 from repunif.distributions import Pmf
 
 
@@ -233,6 +235,59 @@ class TestExperimentCommand:
         code, out, err = run(["experiment", kind, *BASE, *extra, "--assert-rate", rate], capsys)
         assert code == 2
         assert out == "" and err.startswith("error: --assert-rate must lie in [0, 1]")
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("correctness", ["--trials", "2"]),
+        ("replicability", ["--pairs", "2"]),
+    ])
+    def test_assert_rate_checked_before_any_trial(self, kind, extra, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        for name in ("correctness_experiment", "replicability_experiment"):
+            monkeypatch.setattr(cli, name, fail)
+        monkeypatch.setattr(harness, "_trial", fail)
+        code, out, err = run(["experiment", kind, *BASE, *extra, "--assert-rate", "2"], capsys)
+        assert (code, out, err) == (2, "", "error: --assert-rate must lie in [0, 1], got 2.0\n")
+
+    def test_sweep_default_grid(self, tmp_path, capsys):
+        # without --grid the sweep runs 0:2*eps:11 (eps = 0.3 in BASE)
+        for name, grid in (("default", []), ("explicit", ["--grid", "0:0.6:11"])):
+            code, _, _ = run(["experiment", "sweep", *BASE, *grid, "--trials", "2",
+                              "--out-prefix", str(tmp_path / name)], capsys)
+            assert code == 0
+        for suffix in (".json", ".csv"):
+            assert ((tmp_path / ("default" + suffix)).read_bytes()
+                    == (tmp_path / ("explicit" + suffix)).read_bytes())
+
+    def test_stat_choices_are_the_table(self):
+        parser = cli.build_parser()
+        for name in ("experiment", "barrier"):
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            parser = sub.choices[name]
+        stat = next(a for a in parser._actions if a.dest == "stat")
+        assert list(stat.choices) == list(BARRIER_STATISTICS) == ["collision", "chi2", "tvstat"]
+
+    @pytest.mark.parametrize("kind", list(BARRIER_STATISTICS))
+    def test_every_statistic_runs(self, kind, tmp_path, capsys):
+        prefix = tmp_path / "bar"
+        code, out, err = run(["experiment", "barrier", "--stat", kind, "--n", "400",
+                              "--m-grid", "80,160", "--runs-per-m", "5", "--seed", "5",
+                              "--out-prefix", str(prefix)], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"barrier-{kind} slope=")
+        assert json.loads((tmp_path / "bar.json").read_text())["kind"] == kind
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "--n", "1000", "--eps", "1e-9", "--rho", "0.2"],
+        *(["experiment", "barrier", "--stat", kind, "--n", "100", "--runs-per-m", "3",
+           "--m-grid", "10000000000000000000,20000000000000000000"]
+          for kind in ("collision", "chi2", "tvstat")),
+    ])
+    def test_sample_size_past_int64_exit_two(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         args = ["experiment", "correctness", *BASE, "--trials", "6"]

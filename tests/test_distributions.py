@@ -243,6 +243,22 @@ class TestDrawBatch:
             assert samples.dtype == np.int64 and samples.shape == (0,)
             assert _stream_state(rng) == before
 
+    @pytest.mark.parametrize("draw", [
+        lambda p, m, rng: draw_batch(p, m, rng),
+        lambda p, m, rng: draw_batches(p, m, 2, rng),
+        lambda p, m, rng: draw_samples(p, m, rng),
+        lambda p, m, rng: distributions._multinomial_fingerprints(p, m, 2, rng),
+        lambda p, m, rng: distributions._poissonized_fingerprints(p, float(m), 2, rng),
+    ])
+    def test_count_past_int64_raises(self, draw):
+        # numpy's samplers count in int64: 2**63 would overflow, or wrap
+        p = make_instance(InstanceSpec.heavy(0.1), 100)
+        rng = stream(1, 2)
+        before = _stream_state(rng)
+        with pytest.raises(ValueError, match=r"2\*\*63|limit"):
+            draw(p, 2**63, rng)
+        assert _stream_state(rng) == before
+
     def test_point_mass(self):
         p = make_instance(InstanceSpec.heavy(1.0), 8)
         batch = draw_batch(p, 5, stream(1, 2))

@@ -273,6 +273,17 @@ class TestBarrierExperiment:
             barrier_experiment("collision", 100, [4, 8, 16], 3, master_seed=1)
         assert len(recwarn) == 0
 
+    def test_unknown_kind_raises_before_sampling(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        for name in ("_multinomial_fingerprints", "_poissonized_fingerprints"):
+            monkeypatch.setattr(distributions, name, fail)
+        for kind, stat in list(harness.BARRIER_STATISTICS.items()):
+            monkeypatch.setitem(harness.BARRIER_STATISTICS, kind, stat._replace(sample=fail))
+        with pytest.raises(ValueError, match="unknown barrier statistic 'nope'"):
+            barrier_experiment("nope", 400, [80, 160], 30, master_seed=1)
+
     def test_unknown_kind_and_bad_grid(self):
         with pytest.raises(ValueError):
             barrier_experiment("median", 400, [80, 160], 30, master_seed=1)

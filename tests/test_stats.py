@@ -442,6 +442,9 @@ class TestExactUniformMean:
             exact_uniform_mean(1, 5)
         with pytest.raises(ValueError):
             exact_uniform_mean(5, 0)
+        # scipy's binomial takes m as a C long
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            exact_uniform_mean(1000, 2**63)
 
 
 class TestExpectationGap:

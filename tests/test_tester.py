@@ -89,6 +89,21 @@ class TestDeriveSizes:
             _, m0 = derive_sizes(TesterParams(n=100, eps=0.25, rho=rho))
             assert m0 % 2 == 1 and m0 >= 1
 
+    @pytest.mark.parametrize("eps, message", [
+        (1e-9, r"batch size m must lie in \[0, 2\*\*63\), got 486443203206424821760$"),
+        (1e-160, "passes every float"),  # the formula overflows
+        (1e-200, "passes every float"),  # rho eps^2 underflows to 0
+    ])
+    def test_m_past_the_samplers_limit_raises(self, eps, message):
+        with pytest.raises(ValueError, match=message):
+            derive_sizes(TesterParams(n=1000, eps=eps, rho=0.2))
+
+    def test_m_just_below_the_limit(self):
+        # c_m2 / (rho^2 eps^2) alone sets m here: the largest float below 2**63
+        c_m2 = float(np.nextafter(2.0**63, 0)) * 0.04 * 0.0625
+        params = TesterParams(n=2, eps=0.25, rho=0.2, c_m1=1e-300, c_m2=c_m2)
+        assert derive_sizes(params)[0] < 2**63
+
 
 class TestRunTester:
     def test_deterministic_given_seeds(self):
