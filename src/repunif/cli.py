@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -171,11 +172,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_reduction_check(args) -> int:
     scan = exact.reduction_check(args.max_n, args.max_denominator)
-    print(json.dumps({
-        "num_pmfs": scan.num_pmfs, "num_pairs": scan.num_pairs,
-        "max_uniform_error": scan.max_uniform_error,
-        "min_margin": scan.min_margin, "passed": scan.passed,
-    }, sort_keys=True))
+    print(json.dumps({**asdict(scan), "passed": scan.passed}, sort_keys=True))
     return 0 if scan.passed else 1
 
 
@@ -194,10 +191,9 @@ def cmd_mi_grid(args) -> int:
             "mi_nats": repr(mi.value),
             "error_budget": repr(mi.error_budget),
         })
-    columns = ["lambda", "eps0", "eps1", "K", "tail_mass", "mi_nats", "error_budget"]
     config = {"experiment": "mi-grid", "lambdas": lambdas, "epss": epss, "deltas": deltas}
     if args.out:
-        write_rows_csv(args.out, columns, rows, config)
+        write_rows_csv(args.out, list(rows[0]), rows, config)
     for row in rows:
         print(json.dumps(row, sort_keys=True))
     return 0

@@ -177,14 +177,15 @@ def _checked_total(total: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pmf:
     """An explicit probability mass function over ``{1, ..., n}``.
 
     Entries must be nonnegative and sum to 1 within ``NORMALIZATION_TOL``;
     inputs inside tolerance are renormalized exactly once on construction.
     Instances are immutable (the array is frozen) and safe to share across
-    workers.
+    workers.  They compare and hash by identity, which the caches kept on
+    a pmf assume.
     """
 
     probs: np.ndarray
@@ -351,12 +352,13 @@ def tv_distance(p: Pmf, q: Pmf) -> float:
     return 0.5 * math.fsum(np.abs(p.probs - q.probs).tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
     """The frequency vector of one batch of samples.
 
     ``counts[i]`` is the number of occurrences of element ``i+1``; ``m`` is
     the realized total (for Poissonized batches this is the random sum).
+    Batches compare and hash by identity.
     """
 
     counts: np.ndarray

@@ -316,14 +316,15 @@ TRUNCATION_CAP = 10**4
 TAIL_TOL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairJointDist:
     """Truncated joint law of one count pair under the two-sided bias bit.
 
     ``joint[x]`` is the (K+1)x(K+1) matrix of ``Pr(M1=a, M2=b | X=x)`` where,
     conditioned on the bit x, the pair is an even mixture of
     ``Poi(lam(1+eps_x)) (x) Poi(lam(1-eps_x))`` and its swap.  Both matrices
-    miss at most ``tail_mass`` of their mass to the discarded tail.
+    miss at most ``tail_mass`` of their mass to the discarded tail.  It
+    compares and hashes by identity.
     """
 
     lam: float

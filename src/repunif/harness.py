@@ -39,7 +39,8 @@ Each experiment derives the Philox keys of all its streams in one
 generators from those keys with :func:`~repunif.rng.keyed`.
 
 Every tester trial runs through one worker, :func:`_trial`; each report
-type states its CSV columns and rows, and :func:`write_report` writes it.
+type states its CSV columns and rows, its JSON summary is its dataclass's
+fields, and :func:`write_report` writes both.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -131,14 +132,7 @@ class ExperimentReport:
                    wilson_lo=lo, wilson_hi=hi, config_echo=config, per_trial=per_trial)
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "rate": self.rate,
-            "wilson_lo": self.wilson_lo,
-            "wilson_hi": self.wilson_hi,
-            "config_echo": self.config_echo,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_trial"}
 
     def csv_rows(self) -> list[dict]:
         return self.per_trial or []
@@ -157,13 +151,7 @@ class SweepCurve:
     csv_columns = ["experiment_id", "grid_index", "xi", "trials", "rate", "wilson_lo", "wilson_hi"]
 
     def to_dict(self) -> dict:
-        return {
-            "xi_grid": self.xi_grid,
-            "acc_estimates": self.acc_estimates,
-            "trials_per_point": self.trials_per_point,
-            "intervals": [list(iv) for iv in self.intervals],
-            "config_echo": self.config_echo,
-        }
+        return asdict(self)
 
     def csv_rows(self) -> list[dict]:
         return [
@@ -285,11 +273,7 @@ def _map_jobs(fn, jobs, workers: int):
 
 def _params_echo(params: TesterParams) -> dict:
     m, m0 = derive_sizes(params)
-    return {
-        "n": params.n, "eps": params.eps, "rho": params.rho,
-        "c_m1": params.c_m1, "c_m2": params.c_m2, "c_m0": params.c_m0,
-        "c_gap": params.c_gap, "m": m, "m0": m0,
-    }
+    return {**asdict(params), "m": m, "m0": m0}
 
 
 def correctness_experiment(
@@ -428,8 +412,7 @@ class BarrierRow:
         return self.sd / self.gap
 
     def to_dict(self) -> dict:
-        return {"m": self.m, "runs": self.runs, "mean": self.mean, "sd": self.sd,
-                "gap": self.gap, "sd_over_gap": self.sd_over_gap}
+        return {**asdict(self), "sd_over_gap": self.sd_over_gap}
 
 
 @dataclass
@@ -443,11 +426,7 @@ class BarrierResult:
     csv_columns = ["experiment_id", "m", "runs", "mean", "sd", "gap", "sd_over_gap"]
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "n": self.n, "slope": self.slope,
-            "rows": [r.to_dict() for r in self.rows],
-            "config_echo": self.config_echo,
-        }
+        return {**asdict(self), "rows": [r.to_dict() for r in self.rows]}
 
     def csv_rows(self) -> list[dict]:
         return [{"experiment_id": f"barrier-{self.kind}", **r.to_dict()} for r in self.rows]

@@ -19,6 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .constants import CONSTANT_KEYS
 # draw_batch stays bound here too: perfbench's tests look it up on this module
 from .distributions import Pmf, SampleBatch, _checked_count, _draw_rows, draw_batch  # noqa: F401
 from .rng import SeedSplit
@@ -63,16 +64,14 @@ class TesterParams:
             raise ValueError("eps must lie in (0, 1/2)")
         if not 0.0 < self.rho < 0.5:
             raise ValueError("rho must lie in (0, 1/2)")
-        for name in ("c_m1", "c_m2", "c_m0", "c_gap"):
+        for name in CONSTANT_KEYS:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     @classmethod
     def from_constants(cls, n: int, eps: float, rho: float, constants) -> "TesterParams":
-        return cls(n=n, eps=eps, rho=rho, c_m1=constants["c_m1"],
-                   c_m2=constants["c_m2"], c_m0=constants["c_m0"],
-                   c_gap=constants["c_gap"])
+        return cls(n=n, eps=eps, rho=rho, **{k: constants[k] for k in CONSTANT_KEYS})
 
 
 def derive_sizes(params: TesterParams) -> tuple[int, int]:

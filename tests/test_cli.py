@@ -388,7 +388,9 @@ class TestOracleCommand:
         code, out, _ = run(["oracle", "reduction-check", "--max-n", "2",
                             "--max-denominator", "5"], capsys)
         assert code == 0
-        assert json.loads(out)["passed"] is True
+        line = json.loads(out)
+        assert set(line) == {"num_pmfs", "num_pairs", "max_uniform_error", "min_margin", "passed"}
+        assert line["passed"] is True
 
     def test_mi_grid_csv(self, tmp_path, capsys):
         out_path = tmp_path / "mi.csv"

@@ -32,6 +32,14 @@ def uniform(n):
     return make_instance(InstanceSpec.uniform(), n)
 
 
+def assert_compares_by_identity(x, copy):
+    """``x`` equals only itself: comparing it with an equal-valued copy neither raises nor matches."""
+    assert x == x
+    assert (x == copy) is False and x != copy
+    assert x not in [copy]
+    assert x in {x} and len({x, copy}) == 2
+
+
 def _stream_state(rng):
     """The bit generator's state, with its arrays as lists so that states compare."""
     return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
@@ -66,6 +74,9 @@ class TestPmf:
         p = Pmf(raw / raw.sum())
         q = Pmf.from_text(p.to_text())
         assert q.probs.tobytes() == p.probs.tobytes()
+
+    def test_compares_by_identity(self):
+        assert_compares_by_identity(make_instance(InstanceSpec.uniform(), 4), Pmf(np.full(4, 0.25)))
 
 
 class TestMakeInstance:
@@ -1590,3 +1601,6 @@ class TestSampleBatch:
         batch = SampleBatch(np.array([3, 1], dtype=np.uint8))
         assert batch.counts.dtype == np.int64
         assert batch.counts.tolist() == [3, 1] and batch.m == 4
+
+    def test_compares_by_identity(self):
+        assert_compares_by_identity(SampleBatch(np.array([3, 1])), SampleBatch(np.array([3, 1])))

@@ -405,6 +405,13 @@ class TestReductionScan:
 
 
 class TestPairJoint:
+    def test_compares_by_identity(self):
+        d, copy = pair_joint(0.5, 0.1, 0.2), pair_joint(0.5, 0.1, 0.2)
+        assert d == d
+        assert (d == copy) is False and d != copy
+        assert d not in [copy]
+        assert d in {d} and len({d, copy}) == 2
+
     def test_equal_biases_give_identical_conditionals(self):
         d = pair_joint(0.7, 0.15, 0.15)
         assert np.array_equal(d.joint[0], d.joint[1])

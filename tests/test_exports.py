@@ -1,9 +1,14 @@
-"""Every name a module exports through ``__all__``, or the benchmark wraps, exists."""
+"""Every name a module exports through ``__all__``, the benchmark wraps, or a layer bench calls, exists."""
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import repunif
 from repunif import distributions, exact, harness, tester
@@ -36,3 +41,15 @@ def test_benchmark_names_resolve():
     # perfbench's tests rely on these being one object
     assert tester.draw_batch is harness.draw_batch is distributions.draw_batch
     assert repunif.stream is harness.stream
+
+
+def test_layer_benches_run():
+    # the test suite does not collect the bench_*.py files, and they call private
+    # sampler names: run each case once so that a rename fails here
+    pytest.importorskip("pytest_benchmark")
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(Path(repunif.__file__).parent.parent))
+    benches = [str(tests / "bench_fingerprints.py"), str(tests / "bench_tester.py")]
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--benchmark-disable",
+                          *benches], cwd=tests.parent, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr

@@ -359,8 +359,30 @@ class TestCsvOutput:
         assert text.startswith("# config: ")
         config = json.loads(text.splitlines()[0][len("# config: "):])
         assert config["params"]["c_gap"] == CAL["c_gap"]
+        assert set(config["params"]) == {"n", "eps", "rho", "c_m1", "c_m2", "c_m0", "c_gap", "m", "m0"}
         assert text.splitlines()[1] == ",".join(CSV_COLUMNS)
         assert len(text.splitlines()) == 2 + 6
+
+
+class TestReportKeys:
+    """The keys of each report's JSON summary."""
+
+    def test_experiment_report_leaves_per_trial_to_the_csv(self):
+        rep = correctness_experiment(InstanceSpec.uniform(), FAST, 2, master_seed=43)
+        assert set(rep.to_dict()) == {"trials", "successes", "rate", "wilson_lo", "wilson_hi", "config_echo"}
+
+    def test_sweep_curve(self):
+        curve = acceptance_sweep(FAST, [0.0, 0.5], 2, master_seed=43)
+        summary = json.loads(json.dumps(curve.to_dict()))
+        assert set(summary) == {"xi_grid", "acc_estimates", "trials_per_point", "intervals", "config_echo"}
+        assert summary["intervals"] == [list(iv) for iv in curve.intervals]
+
+    def test_barrier_result_rows_carry_sd_over_gap(self):
+        result = barrier_experiment("collision", 400, [40, 80], 4, master_seed=43)
+        summary = result.to_dict()
+        assert set(summary) == {"kind", "n", "rows", "slope", "config_echo"}
+        assert [set(row) for row in summary["rows"]] == [{"m", "runs", "mean", "sd", "gap", "sd_over_gap"}] * 2
+        assert [row["sd_over_gap"] for row in summary["rows"]] == [r.sd / r.gap for r in result.rows]
 
 
 def _keyed_verdict(pmf, master_seed, internal_key, sample_key):
