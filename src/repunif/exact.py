@@ -84,7 +84,8 @@ def brute_force_mean_statistic(
     if m < 1:
         raise ValueError("need m >= 1")
     if assume_symmetric:
-        if math.comb(m + n - 1, n - 1) > ENUMERATION_GUARD:
+        # the guard counts cells, n per composition: about 40 bytes each
+        if math.comb(m + n - 1, n - 1) * n > ENUMERATION_GUARD:
             raise ValueError("enumeration guard exceeded")
         from scipy import special
 

@@ -61,7 +61,7 @@ from .distributions import InstanceSpec, _multinomial_fingerprints, _poissonized
 from .distributions import draw_batch, draw_poissonized_batch  # noqa: F401
 from .rng import ROLE_INSTANCE, ROLE_INTERNAL, ROLE_SAMPLE, SeedSplit, keyed, stream_keys
 from .rng import stream  # noqa: F401
-from .stats import _chi2_sums, _collision_counts, _tv_from_fingerprints, expectation_gap
+from .stats import _chi2_sums, _collision_counts, _tv_sums, expectation_gap
 from .stats import chi2_statistic, collision_statistic, tv_statistic  # noqa: F401
 from .tester import R0_LOW, TesterParams, Verdict, _schedule, derive_sizes, run_tester
 
@@ -239,7 +239,8 @@ BARRIER_STATISTICS = {
                                   lambda n, m, eps: m * m * eps * eps / n),
     "chi2": BarrierStatistic(_poissonized_fingerprints, lambda f, n, m: _chi2_sums(*f, n, m),
                              lambda n, m, eps: m * eps * eps),
-    "tvstat": BarrierStatistic(_multinomial_fingerprints, lambda f, n, m: _tv_from_fingerprints(*f, m, n),
+    "tvstat": BarrierStatistic(_multinomial_fingerprints,
+                               lambda f, n, m: [num / (2 * m * n) for num in _tv_sums(*f, m, n)],
                                lambda n, m, eps: expectation_gap(n, m, eps, 1.0)[1]),
 }
 

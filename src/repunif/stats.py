@@ -6,22 +6,22 @@ frequency vector, so any relabeling of the domain leaves them unchanged.
 The TV statistic is accumulated in exact integer arithmetic,
 ``sum_i |n*X_i - m| / (2*m*n)``, so no precision is lost even when the
 sublinear signal scale ``eps^2 m^2 / n^2`` is tiny; the rational value is
-exposed for identity checks.  One kernel, ``_tv_numerators``, takes these
-numerators for every count vector: one batch, or the m0 rows of a tester
-run in one numpy pass.  At ``m <= n`` a numerator is ``2*m*Z`` with Z the
-empty cells (the identity ``S = Z/n``): one pass, the same integers.
+exposed for identity checks.
 
 Every statistic here depends on a batch only through its fingerprint (the
-cells holding each distinct count), and the barrier study scores the
-fingerprints of all runs of a grid point at once, to the same bits as the
-one-batch functions: collision counts and TV numerators are integer sums
-per row, and ``_chi2_sums`` turns each distinct count's float term into a
-multiple of the terms' common power-of-two denominator, so a row's sum is
-one exact integer, rounded once.  ``collision_statistic`` and
-``chi2_statistic`` are those sums on the fingerprint of one frequency
-vector.  ``mu(U_n)``, the uniform-case mean of
-TV, is one binomial pmf term by de Moivre's mean-absolute-deviation
-identity.
+cells holding each distinct count), and each has one exact kernel over the
+fingerprints of k batches: collision counts and TV numerators are integer
+sums per row, and ``_chi2_sums`` turns each distinct count's float term into
+a multiple of the terms' common power-of-two denominator, so a row's sum is
+one exact integer, rounded once.  The barrier study scores all runs of a
+grid point at once.  A count vector is a fingerprint whose every cell has
+multiplicity one, so the tester's m0 rows go through the TV kernel end to
+end in one numpy pass, and ``tv_statistic`` and ``collision_statistic``
+score their batch the same way.  ``chi2_statistic`` reduces its batch to
+distinct counts first: its exact sum costs a Python integer per entry.
+
+``mu(U_n)``, the uniform-case mean of TV, is one binomial pmf term by de
+Moivre's mean-absolute-deviation identity.
 """
 
 from __future__ import annotations
@@ -47,34 +47,29 @@ __all__ = [
 ]
 
 
-def _tv_wide(m: int, n: int) -> bool:
-    """Whether TV numerators need Python integers: each term ``|n*X_i - m|``
-    is at most ``n*m`` and a batch's sum at most ``2*n*m``, so below ``2**63``
-    int64 cannot wrap."""
-    return 2 * n * m >= 2**63
+def _tv_sums(values: np.ndarray, mult, starts, m: int, n: int) -> list[int]:
+    """Exact integer ``sum_i |n*X_i - m|`` of each of k batches of m samples on n cells.
 
-
-def _tv_numerators(rows: np.ndarray, m: int, n: int) -> list[int]:
-    """Exact integer ``sum_i |n*X_i - m|`` of each row of a ``(k, g)`` int64 array.
-
-    Each row totals m, on a domain of n >= g cells whose other ``n - g`` cells
-    count 0; TV is symmetric, so the columns may come in any order.  Each
-    result is that row's TV statistic times ``2*m*n``.  ``rows`` is only read.
+    Row r holds ``mult[j]`` cells of count ``values[j]`` for j from
+    ``starts[r]`` to the next row's start, as the barrier's samplers return
+    them, and its sum is that of ``mult[j] * |n*v - m|``: the row's TV
+    statistic times ``2*m*n``.  ``mult`` may be the int 1: count vectors
+    end to end, each cell a value of multiplicity one, and then no multiply
+    pass is made.  A cell a row leaves out would add m.  The inputs are only
+    read.
     """
     if m < 1:
         raise ValueError("tv statistic needs at least one sample")
-    absent = n - rows.shape[1]
-    if m <= n:
-        # S = Z/n: at m <= n only an empty cell's term is negative, and the
-        # terms sum to 0, so the sum of their absolute values is 2*m*Z
-        empty = np.count_nonzero(rows == 0, axis=1).tolist()
-        return [2 * m * (z + absent) for z in empty]
-    if _tv_wide(m, n):
-        return [sum(abs(n * c - m) for c in row) + m * absent for row in rows.tolist()]
-    terms = rows * n
-    terms -= m
-    np.abs(terms, out=terms)
-    return [num + m * absent for num in terms.sum(axis=1).tolist()]
+    if 2 * n * m >= 2**63:
+        # wide-integer path: a term is at most n*m and a row's sum at most 2*n*m
+        terms = np.array([abs(n * v - m) for v in values.tolist()], dtype=object)
+    else:
+        terms = values * n
+        terms -= m
+        np.abs(terms, out=terms)
+    if isinstance(mult, np.ndarray):
+        terms *= mult
+    return np.add.reduceat(terms, starts).tolist()
 
 
 def tv_statistic(batch: SampleBatch) -> float:
@@ -83,13 +78,13 @@ def tv_statistic(batch: SampleBatch) -> float:
     Returns ``(1/2) sum_i |X_i/m - 1/n|`` with a single rounding at the end.
     """
     m, n = batch.m, batch.n
-    return _tv_numerators(batch.counts[None, :], m, n)[0] / (2 * m * n)
+    return _tv_sums(batch.counts, 1, [0], m, n)[0] / (2 * m * n)
 
 
 def tv_statistic_fraction(batch: SampleBatch) -> Fraction:
     """The TV statistic as an exact rational (denominator divides 2*m*n)."""
     m, n = batch.m, batch.n
-    return Fraction(_tv_numerators(batch.counts[None, :], m, n)[0], 2 * m * n)
+    return Fraction(_tv_sums(batch.counts, 1, [0], m, n)[0], 2 * m * n)
 
 
 def empty_bucket_count(batch: SampleBatch) -> int:
@@ -103,39 +98,22 @@ def collision_statistic(batch: SampleBatch) -> int:
     It depends on the batch only through its fingerprint, which
     ``_collision_counts`` sums.
     """
-    return _collision_counts(*_fingerprints_of_rows([batch.counts]), batch.m)[0]
+    return _collision_counts(batch.counts, 1, [0], batch.m)[0]
 
 
-def _collision_counts(values: np.ndarray, mult: np.ndarray, starts: np.ndarray, m: int) -> list[int]:
+def _collision_counts(values: np.ndarray, mult, starts, m: int) -> list[int]:
     """Exact collision count of each of k batches of m samples, from their fingerprints.
 
-    Row r holds ``mult[j]`` cells of count ``values[j]`` for j from
-    ``starts[r]`` to the next row's start, as the barrier's samplers return
-    them; its collision count is the sum of ``mult[j] * v (v - 1) / 2``.
+    The rows are those of ``_tv_sums``, ``mult`` the int 1 included; a row's
+    collision count is the sum of ``mult[j] * v (v - 1) / 2``.
     """
     if m >= 2**31:
         # wide-integer path: v (v - 1) or the sum could overflow int64
-        pairs = [c * (v * (v - 1) // 2) for v, c in zip(values.tolist(), mult.tolist())]
-        return np.add.reduceat(np.array(pairs, dtype=object), starts).tolist()
-    # each row's sum is at most m (m - 1) / 2 < 2**61
-    return np.add.reduceat(mult * (values * (values - 1) // 2), starts).tolist()
-
-
-def _tv_from_fingerprints(values: np.ndarray, mult: np.ndarray, starts: np.ndarray, m: int, n: int) -> list[float]:
-    """The TV statistic of each of k batches of m samples on n cells, from their fingerprints.
-
-    With the rows of ``_collision_counts``, a row's numerator
-    ``sum_i |n*X_i - m|`` is the sum of ``mult[j] * |n*v - m|``: the
-    integer ``_tv_numerators`` gives for the batch, so each value equals
-    ``tv_statistic`` of the batch bit for bit.
-    """
-    if m < 1:
-        raise ValueError("tv statistic needs at least one sample")
-    if _tv_wide(m, n):
-        terms = np.array([c * abs(n * v - m) for v, c in zip(values.tolist(), mult.tolist())], dtype=object)
+        terms = np.array([v * (v - 1) // 2 for v in values.tolist()], dtype=object)
     else:
-        terms = mult * np.abs(n * values - m)
-    return [num / (2 * m * n) for num in np.add.reduceat(terms, starts).tolist()]
+        # each row's sum is at most m (m - 1) / 2 < 2**61
+        terms = values * (values - 1) // 2
+    return np.add.reduceat(mult * terms, starts).tolist()
 
 
 def chi2_statistic(batch: SampleBatch, m_rate: float) -> float:
@@ -152,12 +130,12 @@ def chi2_statistic(batch: SampleBatch, m_rate: float) -> float:
 def _chi2_sums(values: np.ndarray, mult: np.ndarray, starts: np.ndarray, n: int, m_rate: float) -> list[float]:
     """The chi-square statistic of each of k batches on n cells, from their fingerprints.
 
-    The rows are those of ``_collision_counts``.  Each count's term is a
-    float a/d with d a power of two, so a row's terms times their
-    multiplicities sum to one exact integer over the largest d of all rows,
-    rounded once: the float ``math.fsum`` of all n terms gives.  A row with
-    an inf or nan term takes that ``math.fsum`` instead, and keeps its
-    semantics.
+    The rows are those of ``_tv_sums``, with an array ``mult``.  Each
+    count's term is a float a/d with d a power of two, so a row's terms
+    times their multiplicities sum to one exact integer over the largest d
+    of all rows, rounded once: the float ``math.fsum`` of all n terms gives.
+    A row with an inf or nan term takes that ``math.fsum`` instead, and
+    keeps its semantics.
     """
     if not (m_rate > 0 and math.isfinite(m_rate)):
         raise ValueError(f"chi2 rate must be finite and > 0, got {m_rate!r}")

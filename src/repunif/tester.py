@@ -23,7 +23,7 @@ from .constants import CONSTANT_KEYS
 # draw_batch stays bound here too: perfbench's tests look it up on this module
 from .distributions import Pmf, SampleBatch, _checked_count, _draw_rows, draw_batch  # noqa: F401
 from .rng import SeedSplit
-from .stats import GapRegime, _tv_numerators, exact_uniform_mean, expectation_gap
+from .stats import GapRegime, _tv_sums, exact_uniform_mean, expectation_gap
 
 __all__ = [
     "TesterParams",
@@ -133,9 +133,11 @@ def run_tester(p_access: Union[Pmf, BatchOracle], params: TesterParams, seeds: S
     ``draw_batches`` draw, taken before their scatter to cell order.  A
     callable oracle is called once per batch, and must return batches of m
     samples on ``[n]``; they are copied into the rows of one ``(m0, n)``
-    array.  Either way the rows are scored in one exact pass: TV does not
-    depend on the order of cells, so each statistic equals ``tv_statistic``
-    of its batch bit for bit.
+    array.  Either way the rows, end to end, are scored in one exact pass as
+    fingerprints of multiplicity one, each zero-mass cell the stacked draw
+    leaves out adding m to its row's numerator: TV does not depend on the
+    order of cells, so each statistic equals ``tv_statistic`` of its batch
+    bit for bit.
     """
     m, m0, mu, regime, gap = _schedule(params)
     r0 = float(seeds.internal.uniform(R0_LOW, R0_HIGH))
@@ -154,7 +156,8 @@ def run_tester(p_access: Union[Pmf, BatchOracle], params: TesterParams, seeds: S
             if batch.m != m:
                 raise ValueError(f"oracle produced a batch of {batch.m} samples, not m = {m}")
             row[:] = batch.counts
-    statistics = [num / (2 * m * n) for num in _tv_numerators(rows, m, n)]
+    nums = _tv_sums(rows.ravel(), 1, np.arange(m0) * rows.shape[1], m, n)
+    statistics = [(num + m * (n - rows.shape[1])) / (2 * m * n) for num in nums]
     s_median = sorted(statistics)[m0 // 2]
     decision = "accept" if s_median < threshold else "reject"
     return Verdict(

@@ -68,6 +68,22 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_mean_statistic(uniform(10), 10, tv_statistic, assume_symmetric=False)
 
+    def test_symmetric_guard_counts_cells(self, monkeypatch):
+        # the composition array holds n cells per composition, so the guard
+        # counts cells: each size below is the first m past it at its n
+        def unreachable(m, n):
+            raise AssertionError("enumerated past the guard")
+
+        monkeypatch.setattr(exact, "_compositions", unreachable)
+        for n, m in [(5, 81), (4, 245), (3, 2581)]:
+            assert math.comb(m + n - 1, n - 1) * n > exact.ENUMERATION_GUARD >= math.comb(m + n - 2, n - 1) * n
+            with pytest.raises(ValueError, match="enumeration guard exceeded"):
+                brute_force_mean_statistic(uniform(n), m, tv_statistic)
+        monkeypatch.undo()
+        # n = 4, m = 69 (59,640 compositions), an exact replicability oracle's size, still runs
+        assert brute_force_mean_statistic(uniform(4), 69, tv_statistic) == pytest.approx(
+            exact_uniform_mean(4, 69), abs=1e-12)
+
     def test_collision_mean_known_formula(self):
         # E[collisions] = C(m,2) * sum p_i^2
         p = Pmf(np.array([0.5, 0.3, 0.2]))

@@ -49,7 +49,7 @@ def test_layer_benches_run():
     pytest.importorskip("pytest_benchmark")
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=str(Path(repunif.__file__).parent.parent))
-    benches = [str(tests / "bench_fingerprints.py"), str(tests / "bench_tester.py")]
+    benches = [str(tests / name) for name in ("bench_fingerprints.py", "bench_stats.py", "bench_tester.py")]
     out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--benchmark-disable",
                           *benches], cwd=tests.parent, env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stdout + out.stderr

@@ -467,7 +467,7 @@ class TestStreamKeyContract:
             else:
                 fingerprints = distributions._multinomial_fingerprints(pmf, row.m, runs, rng)
                 values = (stats._collision_counts(*fingerprints, row.m) if kind == "collision"
-                          else stats._tv_from_fingerprints(*fingerprints, row.m, n))
+                          else [num / (2 * row.m * n) for num in stats._tv_sums(*fingerprints, row.m, n)])
             values = [float(v) for v in values]
             assert (row.mean, row.sd) == (float(np.mean(values)), float(np.std(values, ddof=1)))
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repunif.distributions import InstanceSpec, Pmf, SampleBatch, make_instance
 from repunif.exact import brute_force_mean_statistic, exact_mean_tv
 from repunif.rng import stream
-from repunif import stats
+from repunif import distributions, stats
 from repunif.stats import (
     GapRegime,
     chi2_statistic,
@@ -105,13 +105,21 @@ class TestTvStatistic:
         assert tv_statistic(b) == float(_tv_reference(counts))
 
 
-def _kernel_statistics(rows, m, n):
-    """The kernel's TV statistics, with a check that it left ``rows`` as it was."""
+def _row_numerators(rows, m, n):
+    """The kernel's TV numerators of k rows of g <= n columns, as ``run_tester``
+    takes them: the rows end to end at multiplicity one, each left-out cell
+    adding m.  Checks that the kernel left ``rows`` as it was."""
     before = rows.copy()
     rows.flags.writeable = False  # a write would raise
-    nums = stats._tv_numerators(rows, m, n)
+    k, g = rows.shape
+    nums = stats._tv_sums(rows.ravel(), 1, np.arange(k) * g, m, n)
     assert np.array_equal(rows, before)
-    return [num / (2 * m * n) for num in nums]
+    return [num + m * (n - g) for num in nums]
+
+
+def _kernel_statistics(rows, m, n):
+    """The kernel's TV statistics of rows, as ``run_tester`` takes them."""
+    return [num / (2 * m * n) for num in _row_numerators(rows, m, n)]
 
 
 @st.composite
@@ -158,7 +166,7 @@ class TestStackedTvStatistics:
         with pytest.raises(ValueError, match="at least one sample"):
             tv_statistic(batch(0, 0))
         with pytest.raises(ValueError, match="at least one sample"):
-            stats._tv_numerators(np.zeros((2, 2), dtype=np.int64), 0, 2)
+            _row_numerators(np.zeros((2, 2), dtype=np.int64), 0, 2)
 
     @given(_kernel_rows())
     @settings(max_examples=150)
@@ -166,9 +174,9 @@ class TestStackedTvStatistics:
         # the kernel's numerators are the exact integers of each row as a batch
         rows, m, n = draw
         counts = _scatter(rows, n, list(range(n - rows.shape[1], n)))
-        nums = stats._tv_numerators(counts, m, n)
+        nums = _row_numerators(counts, m, n)
         assert nums == [tv_statistic_fraction(SampleBatch(r)) * (2 * m * n) for r in counts]
-        assert nums == stats._tv_numerators(rows, m, n)
+        assert nums == _row_numerators(rows, m, n)
 
     @pytest.mark.parametrize("counts", [
         np.array([1.0, 2.0]),  # not integers
@@ -196,7 +204,7 @@ class TestScoredDraw:
 
     def test_rejects_empty_rows(self):
         with pytest.raises(ValueError, match="at least one sample"):
-            stats._tv_numerators(np.zeros((2, 3), dtype=np.int64), 0, 4)
+            _row_numerators(np.zeros((2, 3), dtype=np.int64), 0, 4)
 
 
 class TestBarrierRewrites:
@@ -212,9 +220,10 @@ class TestBarrierRewrites:
             rows.append(np.bincount(samples, minlength=n))
         counts = np.array(rows, dtype=np.int64)
         former = np.abs(n * counts - m).sum(axis=1).tolist()
-        assert stats._tv_numerators(counts, m, n) == former
+        assert former == [2 * m * int(np.count_nonzero(r == 0)) for r in counts]  # S = Z/n
+        assert _row_numerators(counts, m, n) == former
         present = data.draw(st.permutations(np.flatnonzero(counts.any(axis=0)).tolist()))
-        assert stats._tv_numerators(counts[:, present], m, n) == former
+        assert _row_numerators(counts[:, present], m, n) == former
         assert _kernel_statistics(counts, m, n) == [float(_tv_reference(r)) for r in counts.tolist()]
 
     @given(st.lists(st.integers(min_value=0, max_value=2**31), min_size=1, max_size=10))
@@ -239,6 +248,39 @@ def _fingerprints(counts):
     return np.concatenate([v for v, _ in rows]), np.concatenate([c for _, c in rows]), starts
 
 
+def _fingerprint_statistics(fingerprints, m, n):
+    """The TV statistics of k fingerprints, as the barrier study takes them."""
+    return [num / (2 * m * n) for num in stats._tv_sums(*fingerprints, m, n)]
+
+
+@st.composite
+def _rows_at_the_guards(draw):
+    """k rows of n counts, each totalling m, with m at or next to a wide guard:
+    2*n*m = 2**63 for TV, m = 2**31 for collisions, or anywhere up to 2**62."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    guard = draw(st.sampled_from([-(-2**62 // n), 2**31]))
+    m = draw(st.one_of(st.integers(min_value=guard - 3, max_value=guard + 3),
+                       st.integers(min_value=1, max_value=2**62)))
+    cuts = st.lists(st.integers(min_value=0, max_value=m), min_size=n - 1, max_size=n - 1)
+    rows = [np.diff([0, *sorted(c), m]) for c in draw(st.lists(cuts, min_size=1, max_size=6))]
+    return np.array(rows, dtype=np.int64), m, n
+
+
+class TestMultiplicityOne:
+    @given(_rows_at_the_guards())
+    @settings(max_examples=200)
+    def test_count_rows_score_as_their_fingerprints(self, draw):
+        # the rows end to end at multiplicity one, and their reduced fingerprints
+        rows, m, n = draw
+        k = rows.shape[0]
+        flat = (rows.ravel(), 1, np.arange(k) * n)
+        reduced = distributions._fingerprints_of_rows(rows)
+        assert stats._tv_sums(*flat, m, n) == stats._tv_sums(*reduced, m, n) == [
+            sum(abs(n * c - m) for c in r) for r in rows.tolist()]
+        assert stats._collision_counts(*flat, m) == stats._collision_counts(*reduced, m) == [
+            sum(c * (c - 1) for c in r) // 2 for r in rows.tolist()]
+
+
 class TestFingerprintScorers:
     """The barrier's scorers of k fingerprints against the one-batch statistics."""
 
@@ -253,7 +295,7 @@ class TestFingerprintScorers:
         # collision_statistic is _collision_counts on one row: both against Python integers
         expected = [sum(c * (c - 1) for c in r) // 2 for r in counts.tolist()]
         assert stats._collision_counts(*fingerprints, m) == [collision_statistic(b) for b in batches] == expected
-        assert stats._tv_from_fingerprints(*fingerprints, m, n) == [tv_statistic(b) for b in batches]
+        assert _fingerprint_statistics(fingerprints, m, n) == [tv_statistic(b) for b in batches]
         assert stats._chi2_sums(*fingerprints, n, m_rate) == [chi2_statistic(b, m_rate) for b in batches]
 
     @pytest.mark.parametrize("m", [2**31 - 1, 2**31, 2**59 - 1, 2**59])
@@ -265,7 +307,7 @@ class TestFingerprintScorers:
         batches = [SampleBatch(r) for r in counts]
         expected = [sum(c * (c - 1) for c in r) // 2 for r in counts.tolist()]
         assert stats._collision_counts(*fingerprints, m) == [collision_statistic(b) for b in batches] == expected
-        assert stats._tv_from_fingerprints(*fingerprints, m, 8) == [tv_statistic(b) for b in batches]
+        assert _fingerprint_statistics(fingerprints, m, 8) == [tv_statistic(b) for b in batches]
 
     @pytest.mark.parametrize("m_rate", [2.0**-875, 1e-300])
     @pytest.mark.filterwarnings("ignore:overflow encountered in divide")

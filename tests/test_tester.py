@@ -263,7 +263,9 @@ class TestScoredStackedDraw:
             assert m - 3 * math.sqrt(m) > distributions._POISSON_TABLE_MAX_RATE
         expected = [tv_statistic(SampleBatch(r)) for r in draw_batches(p, m, m0, stream(61, 0))]
         assert len(set(expected)) > 1 or case == "point-mass"
-        assert [num / (2 * m * p.n) for num in stats._tv_numerators(rows, m, p.n)] == expected
+        g = rows.shape[1]
+        nums = stats._tv_sums(rows.ravel(), 1, np.arange(m0) * g, m, p.n)
+        assert [(num + m * (p.n - g)) / (2 * m * p.n) for num in nums] == expected
         verdict = run_tester(p, params, SeedSplit(stream(61, 1), stream(61, 0)))
         assert verdict.statistic == sorted(expected)[m0 // 2]
 
