@@ -82,7 +82,7 @@ def cmd_test(args) -> int:
             raise ValueError(f"--n {args.n} disagrees with pmf file domain {pmf.n}")
         instance_desc = args.pmf_file
     else:
-        spec = _parse_instance(args.instance)
+        spec = _parse_instance("uniform" if args.instance is None else args.instance)
         pmf = make_instance(spec, args.n)
         instance_desc = spec.describe()
     params = TesterParams.from_constants(args.n, args.eps, args.rho, constants)
@@ -152,13 +152,11 @@ def cmd_barrier(args) -> int:
 def cmd_calibrate(args) -> int:
     if args.default_grid:
         grid = [(500, 0.3), (1000, 0.25), (2000, 0.2)]
-    elif args.grid:
+    else:
         grid = []
         for part in args.grid.split(","):
             n_text, _, eps_text = part.partition(":")
             grid.append((int(n_text), float(eps_text)))
-    else:
-        raise ValueError("pass --default-grid or --grid N:EPS[,N:EPS...]")
     constants, provenance = calibrate(grid, args.rho, args.trials, args.seed,
                                       c_m1=args.c_m1, c_m2=args.c_m2,
                                       c_m0=args.c_m0, workers=args.workers)
@@ -224,8 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="run the tester once")
     add_common(p_test)
-    p_test.add_argument("--instance", default="uniform")
-    p_test.add_argument("--pmf-file", default=None)
+    # argparse lets an option whose value is its default object past the
+    # exclusion, so a "uniform" default would let "--instance uniform" through
+    source = p_test.add_mutually_exclusive_group()
+    source.add_argument("--instance", default=None)
+    source.add_argument("--pmf-file", default=None)
     p_test.set_defaults(func=cmd_test)
 
     p_exp = sub.add_parser("experiment", help="Monte Carlo experiments")
@@ -265,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bar.set_defaults(func=cmd_barrier)
 
     p_cal = sub.add_parser("calibrate", help="derive constants from pilot runs")
-    p_cal.add_argument("--default-grid", action="store_true")
-    p_cal.add_argument("--grid", default=None, help="N:EPS[,N:EPS...]")
+    pilots = p_cal.add_mutually_exclusive_group(required=True)
+    pilots.add_argument("--default-grid", action="store_true")
+    pilots.add_argument("--grid", default=None, help="N:EPS[,N:EPS...]")
     p_cal.add_argument("--rho", type=float, required=True)
     p_cal.add_argument("--trials", type=int, default=200)
     p_cal.add_argument("--c-m1", type=float, default=1.0)

@@ -14,77 +14,33 @@ integer arithmetic on the level masses, and the pmf's level table is read
 off the family's layout when a sampler first asks for it, with no pass over
 ``probs``.  The result equals ``Pmf`` of the same masses bit for bit.
 
-``draw_batch`` has three paths, chosen from ``m``, ``n`` and the number L
-of distinct positive masses (the pmf's level sets; every family above has
-at most 3):
+Each sampler draws exactly the law it names, up to the float rounding of
+the ``PoissonTable``s where it reads them (a cdf within 1e-13 of the exact
+one):
 
-* level path, when ``min(n, 1024) <= m < 16 n`` and ``L <= 3``: one
-  multinomial over the levels gives each level's total, spread uniformly
-  over the level's cells by bounded integer draws.  From ``m = n`` each
-  level's draws are counted and scattered into its cells; below, they
-  index the cells directly.  Both forms make the same draws and count the
-  same cells.
-* multinomial path, otherwise when ``m >= n``: numpy's multinomial.
-* alias path, otherwise: ``m`` draws from the pmf's cached Walker alias
-  table and one ``bincount``.
+* ``draw_batch``: one multinomial(m, p) vector.  From ``m = n`` it is
+  numpy's multinomial; below, ``LevelTable.draw`` from 1024 samples on a
+  pmf of at most 3 distinct positive masses (levels; every family above
+  has at most 3), else m draws from the pmf's cached Walker alias table.
+* ``draw_batches``: k such vectors as one ``(k, n)`` array.  From ``m = n``
+  (while ``3 sqrt(m) <= 16 n``) on a pmf of at most 3 levels it is one
+  stacked Poisson draw plus an exact top-up (``_stacked_draw``), whose rows
+  are level-major: ``draw_batches`` scatters them to cell order, and the
+  tester scores them as they are.  Otherwise it is k ``draw_batch`` calls.
+* ``draw_poissonized_batch``: independent Poisson(``m * p_i``) counts, as
+  ``draw_batch`` at a Poisson(m) total.
+* ``_multinomial_fingerprints`` and ``_poissonized_fingerprints``: the
+  fingerprints (how many cells hold each count, all a symmetric statistic
+  needs) of k batches of either law at once, as the barrier study draws
+  them below ``m = n``.  On a pmf of at most 3 levels whose cell rates are
+  within the table bound no n-length vector is made; otherwise the rows are
+  drawn whole, one at a time.
+* ``draw_samples``: an ordered sequence of m draws from the alias table.
 
-Every path draws exactly a multinomial(m, p) vector and hands it to
-``SampleBatch`` without a copy; the paths differ only in how they consume
-the stream.
-
-``draw_batches`` draws k such vectors as one ``(k, n)`` array.  When
-``n <= m``, ``L <= 3`` and ``3 sqrt(m) <= 16 n`` it draws all k rows at
-once:
-
-1. every cell gets an independent Poisson(``r p_i``) count, with
-   ``r = m - 3 sqrt(m)``, by lookup in the cached ``PoissonTable`` of the
-   level's cell rate (numpy's Poisson sampler past rate 4096);
-2. a row whose total N exceeds m is redrawn;
-3. each row's ``m - N`` missing samples are split over the levels by one
-   multinomial for all rows and spread uniformly in each level.
-
-Given N, a row of independent Poisson counts is multinomial(N, p), and
-acceptance depends on N only; the top-up adds an independent
-multinomial(m - N, p).  So every row is exactly multinomial(m, p), up to
-the float rounding of the Poisson tables (a cdf within 1e-13).  The rows
-are level-major (each level's cells in turn, zero-mass cells left out):
-``draw_batches`` scatters them to cell order, and the tester scores them as
-they are.  Otherwise the k rows are k ``draw_batch`` calls in order.
-
-The stacked draw and the fingerprint samplers below read a pmf only
-through its ``LevelTable`` (only their whole-row fallbacks read ``probs``).
-What the stacked draw needs of (p, m) alone is a draw plan, built on the
-first draw and cached on the level table for one m at a time: the cell
-rates and the guides and cdfs of their tables, each level's first column,
-and each level's top-up key of every row's first cell.  Tabled levels with
-tables of one guide size are looked up together (``_JointTable``): one
-gather and one call for the fresh words of every ambiguous cell, the words
-one call per level would give them in turn.  A draw is then straight-line
-vector code, and the tester's repeated runs on one pmf pay the set-up once.
-
-``draw_poissonized_batch`` draws ``N ~ Poisson(m)`` and returns
-``draw_batch(p, N)``: by Poissonization its coordinates are independent
-Poisson(``m * p_i``).
-
-A symmetric statistic needs only a batch's fingerprint (how many cells hold
-each count).  ``_multinomial_fingerprints`` and ``_poissonized_fingerprints``
-draw the fingerprints of k batches directly, all at once, the way the
-barrier study draws each grid point's runs.  On a pmf with at most 3
-levels whose cell rates are within the table bound, no n-length vector is
-made.  A level of one cell is one count a row: a column of one multinomial
-over the level masses for the multinomial rows, ``rng.poisson(m p)`` for
-the Poissonized ones.  The histogram of a level's g > 1 cells of one rate
-is multinomial(g, that rate's ``PoissonTable`` law), drawn over the
-table's values in decreasing-mass order so that numpy's multinomial stops
-soon after the likeliest values.  The multinomial rows take
-``draw_batches``' top-up on those histograms (its cells being
-exchangeable, a row's cells can be laid out in order of their Poisson
-counts), to the rest R of m that the one-cell levels leave, from Poisson
-rows at the rate ``E[R] - sqrt(E[R])``: a redrawn row costs one small
-histogram, a top-up sample a sort and a search.  A pmf with no one-cell
-level has R = m.  The rows come in blocks of at most ``_FINGERPRINT_BLOCK``
-top-up samples and count-indexed matrix entries.  Any other pmf draws its
-k rows one at a time.
+The stacked draw and the fingerprint samplers read a pmf only through its
+``LevelTable`` (only their whole-row fallbacks read ``probs``).  The stacked
+draw's set-up for (p, m), its ``_DrawPlan``, is cached on the level table,
+so the tester's repeated runs on one pmf pay it once.
 """
 
 from __future__ import annotations
@@ -101,12 +57,8 @@ import numpy as np
 NORMALIZATION_TOL = 1e-12
 # numpy's Poisson sampler rejects a rate above this (its POISSON_LAM_MAX)
 _POISSON_RATE_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
-# Level-path limits.  At n <= m < 16 n the level path beat numpy's multinomial
-# everywhere measured, by 1.8-7.1x on 2 shared cores (n = 10^4 uniform: 73 vs
-# 485 us at m = n, 689 vs 1,390 us at m = 15 n); only direct draw_batch calls
-# reach it there, draw_batches taking the stacked draw.  Below m = n it saves
-# the alias path's coin per sample, which pays from this many samples on.
-_LEVEL_MAX_RATIO = 16
+# Below m = n the level draw saves the alias path's coin per sample, which
+# pays from this many samples on.
 _LEVEL_MIN_SAMPLES = 1024
 _LEVEL_MAX_COUNT = 3
 # The Poisson rows' total rate is m - slack * sqrt(m), so about 0.13% of rows
@@ -520,19 +472,11 @@ class LevelTable:
 
         Given its total K, a level's samples are K i.i.d. uniform draws over
         its g equal-mass cells, so the result is exactly multinomial(m, p).
-        Below ``m = n`` the drawn cells are gathered and counted at once;
-        from ``m = n`` each level's counts are scattered into its cells.
-        Same draws in the same order, so same counts and stream state.
+        The drawn cells of every level are counted by one ``bincount``.
         """
         totals = rng.multinomial(m, self.mass).tolist()
-        if m < self.n:
-            drawn = [cells[rng.integers(0, cells.shape[0], k)] for cells, k in zip(self.cells, totals)]
-            return np.bincount(np.concatenate(drawn), minlength=self.n)
-        counts = np.zeros(self.n, dtype=np.int64)
-        for cells, k in zip(self.cells, totals):
-            g = cells.shape[0]
-            counts[cells] = np.bincount(rng.integers(0, g, k), minlength=g)
-        return counts
+        drawn = [cells[rng.integers(0, cells.shape[0], k)] for cells, k in zip(self.cells, totals)]
+        return np.bincount(np.concatenate(drawn), minlength=self.n)
 
 
 class PoissonTable:
@@ -786,21 +730,21 @@ def draw_batch(p: Pmf, m: int, rng: np.random.Generator) -> SampleBatch:
     """Draw one multinomial(m, p) frequency vector.
 
     Deterministic given the stream state.  Three paths, by ``m``, ``n`` and
-    the pmf's level count L (see the module docstring for their costs):
+    the pmf's level count L:
 
-    * ``min(n, 1024) <= m < 16 n`` and ``L <= 3``: ``p.level_table()``
-      draws the L level totals and spreads each uniformly over its cells
-      (gathered below ``m = n``, scattered from it: same draws, same bits);
+    * ``1024 <= m < n`` and ``L <= 3``: ``p.level_table()`` draws the L
+      level totals and spreads each uniformly over its cells;
     * otherwise ``m >= n``: numpy's conditional-binomial multinomial;
     * otherwise: ``m`` draws from ``p.alias_table()`` counted by ``bincount``.
 
-    The m test comes first, so a pmf drawn only outside
-    ``[min(n, 1024), 16 n)`` never builds its level table.  Several batches
-    of one pmf and m are cheaper through ``draw_batches``.
+    The m test comes first, so a pmf drawn only outside ``[1024, n)`` never
+    builds its level table.  From ``m = n``, several batches of one pmf and
+    m are cheaper through ``draw_batches``; below, that is ``draw_batch``
+    once per batch.
     """
     m = _checked_count(m)
     n = p.n
-    levels = p.level_table() if min(n, _LEVEL_MIN_SAMPLES) <= m < _LEVEL_MAX_RATIO * n else None
+    levels = p.level_table() if _LEVEL_MIN_SAMPLES <= m < n else None
     if levels is not None:
         counts = levels.draw(m, rng)
     elif m >= n:

@@ -9,7 +9,9 @@ cases draw the same k = 9 paired-bias(0.25) rows above m = n, at the
 tester's sample size for n = 1000 and n = 10^4, once as the stacked draw's
 rows (``_draw_rows``, what the tester draws there) and once as multinomial
 fingerprints: where the fingerprints win is where the tester could switch
-to them.  The file name keeps it out of the test suite; run it on its own:
+to them.  The direct-call cases draw one ``draw_batch`` of paired-bias(0.25)
+at m >= n, where it is numpy's multinomial.  The file name keeps it out of
+the test suite; run it on its own:
 
     python -m pytest tests/bench_fingerprints.py --benchmark-columns=median,iqr,rounds
 """
@@ -25,6 +27,7 @@ GRID = (400, 800, 1600, 3200, 6400)
 HEAVY = make_instance(InstanceSpec.heavy(N ** -0.5), N)
 PAIRED = ((10**5, 92_043), (10**6, 314_597))
 CROSSOVER = ((1000, 7784), (10**4, 26_715))
+DIRECT = ((20, 100), (1000, 7784), (10**4, 4 * 10**4))
 
 
 @pytest.mark.parametrize("m", GRID)
@@ -52,3 +55,10 @@ def test_crossover_above_n(benchmark, sampler, n, m):
     p = make_instance(InstanceSpec.paired_bias(0.25), n)
     rng = stream(4, m)
     benchmark(getattr(distributions, sampler), p, m, 9, rng)
+
+
+@pytest.mark.parametrize("n, m", DIRECT)
+def test_draw_batch_from_n(benchmark, n, m):
+    p = make_instance(InstanceSpec.paired_bias(0.25), n)
+    rng = stream(5, m)
+    benchmark(distributions.draw_batch, p, m, rng)

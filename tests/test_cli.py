@@ -91,6 +91,21 @@ class TestTestCommand:
             capsys)
         assert code == 2 and "disagrees" in err
 
+    @pytest.mark.parametrize("instance", ["paired-bias:0.5", "uniform"])
+    def test_pmf_file_with_instance_exit_two(self, instance, tmp_path, capsys):
+        # the file would be tested and the instance dropped
+        path = tmp_path / "p.txt"
+        path.write_text(Pmf(np.full(4, 0.25)).to_text())
+        with pytest.raises(SystemExit) as exc:
+            main(["test", "--n", "4", "--eps", "0.3", "--rho", "0.2", "--pmf-file", str(path),
+                  "--instance", instance])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_instance_defaults_to_uniform(self, capsys):
+        _, out, _ = run(["test", *BASE], capsys)
+        assert out == run(["test", *BASE, "--instance", "uniform"], capsys)[1]
+
     @pytest.mark.parametrize("text", ['{"probs": [0.5, 0.5]}', '{"n": 2}', '{"n": 2, "probs": {"a": 1}}'],
                              ids=["no-n", "no-probs", "probs-object"])
     def test_malformed_pmf_json_exit_two(self, text, tmp_path, capsys):
@@ -311,8 +326,20 @@ class TestCalibrateCommand:
         assert json.loads(out.splitlines()[-1]) == constants
 
     def test_requires_grid(self, capsys):
-        code, _, err = run(["calibrate", "--rho", "0.2"], capsys)
-        assert code == 2 and "grid" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--rho", "0.2"])
+        assert exc.value.code == 2 and "grid" in capsys.readouterr().err
+
+    def test_default_grid_with_grid_exit_two(self, monkeypatch, capsys):
+        # the default grid would be calibrated and --grid dropped
+        def forbidden(*args, **kwargs):
+            raise AssertionError("calibrate called")
+
+        monkeypatch.setattr(cli, "calibrate", forbidden)
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--default-grid", "--grid", "1000:0.25", "--rho", "0.2", "--trials", "8"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_infeasible_exit_one(self, capsys):
         # m floors to 6 samples, so uniform and far medians coincide

@@ -190,15 +190,15 @@ class TestFamilyInstances:
     @pytest.mark.parametrize("spec", [InstanceSpec.uniform(), InstanceSpec.paired_bias(0.3),
                                       InstanceSpec.heavy(0.01)])
     def test_no_cells_without_a_level_path(self, spec, monkeypatch):
-        # the alias path below min(n, 1024) samples and the multinomial path
-        # from 16n build no level table, so no cell array
+        # the alias path below 1024 samples and the multinomial path from
+        # m = n build no level table, so no cell array
         def forbidden(*args):
             raise AssertionError("level table built")
 
         monkeypatch.setattr(LevelTable, "build", forbidden)
         monkeypatch.setattr(LevelTable, "of_layout", forbidden)
         p = make_instance(spec, 2000)
-        for m in (500, 16 * 2000):
+        for m in (500, 2000, 2 * 2000, 16 * 2000):
             assert draw_batch(p, m, stream(9, m)).m == m
         assert draw_batches(p, 500, 2, stream(9, 1)).shape == (2, 2000)
         draw_samples(p, 100, stream(9, 2))
@@ -357,7 +357,7 @@ def _level_draw_with_single_cell_branch(table, m, rng):
 
 
 def _scatter_level_draw(table, m, rng):
-    """The level draw's scatter form (its form from m = n), at any m."""
+    """The level draw with each level's counts scattered into its cells, at any m."""
     counts = np.zeros(table.n, dtype=np.int64)
     for cells, total in zip(table.cells, rng.multinomial(m, table.mass).tolist()):
         counts[cells] = np.bincount(rng.integers(0, cells.size, total), minlength=cells.size)
@@ -365,7 +365,7 @@ def _scatter_level_draw(table, m, rng):
 
 
 def _gather_level_draw(table, m, rng):
-    """The level draw's gather form (its form below m = n), at any m."""
+    """The level draw with the drawn cells gathered and counted at once, at any m."""
     totals = rng.multinomial(m, table.mass).tolist()
     drawn = [cells[rng.integers(0, cells.size, k)] for cells, k in zip(table.cells, totals)]
     return np.bincount(np.concatenate(drawn), minlength=table.n)
@@ -401,11 +401,13 @@ class TestLevelPath:
         (make_instance(InstanceSpec.paired_bias(0.6), 10).probs, 25),
     ])
     def test_multinomial_law(self, probs, m):
+        # the level draw itself: draw_batch takes numpy's multinomial at these m
         p = Pmf(probs)
-        assert p.n <= m < distributions._LEVEL_MAX_RATIO * p.n
-        assert p.level_table() is not None
+        assert p.n <= m
+        table = p.level_table()
+        assert table is not None
         rng = stream(31, 7)
-        draws = np.array([draw_batch(p, m, rng).counts for _ in range(20_000)], dtype=np.float64)
+        draws = np.array([table.draw(m, rng) for _ in range(20_000)], dtype=np.float64)
         assert np.all(draws.sum(axis=1) == m)
         _assert_multinomial_moments(draws, m, p.probs)
 
@@ -428,7 +430,7 @@ class TestLevelPath:
         table = p.level_table()
         assert [c.size for c in table.cells] == [1, n - 1]
         rng, ref_rng = stream(seed, 8), stream(seed, 8)
-        counts = draw_batch(p, 2 * n, rng).counts
+        counts = table.draw(2 * n, rng)
         assert np.array_equal(counts, _level_draw_with_single_cell_branch(table, 2 * n, ref_rng))
         assert _stream_state(rng) == _stream_state(ref_rng)
 
@@ -439,8 +441,8 @@ class TestLevelPath:
         _mixed_levels(2000),
     ], ids=["uniform", "heavy", "paired", "mixed"])
     def test_gather_form_equals_scatter_form(self, p):
-        # same counts and same stream state at every m, so the m < n switch
-        # between the two forms moves no bits
+        # LevelTable.draw against both reference forms: same counts and same
+        # stream state at every m, below m = n and from it
         table = p.level_table()
         assert table is not None
         for m in (0, 1, 1023, 1024, p.n - 1, p.n, 8 * p.n):
@@ -452,8 +454,8 @@ class TestLevelPath:
             assert len({_stream_state(r) for r in rngs}) == 1, m
 
     def test_multinomial_law_below_n(self):
-        # the heavy barrier instance at n = 10^4, m = 2000: the level path's
-        # gather form; moments on the heavy cell and a few light ones
+        # the heavy barrier instance at n = 10^4, m = 2000: the level path;
+        # moments on the heavy cell and a few light ones
         p = make_instance(InstanceSpec.heavy(0.01), 10**4)
         m = 2000
         assert distributions._LEVEL_MIN_SAMPLES <= m < p.n
@@ -479,10 +481,13 @@ class TestLevelPath:
 
     @pytest.mark.parametrize("spec", [InstanceSpec.uniform(), InstanceSpec.paired_bias(0.0)])
     def test_level_mass_rounding_past_one(self, spec):
-        # renormalized, each 1/998 rounds up one ulp and 998 of them to 1 + 2**-52
+        # renormalized, each 1/998 rounds up one ulp and 998 of them to
+        # 1 + 2**-52, which multinomial rejects; the stacked draw's top-up
+        # reads the clamped LevelTable.mass
         p = make_instance(spec, 998)
         assert p.probs[0] * p.n > 1.0
-        assert draw_batch(p, 8 * p.n, stream(5, 998)).counts.sum() == 8 * p.n
+        counts = draw_batches(p, 8 * p.n, 3, stream(5, 998))
+        assert counts.sum(axis=1).tolist() == [8 * p.n] * 3
 
 
 class TestDrawDispatch:
@@ -501,7 +506,6 @@ class TestDrawDispatch:
         (make_instance(InstanceSpec.heavy(0.01), 10**4), 1600),
         (make_instance(InstanceSpec.heavy(0.01), 10**4), distributions._LEVEL_MIN_SAMPLES),
         (make_instance(InstanceSpec.paired_bias(0.5), 10**4), 5000),
-        (make_instance(InstanceSpec.heavy(0.01), 1000), 1000),  # m = n < the cutoff
     ])
     def test_level_path_from_the_lower_cutoff(self, p, m):
         batch = draw_batch(p, m, stream(8, 3))
@@ -509,11 +513,22 @@ class TestDrawDispatch:
 
     @pytest.mark.parametrize("p, m", [
         (_leveled(1000, 200), 4000),  # too many levels
-        (uniform(1000), distributions._LEVEL_MAX_RATIO * 1000),  # m/n at the cutoff
+        # level pmfs from m = n on
+        (uniform(1000), 16 * 1000),
+        (make_instance(InstanceSpec.heavy(0.01), 1000), 1000),
+        (uniform(1), 1),
+        (uniform(1), 15),
+        (make_instance(InstanceSpec.paired_bias(0.5), 10), 10),
+        (make_instance(InstanceSpec.paired_bias(0.5), 10), 150),
+        (make_instance(InstanceSpec.paired_bias(0.5), 1000), 1000),
+        (make_instance(InstanceSpec.paired_bias(0.5), 1000), 15_000),
+        (_mixed_levels(300), 300),  # with a zero-mass cell
+        (_mixed_levels(300), 4500),
     ])
     def test_multinomial_outside_the_level_path(self, p, m):
-        batch = draw_batch(p, m, stream(8, 2))
-        assert np.array_equal(batch.counts, stream(8, 2).multinomial(m, p.probs))
+        rng, ref = stream(8, 2), stream(8, 2)
+        assert np.array_equal(draw_batch(p, m, rng).counts, ref.multinomial(m, p.probs))
+        assert _stream_state(rng) == _stream_state(ref)
 
     def test_identity_tester_takes_the_stacked_draw(self, monkeypatch):
         # the identity benchmark's setting: all m0 reduced batches in one
@@ -969,8 +984,8 @@ class TestPoissonized:
     ], ids=["mixed-8", "mixed-20", "high-rate"])
     def test_independent_poissons_from_n_on_few_levels(self, p, m):
         # m >= n on a pmf with at most 3 levels: a Poisson total N then a batch
-        # of N on any of draw_batch's paths (mostly level at 8 and 80,
-        # multinomial past 16n) gives independent Poisson(m p_i) counts
+        # of N on draw_batch's alias path (N < n) or multinomial path (N >= n)
+        # gives independent Poisson(m p_i) counts
         trials = 20_000
         rng = stream(17, 6)
         draws = np.array([draw_poissonized_batch(p, m, rng).counts for _ in range(trials)],
@@ -1580,8 +1595,8 @@ class TestSampleBatch:
     @pytest.mark.parametrize("p, m", [
         (make_instance(InstanceSpec.heavy(0.05), 2000), 0),
         (make_instance(InstanceSpec.heavy(0.05), 2000), 5),        # alias
-        (make_instance(InstanceSpec.heavy(0.05), 2000), 1500),     # level, gather form
-        (make_instance(InstanceSpec.heavy(0.05), 2000), 4000),     # level, scatter form
+        (make_instance(InstanceSpec.heavy(0.05), 2000), 1500),     # level
+        (make_instance(InstanceSpec.heavy(0.05), 2000), 4000),     # multinomial from m = n
         (make_instance(InstanceSpec.heavy(0.05), 2000), 40_000),   # multinomial
         (_leveled(2000, 200), 1500),                               # alias, many levels
         (_leveled(2000, 200), 4000),                               # multinomial
